@@ -4,7 +4,7 @@ artifacts out.
 Every task is deterministic (no RNG anywhere in the engine), artifacts
 are written atomically with shortest round-trip decimals, and a manifest
 records the config hash and library version, so a rerun of the same
-config produces byte-identical data artifacts at any thread count.
+config produces byte-identical data artifacts.
 """
 
 from __future__ import annotations
@@ -102,9 +102,7 @@ def _evaluator(system, params: dict, need_left_of_delta: bool = False):
         return FredholmEvaluator(system, level=int(params.get("level", 2)),
                                  order=params.get("order"))
     if method == "cycle":
-        catalog = build_orbit_catalog(system, int(params.get("n_max", 12)),
-                                      threads=params.get("_threads", 1))
-        return CycleEvaluator(catalog)
+        return CycleEvaluator(build_orbit_catalog(system, int(params.get("n_max", 12))))
     raise ConfigError(f"unknown method {method!r} in params")
 
 
@@ -144,15 +142,15 @@ def _system_delta(system, params: dict) -> float:
 # ---------------------------------------------------------------------------
 # task runners (each returns a dict of artifact name -> writer callable)
 
-def _task_orbits(system, params, threads):
+def _task_orbits(system, params):
     _check_keys(params, {"n_max"}, "params")
     if not isinstance(system, MapSpec):
         raise ConfigError("orbits task requires a quadratic system")
-    catalog = build_orbit_catalog(system, int(params.get("n_max", 12)), threads=threads)
+    catalog = build_orbit_catalog(system, int(params.get("n_max", 12)))
     return {"catalog.json": lambda path: save_catalog(catalog, path)}
 
 
-def _task_cover(system, params, threads):
+def _task_cover(system, params):
     _check_keys(params, {"h_max", "n_scales", "decades", "hs"}, "params")
     if "hs" in params:
         stats = cover_profile(system, [float(h) for h in params["hs"]])
@@ -164,10 +162,9 @@ def _task_cover(system, params, threads):
     return {"cover_stats.csv": stats.to_csv}
 
 
-def _task_zeta_eval(system, params, threads):
+def _task_zeta_eval(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "re", "im"}, "params")
-    params = dict(params, _threads=threads)
     ev = _evaluator(system, params)
     re_spec = _require(params, "re", "params")
     im_spec = _require(params, "im", "params")
@@ -177,7 +174,7 @@ def _task_zeta_eval(system, params, threads):
     return {"zeta_grid.csv": lambda path: export_grid(path, ev, ss)}
 
 
-def _task_zeros(system, params, threads):
+def _task_zeros(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "rectangle"}, "params")
     ev = _evaluator(system, params, need_left_of_delta=True)
@@ -185,7 +182,7 @@ def _task_zeros(system, params, threads):
     return {"zeros.csv": lambda path: export_zeros(path, records)}
 
 
-def _task_count(system, params, threads):
+def _task_count(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "rectangle", "family", "radii"}, "params")
     ev = _evaluator(system, params, need_left_of_delta=True)
@@ -202,7 +199,7 @@ def _task_count(system, params, threads):
                 path, json.dumps(report.summary(), indent=1) + "\n")}
 
 
-def _task_growth(system, params, threads):
+def _task_growth(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "c0", "radii", "re_samples"}, "params")
     ev = _evaluator(system, params, need_left_of_delta=True)
@@ -217,15 +214,14 @@ def _task_growth(system, params, threads):
         path, json.dumps(payload, indent=1) + "\n")}
 
 
-def _task_pairing(system, params, threads):
+def _task_pairing(system, params):
     _check_keys(params, {"windows", "rectangle", "n_max", "k_max", "delta",
                          "histogram_n", "level"}, "params")
     if isinstance(system, AffinePair):
         catalog = system.orbit_catalog(int(params.get("n_max", 12)))
         ev = ModelEvaluator(*system.ratios, int(params.get("k_max", 40)))
     elif isinstance(system, MapSpec):
-        catalog = build_orbit_catalog(system, int(params.get("n_max", 12)),
-                                      threads=threads)
+        catalog = build_orbit_catalog(system, int(params.get("n_max", 12)))
         ev = FredholmEvaluator(system, level=int(params.get("level", 2)))
     else:
         raise ConfigError("pairing task requires an affine or quadratic system")
@@ -246,7 +242,7 @@ def _task_pairing(system, params, threads):
     return artifacts
 
 
-def _task_trace_check(system, params, threads):
+def _task_trace_check(system, params):
     _check_keys(params, {"mu_values", "tol"}, "params")
     mu_values = None
     if "mu_values" in params:
@@ -258,7 +254,7 @@ def _task_trace_check(system, params, threads):
     return {"trace_table.csv": lambda path: export_table(path, rows)}
 
 
-def _task_dimension(system, params, threads):
+def _task_dimension(system, params):
     _check_keys(params, {"level", "n_scales", "decades", "h_max"}, "params")
     fit, _stats = box_dimension(system,
                                 h_max=params.get("h_max"),
@@ -287,7 +283,7 @@ _RUNNERS = {
 }
 
 
-def run_job(config: dict, out_dir: str, threads: int = 1) -> list[str]:
+def run_job(config: dict, out_dir: str) -> list[str]:
     """Validate and run one job; returns the artifact paths written.
 
     Artifacts are byte-deterministic; the manifest (config hash, library
@@ -308,7 +304,7 @@ def run_job(config: dict, out_dir: str, threads: int = 1) -> list[str]:
         raise ConfigError("config.params must be an object")
 
     started = time.monotonic()
-    artifacts = _RUNNERS[task](system, params, threads)
+    artifacts = _RUNNERS[task](system, params)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name in sorted(artifacts):
@@ -320,7 +316,6 @@ def run_job(config: dict, out_dir: str, threads: int = 1) -> list[str]:
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "version": __version__,
-        "threads": threads,
         "wall_time_s": time.monotonic() - started,
         "artifacts": sorted(artifacts),
     }
@@ -340,9 +335,6 @@ def main(argv=None) -> int:
                         help="path to the JSON job config (env JZ_CONFIG)")
     parser.add_argument("--out", default=os.environ.get("JZ_OUT", "."),
                         help="artifact output directory (env JZ_OUT)")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("JZ_THREADS", "1")),
-                        help="worker thread cap; results do not depend on it")
     args = parser.parse_args(argv)
 
     try:
@@ -358,7 +350,7 @@ def main(argv=None) -> int:
                 f"config task {config.get('task')!r} does not match "
                 f"subcommand {args.task!r}")
         out = config.get("out", args.out)
-        written = run_job(config, out, threads=max(1, args.threads))
+        written = run_job(config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

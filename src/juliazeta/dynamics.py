@@ -3,8 +3,12 @@ bounds, and periodic-orbit catalogs with multipliers.
 
 Periodic points are located as fixed points of composed inverse branches
 (a guaranteed contraction once the expansion certificate holds), then
-polished by Newton on f^n(z) - z.  The catalog stores one entry per prime
-orbit; fixed points of every iterate are reconstructed from prime orbits.
+polished by Newton on f^n(z) - z.  One vectorised locator does this for
+all 2^n itineraries of period n at once: a word's letters are the bits of
+its index, a prime orbit is an index strictly smaller than its other bit
+rotations, and its points are the located points at those rotations.  The
+catalog stores one entry per prime orbit; fixed points of every iterate
+are reconstructed from prime orbits.
 """
 
 from __future__ import annotations
@@ -15,16 +19,18 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (BranchPointError, ConvergenceError, DegeneracyError,
-                     DomainError, HyperbolicityError)
+                     DomainError, HyperbolicityError, WordLimitError)
 from .intervals import Disk, Interval
-from .util import parallel_map
 from .words import Word, aperiodic_necklace_count, enumerate_words
 
 N_MAX_CAP = 20
 CATALOG_VERSION = 1
 _MAX_CONTRACTION_APPLICATIONS = 400
 _NEWTON_STEPS = 3
+_INDEX_BITS = 62   # itinerary indices are int64
 
 
 class Mode(enum.Enum):
@@ -181,86 +187,97 @@ class PeriodicOrbitPoint:
         return len(self.word)
 
 
-def _locate_real(spec: MapSpec, letters: str) -> tuple[float, float, float]:
-    """Real-axis contraction + Newton polish.  Returns (z, multiplier,
-    residual) where residual estimates |z - z*| via the Newton step."""
-    c = spec.c.real
-    signs = [1.0 if ch == "0" else -1.0 for ch in letters]
-    rev = signs[::-1]
-    n = len(signs)
-    z = 0.0
-    prev = math.inf
-    for _ in range(_MAX_CONTRACTION_APPLICATIONS):
-        w = z
-        for s in rev:
-            w = s * math.sqrt(w - c)
-        step = abs(w - z)
-        z = w
-        if step <= 1e-14 * (1.0 + abs(z)) or step >= prev and step < 1e-10:
-            break
-        prev = step
-    else:
-        raise ConvergenceError(f"contraction failed for word {letters!r} (c = {c})")
-    # Newton polish on f^n(z) - z; derivative is the running multiplier - 1
-    residual = math.inf
-    for _ in range(_NEWTON_STEPS):
-        x, lam = z, 1.0
-        for _ in range(n):
-            lam *= 2.0 * x
-            x = x * x + c
-        fval = x - z
-        dval = lam - 1.0
-        if dval == 0.0:
-            break
-        step = fval / dval
-        residual = abs(step)
-        z -= step
-        if residual <= 1e-16 * (1.0 + abs(z)):
-            break
-    x, lam = z, 1.0
+def _forward(z: np.ndarray, n: int, c) -> tuple[np.ndarray, np.ndarray]:
+    """f^n(z) and the running multiplier (f^n)'(z), elementwise."""
+    x, lam = z, np.ones_like(z)
     for _ in range(n):
-        lam *= 2.0 * x
+        lam = lam * (2.0 * x)
         x = x * x + c
-    residual = abs(x - z) / max(1.0, abs(lam - 1.0))
-    return z, lam, residual
+    return x, lam
 
 
-def _locate_complex(spec: MapSpec, letters: str) -> tuple[complex, complex, float]:
-    c = spec.c
-    signs = [1.0 if ch == "0" else -1.0 for ch in letters]
-    rev = signs[::-1]
-    n = len(signs)
-    z = 0.0j
-    prev = math.inf
+def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed points of f^n for the itineraries `idx`, all at once.
+
+    Letter k of an index's word is bit n-1-k (most significant first), so
+    integer order is lexicographic order.  Each point is the fixed point
+    of g_{w1} o ... o g_{wn}, reached by contraction from 0 and polished
+    by Newton on f^n(z) - z.  Every element stops on its own criterion,
+    so it goes through exactly the floating-point operations a scalar
+    loop would.  Returns the points (float in Real1D, complex in
+    Complex2D) and residuals estimating |z - z*| via the Newton step.
+    """
+    real = spec.mode is Mode.REAL_1D
+    c = spec.c.real if real else spec.c
+    z = np.zeros(idx.shape, float if real else complex)
+    prev = np.full(idx.shape, math.inf)
+    live = np.arange(idx.size)
     for _ in range(_MAX_CONTRACTION_APPLICATIONS):
-        w = z
-        for s in rev:
-            w = s * cmath.sqrt(w - c)
-        step = abs(w - z)
-        z = w
-        if step <= 1e-14 * (1.0 + abs(z)) or step >= prev and step < 1e-10:
+        zl, il = z[live], idx[live]
+        w = zl
+        for j in range(n):   # the last letter's branch is applied first
+            w = np.sqrt(w - c)
+            np.negative(w, out=w, where=(il >> j) & 1 == 1)
+        step = np.abs(w - zl)
+        z[live] = w
+        done = (step <= 1e-14 * (1.0 + np.abs(w))) | ((step >= prev[live]) & (step < 1e-10))
+        prev[live] = step
+        live = live[~done]
+        if not live.size:
             break
-        prev = step
     else:
-        raise ConvergenceError(f"contraction failed for word {letters!r} (c = {c})")
+        raise ConvergenceError(f"contraction failed for {live.size} words of length {n} "
+                               f"(c = {c})")
+    # Newton polish on f^n(z) - z; the derivative is the running multiplier - 1
+    live = np.arange(idx.size)
     for _ in range(_NEWTON_STEPS):
-        x, lam = z, 1.0 + 0.0j
-        for _ in range(n):
-            lam *= 2.0 * x
-            x = x * x + c
+        zl = z[live]
+        x, lam = _forward(zl, n, c)
         dval = lam - 1.0
-        if dval == 0.0:
+        keep = dval != 0.0
+        live, zl = live[keep], zl[keep]
+        step = (x[keep] - zl) / dval[keep]
+        zl = zl - step
+        z[live] = zl
+        live = live[~(np.abs(step) <= 1e-16 * (1.0 + np.abs(zl)))]
+        if not live.size:
             break
-        step = (x - z) / dval
-        z -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    x, lam = z, 1.0 + 0.0j
-    for _ in range(n):
-        lam *= 2.0 * x
-        x = x * x + c
-    residual = abs(x - z) / max(1.0, abs(lam - 1.0))
-    return z, lam, residual
+    x, lam = _forward(z, n, c)
+    return z, np.abs(x - z) / np.maximum(1.0, np.abs(lam - 1.0))
+
+
+def _orbit_points(spec: MapSpec, words: list[Word], pts: np.ndarray,
+                  residual: np.ndarray, prime: bool = True) -> list[PeriodicOrbitPoint]:
+    """Orbit records from located points: row r of `pts` is the orbit of
+    words[r], column k located from the word rotated left by k.
+
+    The multiplier is the chain product of f' over the located points, in
+    rotation order: a forward orbit iterated from one point loses
+    ~|Lambda| * eps of accuracy, while the located points keep the
+    product exact to ~n ulps and identical across rotations.
+    """
+    n = pts.shape[1]
+    bounds = certified_bounds(spec)
+    lo, hi = n * math.log(bounds.a), n * math.log(bounds.b)
+    lams = np.ones(len(pts), pts.dtype)
+    for k in range(n):
+        lams = lams * (2.0 * pts[:, k])
+    out = []
+    for word, orbit, lam, res in zip(words, pts.astype(complex).tolist(),
+                                     lams.astype(complex).tolist(), residual.tolist()):
+        if not res <= spec.tol_point:
+            raise ConvergenceError(
+                f"periodic point for word {word} has residual {res} > {spec.tol_point}")
+        if not abs(lam) > 1.0:
+            raise ConvergenceError(
+                f"located point for word {word} is not repelling (|multiplier| = {abs(lam)})")
+        length = math.log(abs(lam))
+        if not (lo - 1e-9 <= length <= hi + 1e-9):
+            raise ConvergenceError(
+                f"length {length} for word {word} violates certified bounds [{lo}, {hi}]")
+        out.append(PeriodicOrbitPoint(word=word, z=orbit[0], multiplier=lam, length=length,
+                                      prime=prime, residual=res, orbit=tuple(orbit)))
+    return out
 
 
 def locate_periodic_point(spec: MapSpec, word: Word | str) -> PeriodicOrbitPoint:
@@ -268,46 +285,18 @@ def locate_periodic_point(spec: MapSpec, word: Word | str) -> PeriodicOrbitPoint
 
     The composed inverse branch is a uniform contraction once the spec is
     certified, so the iteration converges from the trap center.  Every
-    orbit point is located from its own rotated word, and the multiplier
-    is the chain product of f' over those located points: a forward orbit
-    iterated from one point loses ~|Lambda| * eps of accuracy, while the
-    located points keep the product exact to ~n ulps and identical across
-    rotations.
+    orbit point is located from its own rotated word, by the same
+    locator as the catalog, so the result equals the catalog's entry.
     """
     if isinstance(word, str):
         word = Word(word)
-    bounds = certified_bounds(spec)
     n = len(word)
-    if spec.mode is Mode.REAL_1D:
-        z, _lam, residual = _locate_real(spec, word.letters)
-        orbit = [z] + [_locate_real(spec, word.rotated(k).letters)[0]
-                       for k in range(1, n)]
-        lam = 1.0
-        for x in orbit:
-            lam *= 2.0 * x
-        z, lam = complex(z), complex(lam)
-        orbit = tuple(complex(x) for x in orbit)
-    else:
-        z, _lam, residual = _locate_complex(spec, word.letters)
-        orbit = [z] + [_locate_complex(spec, word.rotated(k).letters)[0]
-                       for k in range(1, n)]
-        lam = 1.0 + 0.0j
-        for x in orbit:
-            lam *= 2.0 * x
-        orbit = tuple(orbit)
-    if residual > spec.tol_point:
-        raise ConvergenceError(
-            f"periodic point for word {word} has residual {residual} > {spec.tol_point}")
-    if not abs(lam) > 1.0:
-        raise ConvergenceError(
-            f"located point for word {word} is not repelling (|multiplier| = {abs(lam)})")
-    length = math.log(abs(lam))
-    if not (n * math.log(bounds.a) - 1e-9 <= length <= n * math.log(bounds.b) + 1e-9):
-        raise ConvergenceError(
-            f"length {length} for word {word} violates certified bounds "
-            f"[{n * math.log(bounds.a)}, {n * math.log(bounds.b)}]")
-    return PeriodicOrbitPoint(word=word, z=z, multiplier=lam, length=length,
-                              prime=word.aperiodic, residual=residual, orbit=orbit)
+    if n > _INDEX_BITS:
+        raise WordLimitError(f"word length {n} exceeds the {_INDEX_BITS}-bit itinerary index")
+    certified_bounds(spec)   # raises HyperbolicityError before any iteration
+    idx = np.array([int(word.rotated(k).letters, 2) for k in range(n)])
+    z, residual = _locate(spec, n, idx)
+    return _orbit_points(spec, [word], z[None, :], residual[:1], word.aperiodic)[0]
 
 
 @dataclass(frozen=True)
@@ -350,54 +339,67 @@ class OrbitCatalog:
         return min(o.length for o in self.orbits)
 
 
-def _separation_scan(points: list[complex], threshold: float, n: int) -> float:
-    """Minimum pairwise distance, via a sweep over real parts."""
-    pts = sorted(points, key=lambda z: (z.real, z.imag))
+def _prime_rotations(n: int) -> np.ndarray:
+    """One row per prime orbit of period n, in lexicographic order: column
+    k is the index of the orbit's word rotated left by k.  A prime word's
+    index is strictly smaller than each of its other rotations."""
+    idx, top = np.arange(2 ** n), 2 ** n - 1
+    prime = np.ones(idx.size, bool)
+    for k in range(1, n):
+        prime &= idx < ((idx << k | idx >> (n - k)) & top)
+    words = idx[prime]
+    return np.stack([(words << k | words >> (n - k)) & top for k in range(n)], axis=1)
+
+
+def _min_separation(points: np.ndarray) -> float:
+    """Minimum pairwise distance.  After a sort by (Re, Im), pairs k apart
+    are compared for k = 1, 2, ... until no such pair is closer in Re
+    than the best distance so far."""
+    pts = points[np.lexsort((points.imag, points.real))]
     best = math.inf
-    for i, z in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            w = pts[j]
-            if w.real - z.real >= best:
-                break
-            best = min(best, abs(w - z))
-    if best <= threshold:
-        raise DegeneracyError(
-            f"fixed points of iterate {n} collide: min separation {best} <= guard {threshold}")
+    for k in range(1, pts.size):
+        near = pts[k:].real - pts[:-k].real < best
+        if not near.any():
+            break
+        best = min(best, float(np.abs(pts[k:][near] - pts[:-k][near]).min()))
     return best
 
 
-def build_orbit_catalog(spec: MapSpec, n_max: int = 12, threads: int = 1) -> OrbitCatalog:
+def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     """Locate every prime orbit of period <= n_max.
 
-    Each orbit point (one per rotation of the canonical word) is located
-    independently by contraction, so all stored points carry full
-    precision.  Validates the 2^n fixed-point count identity and the
-    pairwise separation guard 10 * tol_point.
+    All 2^n fixed points of f^n are located in one vectorised pass per
+    period, each from its own itinerary, so all stored points carry full
+    precision.  Validates the prime-orbit and 2^n fixed-point counts and
+    the per-iterate pairwise separation guard 10 * tol_point.
     """
     if not (1 <= n_max <= N_MAX_CAP):
         raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}")
     bounds = certified_bounds(spec)
-
-    jobs = []
+    orbits, points = [], {}
     for n in range(1, n_max + 1):
-        jobs.extend(w for w in enumerate_words(n) if w.aperiodic)
-
-    orbits = parallel_map(lambda word: locate_periodic_point(spec, word),
-                          jobs, threads=threads)
-
-    # Separation is checked per iterate: the 2^n fixed points of f^n must be
-    # pairwise distinct for each n <= n_max.  (Orbit pairs of coprime periods
-    # p, q can agree to itinerary depth p + q - 2 and sit closer than double
-    # precision resolves, but no computation ever compares across iterates.)
-    for n in range(1, n_max + 1):
-        sharing = [o for o in orbits if n % o.n == 0]
-        got = sum(o.n for o in sharing)
-        if got != 2 ** n:
-            raise DegeneracyError(
-                f"fixed-point count mismatch at n = {n}: reconstructed {got}, expected {2 ** n}")
-        assert sum(1 for o in orbits if o.n == n) == aperiodic_necklace_count(n)
-        points = [z for o in sharing for z in o.orbit]
-        _separation_scan(points, 10.0 * spec.tol_point, n)
+        rows = _prime_rotations(n)
+        if len(rows) != aperiodic_necklace_count(n):
+            raise DegeneracyError(f"prime-orbit count mismatch at n = {n}: found {len(rows)}, "
+                                  f"expected {aperiodic_necklace_count(n)}")
+        z, residual = _locate(spec, n, np.arange(2 ** n))
+        points[n] = z[rows]
+        # Separation is checked per iterate: the 2^n fixed points of f^n must
+        # be pairwise distinct for each n <= n_max.  (Orbit pairs of coprime
+        # periods p, q can agree to itinerary depth p + q - 2 and sit closer
+        # than double precision resolves, but no computation ever compares
+        # across iterates.)
+        sharing = np.concatenate([points[p].ravel() for p in points if n % p == 0])
+        if sharing.size != 2 ** n:
+            raise DegeneracyError(f"fixed-point count mismatch at n = {n}: "
+                                  f"reconstructed {sharing.size}, expected {2 ** n}")
+        best = _min_separation(sharing)
+        if best <= 10.0 * spec.tol_point:
+            raise DegeneracyError(f"fixed points of iterate {n} collide: min separation "
+                                  f"{best} <= guard {10.0 * spec.tol_point}")
+        del sharing   # freed before this period's orbit records are made
+        words = [Word(format(i, f"0{n}b")) for i in rows[:, 0].tolist()]
+        orbits += _orbit_points(spec, words, points[n], residual[rows[:, 0]])
 
     meta = {"system": "quadratic", "c": spec.c, "mode": spec.mode.value,
             "n_cert": spec.n_cert}
@@ -500,9 +502,10 @@ def save_catalog(catalog: OrbitCatalog, path: str) -> None:
 def load_catalog(path: str) -> OrbitCatalog:
     """Rebuild a catalog from its cache.
 
-    Points are re-located from the cached words (the same deterministic
-    code path as a fresh build), then cross-checked against the cached
-    values; downstream results are therefore identical to a fresh build.
+    Points are re-located from the cached parameters (the same
+    deterministic code path as a fresh build), then the cached points and
+    multipliers are cross-checked against them; downstream results are
+    therefore identical to a fresh build.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -512,12 +515,19 @@ def load_catalog(path: str) -> OrbitCatalog:
                    mode=Mode(payload["mode"]),
                    tol_point=payload["tol_point"],
                    n_cert=payload["n_cert"])
-    catalog = build_orbit_catalog(spec, n_max=payload["n_max"])
-    cached = {rec["word"]: rec for rec in payload["orbits"]}
+    n_max = payload["n_max"]
+    cached = {rec["word"]: (complex(rec["re_z"], rec["im_z"]),
+                            complex(rec["re_multiplier"], rec["im_multiplier"]))
+              for rec in payload["orbits"]}
+    del payload   # only the word -> (z, multiplier) map is needed from here on
+    catalog = build_orbit_catalog(spec, n_max=n_max)
     if set(cached) != {o.word.letters for o in catalog.orbits}:
         raise ValueError("catalog cache words do not match the rebuilt catalog")
+    tol = 100.0 * spec.tol_point
     for o in catalog.orbits:
-        rec = cached[o.word.letters]
-        if abs(o.z - complex(rec["re_z"], rec["im_z"])) > 100.0 * spec.tol_point:
+        z, lam = cached[o.word.letters]
+        if not abs(o.z - z) <= tol:
             raise ValueError(f"cached point for word {o.word} disagrees with rebuild")
+        if not abs(o.multiplier - lam) <= tol * abs(o.multiplier):
+            raise ValueError(f"cached multiplier for word {o.word} disagrees with rebuild")
     return catalog

@@ -28,7 +28,8 @@ class ConvergenceError(EngineError):
 
 
 class DegeneracyError(EngineError):
-    """Catalog points violate the pairwise separation guard."""
+    """Catalog bookkeeping fails an identity: the pairwise separation
+    guard, or the prime-orbit or fixed-point counts."""
 
 
 class WordLimitError(EngineError):

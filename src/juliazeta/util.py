@@ -1,25 +1,10 @@
-"""Small shared helpers: deterministic parallel map, atomic artifact
-writes, and shortest round-trip float formatting."""
+"""Small shared helpers: atomic artifact writes and shortest round-trip
+float formatting."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map `fn` over `items`, preserving order.
-
-    Work is chunked over a thread pool when ``threads > 1``; results are
-    reassembled in input order, so the output is identical for any thread
-    count (each item's computation is pure).
-    """
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt(x) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import WordLimitError
+from .errors import DegeneracyError, WordLimitError
 
 WORD_LENGTH_CAP = 20  # 2^n growth; matches the catalog hard cap
 
@@ -118,5 +118,7 @@ def mobius(n: int) -> int:
 def aperiodic_necklace_count(n: int) -> int:
     """(1/n) * sum_{d|n} mu(d) 2^(n/d)."""
     total = sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise DegeneracyError(f"necklace count identity fails at n = {n}: {total} is not "
+                              f"divisible by {n}")
     return total // n

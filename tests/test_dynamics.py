@@ -1,13 +1,18 @@
+import cmath
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import juliazeta.dynamics as dynamics
 from juliazeta.dynamics import (AffinePair, MapSpec, Mode,
                                 build_orbit_catalog, expansion_bounds,
                                 inverse_branch, load_catalog,
                                 locate_periodic_point, save_catalog)
-from juliazeta.errors import (BranchPointError, DomainError,
+from juliazeta.errors import (BranchPointError, DegeneracyError, DomainError,
                               HyperbolicityError)
 from juliazeta.words import Word
 
@@ -195,3 +200,101 @@ def test_word_validation_in_locate():
     spec = MapSpec(c=-6)
     with pytest.raises(ValueError):
         locate_periodic_point(spec, "02")
+
+
+def test_catalog_cache_rejects_tampered_multiplier(tmp_path):
+    cat = build_orbit_catalog(MapSpec(c=-6), 6)
+    path = tmp_path / "catalog.json"
+    save_catalog(cat, str(path))
+    payload = json.loads(path.read_text())
+    payload["orbits"][5]["re_multiplier"] *= 1.0 + 1e-6
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="multiplier"):
+        load_catalog(str(path))
+
+
+def test_prime_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "aperiodic_necklace_count", lambda n: 0)
+    with pytest.raises(DegeneracyError, match="prime-orbit count"):
+        build_orbit_catalog(MapSpec(c=-6), 3)
+
+
+# catalog.json for c = -6, n_max = 12 as the scalar reference loop below
+# writes it: the vectorised locator must reproduce its bytes
+CATALOG12_SHA256 = "a23978e3627495468eec083632eafd636ece6caae4816a9f4b45925253ee89ae"
+
+
+def test_catalog_bytes_pinned(cat12, tmp_path):
+    path = tmp_path / "catalog.json"
+    save_catalog(cat12, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG12_SHA256
+
+
+def test_separation_guard_trips_at_depth_17():
+    # known defect: at this tolerance the guard 10 * tol_point = 5e-12 rules
+    # out depth 17, whose closest fixed points of f^17 sit 1.58e-12 apart
+    with pytest.raises(DegeneracyError, match=r"iterate 17 .* min separation 1\.58\d*e-12"):
+        build_orbit_catalog(MapSpec(c=-6, tol_point=5e-13), 17)
+
+
+def test_locate_matches_catalog():
+    spec = MapSpec(c=-6)
+    for o in build_orbit_catalog(spec, 8).orbits:
+        p = locate_periodic_point(spec, o.word)
+        assert (p.z, p.orbit, p.multiplier, p.length, p.residual, p.prime) == \
+            (o.z, o.orbit, o.multiplier, o.length, o.residual, o.prime)
+
+
+def _scalar_locate(spec, letters):
+    """Reference loop: one itinerary at a time, contraction then Newton."""
+    real = spec.mode is Mode.REAL_1D
+    c, sqrt = (spec.c.real, math.sqrt) if real else (spec.c, cmath.sqrt)
+    z, prev = (0.0 if real else 0.0j), math.inf
+    for _ in range(400):
+        w = z
+        for ch in reversed(letters):
+            w = (1.0 if ch == "0" else -1.0) * sqrt(w - c)
+        step = abs(w - z)
+        z = w
+        if step <= 1e-14 * (1.0 + abs(z)) or step >= prev and step < 1e-10:
+            break
+        prev = step
+    for _ in range(3):
+        x, lam = z, 1.0
+        for _ in letters:
+            lam *= 2.0 * x
+            x = x * x + c
+        if lam == 1.0:
+            break
+        step = (x - z) / (lam - 1.0)
+        z -= step
+        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+            break
+    return z
+
+
+@pytest.mark.parametrize("spec, rel", [(MapSpec(c=-6), 0.0),
+                                       (MapSpec(c=-6 + 0.3j, mode=Mode.COMPLEX_2D), 1e-14)])
+def test_catalog_matches_scalar_locator(spec, rel):
+    # Real1D goes through the scalar loop's exact operations; complex
+    # products and moduli round differently in numpy, within a few ulps
+    for o in build_orbit_catalog(spec, 8).orbits:
+        ref = [_scalar_locate(spec, o.word.rotated(k).letters) for k in range(o.n)]
+        assert all(abs(z - r) <= rel * abs(r) for z, r in zip(o.orbit, ref))
+        lam = 1.0
+        for r in ref:
+            lam *= 2.0 * r
+        assert abs(o.multiplier - lam) <= 8 * o.n * rel * abs(lam)
+
+
+def test_min_separation_matches_pairwise_minimum():
+    rng = np.random.default_rng(7)
+    # three lines Im = 0, 10, 20 whose Re interleave (lines 0 and 20 tie in
+    # Re), so the closest pair sits three apart in (Re, Im) order
+    a = np.sort(rng.uniform(size=100))
+    re = np.concatenate([a, (a[1:] + a[:-1]) / 2.0, a])
+    pts = re + 1j * np.repeat([0.0, 10.0, 20.0], [100, 99, 100])
+    brute = min(abs(p - q) for i, p in enumerate(pts.tolist()) for q in pts[i + 1:].tolist())
+    assert dynamics._min_separation(pts) == brute
+    real = rng.normal(size=300)
+    assert dynamics._min_separation(real) == np.diff(np.sort(real)).min()

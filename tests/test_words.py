@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from juliazeta.errors import WordLimitError
+import juliazeta.words as words
+from juliazeta.errors import DegeneracyError, WordLimitError
 from juliazeta.words import (Word, aperiodic_necklace_count, enumerate_words,
                              lyndon_words, mobius)
 
@@ -77,3 +78,9 @@ def test_lyndon_words_are_strictly_smallest_rotations():
     for n in range(1, 9):
         for s in lyndon_words(n):
             assert all(s < r for r in _rotations(s)[1:])
+
+
+def test_necklace_count_identity_failure_raises(monkeypatch):
+    monkeypatch.setattr(words, "mobius", lambda d: 1)   # 2^3 + 2 = 10 is not 3k
+    with pytest.raises(DegeneracyError):
+        aperiodic_necklace_count(3)
