@@ -248,9 +248,6 @@ def _task_trace_check(system, params):
     if "mu_values" in params:
         mu_values = [_as_complex(v, "params.mu_values[]") for v in params["mu_values"]]
     rows = comparison_table(mu_values, tol=float(params.get("tol", 1e-11)))
-    for row in rows:
-        print(f"mu=({row[0]}, {row[1]})  {row[2]} var  order {row[3]}  "
-              f"trace {row[4]!r}  closed {row[5]!r}  err {row[6]:.3e}")
     return {"trace_table.csv": lambda path: export_table(path, rows)}
 
 

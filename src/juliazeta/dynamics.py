@@ -311,6 +311,9 @@ class OrbitCatalog:
     b: float
     orbits: tuple[PeriodicOrbitPoint, ...]
     meta: dict = field(default_factory=dict, compare=False)
+    # derived per-truncation arrays of the cycle expansion (zeta._cycle_arrays)
+    cycle_arrays: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def log_a(self) -> float:

@@ -77,6 +77,11 @@ class PoleError(EngineError):
     """Logarithmic derivative evaluated at a zero of the function."""
 
 
+class TraceError(EngineError):
+    """A pullback trace fails an identity it must satisfy (the
+    two-variable trace is real by conjugate pairing)."""
+
+
 class ConfigError(EngineError):
     """A job configuration failed validation."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TraceError
 from .util import write_csv
 
 
@@ -123,7 +123,8 @@ def pullback_trace(spec: ContractionSpec, variables: int, order: int) -> float:
         return float(abs(np.trace(pullback_matrix_1d(spec, order))))
     if variables == 2:
         total = sum(symmetric_block_trace(spec.mu, d) for d in range(order))
-        assert abs(total.imag) <= 1e-9 * max(1.0, abs(total.real))
+        if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
+            raise TraceError(f"two-variable trace {total} is not real")
         return float(total.real)
     raise ValueError("variables must be 1 or 2")
 

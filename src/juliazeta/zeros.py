@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class Rectangle:
 class _CachedEvaluator:
     def __init__(self, ev):
         self.ev = ev
+        self.method = getattr(ev, "method", None)
         self.cache: dict[complex, complex] = {}
 
     def __call__(self, s: complex) -> complex:
@@ -264,6 +265,36 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
     return ZeroRecord(s=s, multiplicity=mult, residual=residual, method=method)
 
 
+# strip half-heights for mirrored scans, as fractions of im_hi; the next
+# is tried when a band edge or a split line grazes a zero
+_STRIP_FRACTIONS = (0.025, 0.05, 0.065)
+
+
+def _verify_multiplicities(ev, records: list[ZeroRecord],
+                           others: list[ZeroRecord]) -> list[ZeroRecord]:
+    """Re-verify multiplicities of tightly-paired zeros on circles that
+    exclude every other record in `others` (half the nearest-record
+    distance)."""
+    out = list(records)
+    if len(others) < 2:
+        return out
+    for i, rec in enumerate(out):
+        if not rec.resolved:
+            continue
+        nearest = min(abs(rec.s - q.s) for q in others if q is not rec)
+        if nearest < 0.1:
+            r = max(min(0.05, 0.45 * nearest), 1e-7 * (1.0 + abs(rec.s)))
+            mult = _circle_winding(ev, rec.s, r)
+            if mult != rec.multiplicity:
+                out[i] = ZeroRecord(s=rec.s, multiplicity=mult,
+                                    residual=rec.residual, method=rec.method)
+    return out
+
+
+def _mirrored(rec: ZeroRecord) -> ZeroRecord:
+    return replace(rec, s=rec.s.conjugate())
+
+
 def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
                 jitter_attempts: int = 3, boundary_step: float = 0.5) -> list[ZeroRecord]:
     """All zeros in the rectangle: recursive quadrisection until each
@@ -275,26 +306,35 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
     split point (or, for the outer contour, the rectangle) jittered.
     Parent/child winding sums are cross-checked, re-sampled more densely
     on mismatch, and a surviving mismatch is a completeness error.
+
+    Mirrored scan: when the rectangle is symmetric about the real axis
+    (im_lo == -im_hi) and the evaluator reports `conjugate_symmetric`
+    (Z(conj s) = conj Z(s)), only a thin axis strip |Im s| <= eta and the
+    upper band [eta, im_hi] are scanned; the lower band's records are the
+    upper band's exact conjugates.  The band windings are cross-checked
+    against the whole rectangle (w = w(strip) + 2 w(upper)).  eta is the
+    first of _STRIP_FRACTIONS times im_hi whose strip scans without
+    grazing a zero; if none does, the plain scan runs.
     """
     ev = _CachedEvaluator(evaluator)
     split_fracs = (0.5, 0.5231, 0.4593, 0.5417, 0.4381, 0.5639)
 
-    def split_consistently(cell: Rectangle, w: int, frac: float):
-        """Quadrisect at the given fraction and verify winding
-        additivity, tightening the boundary sampling (and re-verifying
-        the parent) on mismatch."""
-        children = cell.split(frac, frac)
+    def windings_consistently(cell: Rectangle, w: int, children, copies):
+        """Windings of the children, verified to add up (child k counted
+        copies[k] times) to the cell's winding, tightening the boundary
+        sampling (and re-verifying the parent) on mismatch."""
         step = boundary_step
         for _ in range(3):
             ws = [winding_number(ev, child, boundary_step=step) for child in children]
-            if sum(ws) == w:
-                return children, ws, w
+            total = sum(k * cw for k, cw in zip(copies, ws))
+            if total == w:
+                return ws, w
             w_again = winding_number(ev, cell, boundary_step=step / 2.0)
-            if sum(ws) == w_again:
-                return children, ws, w_again
+            if total == w_again:
+                return ws, w_again
             step /= 2.0
         raise CompletenessError(
-            f"children of {cell} wind {sum(ws)}, parent winds {w}")
+            f"children of {cell} wind {total}, parent winds {w}")
 
     def handle(cell: Rectangle, w: int, depth: int):
         """Returns (records, verified winding) for the cell.  A
@@ -314,13 +354,14 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
             warnings.warn(f"cell {cell} unresolved with winding {w}", ClusterWarning)
             rec = ZeroRecord(s=cell.center, multiplicity=w,
                              residual=abs(complex(ev(cell.center))),
-                             method=getattr(getattr(evaluator, "method", None), "value", ""),
+                             method=getattr(ev.method, "value", ""),
                              resolved=False)
             return [rec], w
         last: BaseException | None = None
         for frac in split_fracs:
             try:
-                children, ws, w2 = split_consistently(cell, w, frac)
+                children = cell.split(frac, frac)
+                ws, w2 = windings_consistently(cell, w, children, (1, 1, 1, 1))
                 out = []
                 for child, cw in zip(children, ws):
                     sub, _ = handle(child, cw, depth + 1)
@@ -331,36 +372,59 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
                 continue
         raise last if last is not None else AssertionError("unreachable")
 
-    records: list[ZeroRecord] = []
-    w_total = 0
-    outer = rect
-    for attempt in range(jitter_attempts + 1):
+    def mirrored_scan():
+        """(records, winding) of the rectangle from its axis strip and
+        upper band, or None when every strip height grazes a zero."""
+        w = winding_number(ev, rect, boundary_step=boundary_step)
+        if w == 0:
+            return [], 0
+        for frac in _STRIP_FRACTIONS:
+            eta = frac * rect.im_hi
+            strip = Rectangle(rect.re_lo, rect.re_hi, -eta, eta)
+            upper = Rectangle(rect.re_lo, rect.re_hi, eta, rect.im_hi)
+            try:
+                (w_strip, w_upper), w_rect = windings_consistently(
+                    rect, w, (strip, upper), (1, 2))
+                half, _ = handle(strip, w_strip, 1)
+                upper_records, _ = handle(upper, w_upper, 1)
+            except BoundaryZeroError:
+                continue
+            n_strip = len(half)
+            half += upper_records
+            half = _verify_multiplicities(
+                ev, half, half + [_mirrored(r) for r in upper_records])
+            return half + [_mirrored(r) for r in half[n_strip:]], w_rect
+        return None
+
+    found = None
+    if rect.im_lo == -rect.im_hi and getattr(evaluator, "conjugate_symmetric", False):
         try:
-            w_total = winding_number(ev, outer, boundary_step=boundary_step)
-            records, w_total = handle(outer, w_total, 0)
-            break
+            found = mirrored_scan()
         except BoundaryZeroError:
-            if attempt == jitter_attempts:
-                raise
-            outer = rect.shifted(complex(1e-6 * rect.width * (attempt + 1),
-                                         1.3e-6 * rect.height * (attempt + 1)))
+            pass  # the outer contour grazes a zero: the plain scan jitters it
+    if found is not None:
+        records, w_total = found
+    else:
+        records = []
+        w_total = 0
+        outer = rect
+        for attempt in range(jitter_attempts + 1):
+            try:
+                w_total = winding_number(ev, outer, boundary_step=boundary_step)
+                records, w_total = handle(outer, w_total, 0)
+                break
+            except BoundaryZeroError:
+                if attempt == jitter_attempts:
+                    raise
+                outer = rect.shifted(complex(1e-6 * rect.width * (attempt + 1),
+                                             1.3e-6 * rect.height * (attempt + 1)))
     if sum(r.multiplicity for r in records) != w_total:
         raise CompletenessError(
             f"found multiplicities sum {sum(r.multiplicity for r in records)}, "
             f"rectangle winds {w_total}")
     records.sort(key=lambda r: (r.s.imag, r.s.real))
-    # re-verify multiplicities of tightly-paired zeros on circles that
-    # exclude every other record (half the nearest-record distance)
-    for i, rec in enumerate(records):
-        if not rec.resolved or len(records) < 2:
-            continue
-        nearest = min(abs(rec.s - q.s) for j, q in enumerate(records) if j != i)
-        if nearest < 0.1:
-            r = max(min(0.05, 0.45 * nearest), 1e-7 * (1.0 + abs(rec.s)))
-            mult = _circle_winding(ev, rec.s, r)
-            if mult != rec.multiplicity:
-                records[i] = ZeroRecord(s=rec.s, multiplicity=mult,
-                                        residual=rec.residual, method=rec.method)
+    if found is None:
+        records = _verify_multiplicities(ev, records, records)
     return records
 
 

@@ -94,14 +94,13 @@ class TruncationModel:
 # ---------------------------------------------------------------------------
 # cycle expansion
 
-_CYCLE_CACHE: dict = {}
-
-
 def _cycle_arrays(catalog: OrbitCatalog, n_trunc: int, mode: Mode):
-    key = (id(catalog), n_trunc, mode)
-    hit = _CYCLE_CACHE.get(key)
-    if hit is not None and hit[0] is catalog:
-        return hit[1]
+    """(lengths, denominators, weights) of the 2^n fixed points of f^n for
+    n <= n_trunc, kept on the catalog so they live exactly as long as it."""
+    key = (n_trunc, mode)
+    hit = catalog.cycle_arrays.get(key)
+    if hit is not None:
+        return hit
     lengths, dens, weights = [], [], []
     for n in range(1, n_trunc + 1):
         for length, lam, p in catalog.fixed_point_data(n):
@@ -110,7 +109,7 @@ def _cycle_arrays(catalog: OrbitCatalog, n_trunc: int, mode: Mode):
             dens.append(base if mode is Mode.REAL_1D else base * base)
             weights.append(p / n)
     arrays = (np.array(lengths), np.array(dens), np.array(weights))
-    _CYCLE_CACHE[key] = (catalog, arrays)
+    catalog.cycle_arrays[key] = arrays
     return arrays
 
 
@@ -177,6 +176,14 @@ class CycleEvaluator:
         self.mode = catalog.mode if mode is None else mode
         self._arrays = _cycle_arrays(catalog, self.n_trunc, self.mode)
         self.min_re = cycle_convergence_abscissa(catalog)
+
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """Z(conj s) = conj Z(s): the catalog's map has a real parameter
+        (affine catalogs always do)."""
+        meta = self.catalog.meta
+        return meta.get("system") == "affine" or (
+            meta.get("system") == "quadratic" and complex(meta["c"]).imag == 0.0)
 
     def valid_at(self, s: complex) -> bool:
         return s.real > self.min_re
@@ -257,6 +264,11 @@ class ModelEvaluator:
         if not (a > 1.0 and b > 1.0):
             raise ValueError("model bases must exceed 1")
         self.a, self.b, self.k_max = float(a), float(b), int(k_max)
+
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """Z(conj s) = conj Z(s): the bases are real."""
+        return True
 
     def valid_at(self, s: complex) -> bool:
         return True
@@ -423,6 +435,11 @@ class FredholmEvaluator:
                               blocks=tuple((b.target, b.source, b.branch)
                                            for b in self.blocks))
 
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """Z(conj s) = conj Z(s): Real1D mode has a real parameter c."""
+        return True
+
     def valid_at(self, s: complex) -> bool:
         return True
 
@@ -430,7 +447,9 @@ class FredholmEvaluator:
         s = complex(s)
         if s.imag < 0.0:
             # c is real, so Z(conj s) = conj Z(s); reflecting makes the
-            # symmetry exact in floating point and halves symmetric scans
+            # symmetry exact in floating point and lets a point below the
+            # axis reuse the determinant of its conjugate (scan_region
+            # mirrors symmetric scans instead of relying on this)
             return self(s.conjugate()).conjugate()
         hit = self._cache.get(s)
         if hit is None:

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -134,3 +136,43 @@ def test_jobs_rerun_byte_identical(tmp_path, name):
     a, b = read_artifacts(tmp_path / "a"), read_artifacts(tmp_path / "b")
     assert a.keys() == b.keys() and len(a) >= 1
     assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_stdout_lists_only_artifact_paths(tmp_path, capsys, name):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(JOBS[name]))
+    out = tmp_path / "out"
+    assert main([JOBS[name]["task"], "--config", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines) == sorted(str(out / f) for f in os.listdir(out))
+
+
+def test_cycle_jobs_release_their_catalogs(tmp_path, monkeypatch):
+    # the cycle arrays live on the catalog: built once per job (n_max
+    # fixed-point passes, not one per grid point) and freed with it
+    import juliazeta.cli
+    from juliazeta.dynamics import OrbitCatalog
+    built, passes = [], []
+    build = juliazeta.cli.build_orbit_catalog
+    fixed_point_data = OrbitCatalog.fixed_point_data
+
+    def tracked(*args, **kwargs):
+        catalog = build(*args, **kwargs)
+        built.append(weakref.ref(catalog))
+        return catalog
+
+    def counted(self, n):
+        passes.append(n)
+        return fixed_point_data(self, n)
+
+    monkeypatch.setattr(juliazeta.cli, "build_orbit_catalog", tracked)
+    monkeypatch.setattr(OrbitCatalog, "fixed_point_data", counted)
+    for k, c in enumerate((-6.0, -5.5)):
+        run_job({"task": "zeta-eval", "system": {"kind": "quadratic", "c": c},
+                 "params": {"method": "cycle", "n_max": 8,
+                            "re": [1.5, 2.5, 3], "im": [0.0, 4.0, 3]}},
+                str(tmp_path / str(k)))
+    gc.collect()
+    assert len(built) == 2 and all(ref() is None for ref in built)
+    assert passes == list(range(1, 9)) * 2

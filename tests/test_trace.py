@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from juliazeta.errors import DomainError
+from juliazeta.errors import DomainError, TraceError
 from juliazeta.tracecheck import (ContractionSpec, closed_form,
                                   comparison_table, order_for_tolerance,
                                   pullback_matrix_1d, pullback_trace,
@@ -109,3 +109,11 @@ def test_comparison_table_rows():
     rows = comparison_table()
     assert len(rows) == 6
     assert max(row[-1] for row in rows) < 1e-10
+
+
+def test_two_variable_trace_must_be_real(monkeypatch):
+    import juliazeta.tracecheck
+    monkeypatch.setattr(juliazeta.tracecheck, "symmetric_block_trace",
+                        lambda mu, degree: complex(1.0, 1e-3))
+    with pytest.raises(TraceError, match="not real"):
+        pullback_trace(ContractionSpec(mu=complex(0.3, 0.4)), 2, 8)

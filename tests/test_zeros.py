@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
 from juliazeta.errors import NoZeroError
 from juliazeta.zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
                              counting_report, growth_exponent_probe,
                              leading_real_zero, refine_zero, scan_region,
                              winding_number)
-from juliazeta.zeta import CycleEvaluator, ModelEvaluator, zero_free_abscissa
+from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
+                            zero_free_abscissa)
 
 GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 
@@ -159,3 +162,120 @@ def test_leading_real_zero_no_sign_change(cat12):
     ev = CycleEvaluator(cat12)
     with pytest.raises(NoZeroError):
         leading_real_zero(ev, (2.0, 3.0))
+
+
+def test_scan_records_name_their_route():
+    records = scan_region(ModelEvaluator(2.0, 4.0, 0), Rectangle(-1.0, 1.0, -20.0, 20.0))
+    assert {r.method for r in records} == {"model"}
+
+
+def test_conjugate_symmetry_is_read_from_the_inputs(cat12, affine24_cat):
+    assert FredholmEvaluator(MapSpec(c=-6.0), level=1).conjugate_symmetric
+    assert ModelEvaluator(2.0, 4.0, 0).conjugate_symmetric
+    assert CycleEvaluator(cat12).conjugate_symmetric
+    assert CycleEvaluator(affine24_cat).conjugate_symmetric
+    complex_c = build_orbit_catalog(MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), 4)
+    assert not CycleEvaluator(complex_c).conjugate_symmetric
+
+
+# Work-count pins.  Each scan uses a fresh c = -6, level 2 evaluator and
+# counts its determinants (one assembled matrix each); the counts are
+# exact and repeatable, so a change in evaluations per zero fails here.
+# The zeros with |Im s| <= 5, to 10 digits:
+CENSUS_5 = [complex(0.2745483557, -4.1873487548), complex(-0.3452427637, -3.0990632948),
+            complex(-1.7602600823, -2.6437329231), complex(0.4518375002, 0.0),
+            complex(-1.0358586032, 0.0), complex(-1.7602600823, 2.6437329231),
+            complex(-0.3452427637, 3.0990632948), complex(0.2745483557, 4.1873487548)]
+
+
+def _counted_scan(rect, symmetric=True):
+    ev = FredholmEvaluator(MapSpec(c=-6.0), level=2)
+    matrix, count = ev.matrix, [0]
+
+    def counted(s):
+        count[0] += 1
+        return matrix(s)
+
+    ev.matrix = counted
+    # a plain function has no conjugate_symmetric property
+    records = scan_region(ev if symmetric else (lambda s: ev(s)), Rectangle(*rect))
+    return records, count[0]
+
+
+def _assert_zeros(records, want):
+    # real zeros order by the sign of their rounding-level imaginary parts
+    got = sorted(records, key=lambda r: (round(r.s.imag, 9), r.s.real))
+    assert [r.multiplicity for r in got] == [1] * len(want)
+    assert all(r.resolved for r in got)
+    assert max(abs(r.s - z) for r, z in zip(got, want)) < 1e-9
+
+
+def test_symmetric_scan_mirrors_the_upper_band():
+    records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
+    assert count == 1985   # the plain scan of this rectangle takes 5241
+    _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
+    assert {r.method for r in records} == {"fredholm"}
+    upper = [r for r in records if r.s.imag > 1.0]
+    lower = [r for r in records if r.s.imag < -1.0]
+    assert len(upper) == len(lower) == 3
+    assert sorted(lower, key=lambda r: r.s.real) == sorted(
+        (replace(r, s=r.s.conjugate()) for r in upper), key=lambda r: r.s.real)
+
+
+def test_scan_without_symmetry_takes_the_plain_path():
+    records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
+    assert count == 5241
+    _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
+
+
+def test_asymmetric_rectangle_takes_the_plain_path():
+    records, count = _counted_scan((-2.0, 1.4, -4.0, 5.0))
+    assert count == 4129
+    _assert_zeros(records, sorted(CENSUS_5[1:], key=lambda z: (z.imag, z.real)))
+
+
+class _Polynomial:
+    """prod (s - z_k) over conjugate-closed roots."""
+
+    conjugate_symmetric = True
+
+    def __init__(self, roots):
+        self.roots = roots
+
+    def __call__(self, s):
+        out = 1.0 + 0.0j
+        for z in self.roots:
+            out *= complex(s) - z
+        return out
+
+
+def _polynomial_scan(monkeypatch, roots):
+    """Scan [-1, 1] x [-10, 10]; also returns how many records were made
+    by mirroring."""
+    import juliazeta.zeros
+    mirrored, made = juliazeta.zeros._mirrored, []
+    monkeypatch.setattr(juliazeta.zeros, "_mirrored",
+                        lambda rec: made.append(rec) or mirrored(rec))
+    records = scan_region(_Polynomial(roots), Rectangle(-1.0, 1.0, -10.0, 10.0))
+    want = sorted(roots, key=lambda z: (z.imag, z.real))
+    assert [r.multiplicity for r in records] == [1] * len(want)
+    assert max(abs(r.s - z) for r, z in zip(records, want)) < 1e-9
+    return records, len(made)
+
+
+def test_mirrored_scan_falls_back_when_every_strip_edge_grazes_a_zero(monkeypatch):
+    # zeros on Im s = +-eta for each strip half-height eta = 0.25, 0.5, 0.65
+    roots = [complex(0.1, 0.25), complex(0.2, 0.5), complex(0.3, 0.65),
+             complex(0.4, 0.0), complex(0.5, 3.0)]
+    roots += [z.conjugate() for z in roots if z.imag]
+    _records, mirrored = _polynomial_scan(monkeypatch, roots)
+    assert mirrored == 0
+
+
+def test_mirrored_scan_of_a_polynomial(monkeypatch):
+    roots = [complex(0.4, 0.0), complex(-0.3, 0.05), complex(-0.3, -0.05),
+             complex(0.5, 3.0), complex(0.5, -3.0), complex(-0.2, 7.5), complex(-0.2, -7.5)]
+    records, mirrored = _polynomial_scan(monkeypatch, roots)
+    assert mirrored > 0
+    assert records[0].s == records[-1].s.conjugate()
+    assert records[1].s == records[-2].s.conjugate()
