@@ -3,9 +3,13 @@
 Winding numbers are computed by adaptive phase tracking along contours:
 every accepted segment keeps its phase increment below pi/2 and is
 verified against its own midpoint, so branch aliasing is detected and
-refined away.  Regions are quadrisected until each cell winds at most
-once, then Newton polishes the zero.  Counting reports fit the growth
-exponents the theory bounds.
+refined away.  A rectangle's winding is the sum of four edge phases.  An
+edge is sampled by recursive halving, and the verified phase of every
+dyadic sub-edge is memoised on the scan's evaluator cache, so a child of
+a 0.5 quadrisection reuses its parent's edge halves and two siblings
+share their common edge.  Regions are quadrisected until each cell winds
+at most once, then Newton polishes the zero.  Counting reports fit the
+growth exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -78,6 +82,9 @@ class _CachedEvaluator:
         self.ev = ev
         self.method = getattr(ev, "method", None)
         self.cache: dict[complex, complex] = {}
+        # verified phase of Z along each dyadic sub-edge of a contour,
+        # keyed by (low end, high end, boundary step)
+        self.edges: dict[tuple[complex, complex, float], float] = {}
 
     def __call__(self, s: complex) -> complex:
         s = complex(s)
@@ -130,14 +137,51 @@ def _segment_phase(ev: _CachedEvaluator, pa: complex, pb: complex,
             _segment_phase(ev, pm, pb, vm, vb, scale, depth - 1))
 
 
-def _path_phase(ev: _CachedEvaluator, points: list[complex], scale: float) -> float:
-    ev.prefetch(points)
-    values = [ev(p) for p in points]
-    total = 0.0
-    for k in range(len(points) - 1):
-        total += _segment_phase(ev, points[k], points[k + 1],
-                                values[k], values[k + 1], scale)
-    return total
+def _halve(p: complex, q: complex) -> complex:
+    # Rectangle.split's expression at fraction 0.5, so that every corner
+    # a 0.5 quadrisection creates is already a node of its parent's edges
+    return complex(p.real + 0.5 * (q.real - p.real), p.imag + 0.5 * (q.imag - p.imag))
+
+
+def _reversed(p: complex, q: complex) -> bool:
+    return (q.real, q.imag) < (p.real, p.imag)
+
+
+def _edge_nodes(ev: _CachedEvaluator, p: complex, q: complex, step: float,
+                depth: int, out: dict) -> None:
+    """Collects into `out` the ends of the leaf segments of the canonical
+    edge [p, q] that no memoised sub-edge covers."""
+    if (p, q, step) in ev.edges:
+        return
+    if depth == 0:
+        out[p] = out[q] = None
+        return
+    m = _halve(p, q)
+    _edge_nodes(ev, p, m, step, depth - 1, out)
+    _edge_nodes(ev, m, q, step, depth - 1, out)
+
+
+def _edge_phase(ev: _CachedEvaluator, p: complex, q: complex, step: float,
+                depth: int, scale: float) -> float:
+    """Verified phase increment of Z from p to q over 2**depth leaf
+    segments of recursive halving.
+
+    Every sub-edge's phase is memoised on `ev` under (low end, high end,
+    step): a reversed edge returns the exact negation, and a sub-edge
+    already verified costs nothing."""
+    if _reversed(p, q):
+        return -_edge_phase(ev, q, p, step, depth, scale)
+    key = (p, q, step)
+    phase = ev.edges.get(key)
+    if phase is None:
+        if depth == 0:
+            phase = _segment_phase(ev, p, q, ev(p), ev(q), scale)
+        else:
+            m = _halve(p, q)
+            phase = (_edge_phase(ev, p, m, step, depth - 1, scale) +
+                     _edge_phase(ev, m, q, step, depth - 1, scale))
+        ev.edges[key] = phase
+    return phase
 
 
 def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
@@ -145,20 +189,28 @@ def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
     """Argument-principle count of zeros (with multiplicity) inside the
     rectangle, from the total phase change along its boundary.
 
-    Initial samples are spaced at most `boundary_step` apart (and at
-    least `nodes_per_edge` per edge); midpoint verification then refines
-    every segment whose phase increment is in doubt.
+    The boundary is four edge phases.  An edge is split by recursive
+    halving into the next power of two of at least `nodes_per_edge`
+    segments, spaced at most `boundary_step` apart; midpoint verification
+    then refines every segment whose phase increment is in doubt.  The
+    phase of every halving sub-edge is memoised on the evaluator cache
+    per `boundary_step`, so the windings of a scan reuse each other's
+    edges: a 0.5 quadrisection's children get their outer edges from the
+    parent, and two siblings compute their common edge once.
     """
     ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
-    corners = rect.corners() + [rect.corners()[0]]
-    points: list[complex] = []
-    for k in range(4):
-        a, b = corners[k], corners[k + 1]
+    corners = rect.corners()
+    edges = []
+    nodes: dict[complex, None] = {}
+    for a, b in zip(corners, corners[1:] + corners[:1]):
         n = max(nodes_per_edge, math.ceil(abs(b - a) / boundary_step))
-        ts = np.linspace(0.0, 1.0, n, endpoint=False)
-        points.extend(a + (b - a) * t for t in ts)
-    points.append(points[0])
-    total = _path_phase(ev, points, rect.diag)
+        depth = (n - 1).bit_length()
+        edges.append((a, b, depth))
+        lo, hi = (b, a) if _reversed(a, b) else (a, b)
+        _edge_nodes(ev, lo, hi, boundary_step, depth, nodes)
+    ev.prefetch(nodes)
+    total = sum(_edge_phase(ev, a, b, boundary_step, depth, rect.diag)
+                for a, b, depth in edges)
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.01:
         raise ConvergenceError(f"non-integer winding {w} on {rect}")
@@ -170,7 +222,10 @@ def _circle_winding(ev, center: complex, radius: float, nodes: int = 24) -> int:
     points = [center + radius * cmath.exp(2j * math.pi * k / nodes)
               for k in range(nodes)]
     points.append(points[0])
-    total = _path_phase(ev, points, radius)
+    ev.prefetch(points)
+    values = [ev(p) for p in points]
+    total = sum(_segment_phase(ev, points[k], points[k + 1], values[k], values[k + 1], radius)
+                for k in range(nodes))
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.01:
         raise ConvergenceError(f"non-integer circle winding {w} at {center}")
@@ -199,12 +254,15 @@ def _derivative(evaluator, s: complex, fd_scale: float) -> complex:
 def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
                 max_iter: int = 60, step_tol: float = 5e-13,
                 residual_factor: float = 1e-8,
-                max_step: float = math.inf) -> ZeroRecord:
+                max_step: float = math.inf,
+                region: Rectangle | None = None) -> ZeroRecord:
     """Newton-polish a zero from a seed and certify its multiplicity by a
     surrounding winding count.
 
     Steps are clamped to `max_step` so a distant seed cannot fling the
-    iteration out of its basin.  The residual |Z(s)| must come out below
+    iteration out of its basin.  An iterate that converges outside
+    `region` (up to 1e-12 of its diagonal) raises NoZeroError before the
+    certificate is paid for.  The residual |Z(s)| must come out below
     `residual_factor` times the local scale of Z (median |Z| on the
     verification circle).
     """
@@ -251,6 +309,8 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
             pass
         raise failure if failure is not None else \
             ConvergenceError(f"Newton did not converge from seed {seed}")
+    if region is not None and not region.contains(s, slack=1e-12 * region.diag):
+        raise NoZeroError(f"Newton converged to {s}, outside {region}")
     r_loc = max(r_loc, 1e-7 * (1.0 + abs(s)))
     nodes = [s + r_loc * cmath.exp(2j * math.pi * k / 24) for k in range(24)]
     scale = float(np.median([abs(complex(evaluator(p))) for p in nodes]))
@@ -344,11 +404,9 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
             return [], 0
         if w == 1:
             try:
-                rec = refine_zero(ev, cell.center, max_step=cell.diag)
+                return [refine_zero(ev, cell.center, max_step=cell.diag, region=cell)], w
             except (ConvergenceError, NoZeroError, BoundaryZeroError):
-                rec = None
-            if rec is not None and cell.contains(rec.s, slack=1e-12 * cell.diag):
-                return [rec], w
+                pass
             # Newton escaped the cell or stalled: keep subdividing
         if depth >= depth_limit or cell.diag < 1e-8 * (1.0 + abs(cell.center)):
             warnings.warn(f"cell {cell} unresolved with winding {w}", ClusterWarning)

@@ -6,6 +6,7 @@ import pytest
 from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
 from juliazeta.errors import NoZeroError
 from juliazeta.zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
+                             ZeroRecord, _CachedEvaluator, _edge_phase,
                              counting_report, growth_exponent_probe,
                              leading_real_zero, refine_zero, scan_region,
                              winding_number)
@@ -212,7 +213,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 1985   # the plain scan of this rectangle takes 5241
+    assert count == 1422   # the plain scan of this rectangle takes 3148
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -224,13 +225,13 @@ def test_symmetric_scan_mirrors_the_upper_band():
 
 def test_scan_without_symmetry_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
-    assert count == 5241
+    assert count == 3148
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
 
 
 def test_asymmetric_rectangle_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -4.0, 5.0))
-    assert count == 4129
+    assert count == 2437
     _assert_zeros(records, sorted(CENSUS_5[1:], key=lambda z: (z.imag, z.real)))
 
 
@@ -279,3 +280,115 @@ def test_mirrored_scan_of_a_polynomial(monkeypatch):
     assert mirrored > 0
     assert records[0].s == records[-1].s.conjugate()
     assert records[1].s == records[-2].s.conjugate()
+
+
+def test_census_work_count():
+    # the benchmark census: 40 zeros in [-2, 1.4] x [-20, 20]
+    records, count = _counted_scan((-2.0, 1.4, -20.0, 20.0))
+    assert count == 6899
+    assert len(records) == 40
+    assert all(r.resolved and r.multiplicity == 1 for r in records)
+    upper = sorted((r.s for r in records if r.s.imag > 1.0), key=lambda z: z.real)
+    lower = sorted((r.s.conjugate() for r in records if r.s.imag < -1.0), key=lambda z: z.real)
+    assert len(upper) == 19 and upper == lower
+
+
+# the records of the mirrored [-2, 1.4] x [-5, 5] scan before windings
+# shared their edges; reuse changes how often Z is evaluated, not where
+# the scan's cells, seeds and Newton iterates fall
+EXACT_5 = [(0.27454835566341673, -4.18734875483785, 1.4274757980605447e-15),
+           (-0.3452427637177081, -3.0990632948343397, 1.0912062246016518e-13),
+           (-1.7602600822962378, -2.6437329231130655, 2.015876536372757e-08),
+           (0.4518375001817091, -1.6263566017936856e-15, 5.218381773856824e-15),
+           (-1.0358586031980863, 3.431894385398672e-13, 4.560570255690496e-12),
+           (-1.7602600822962378, 2.6437329231130655, 2.015876536372757e-08),
+           (-0.3452427637177081, 3.0990632948343397, 1.0912062246016518e-13),
+           (0.27454835566341673, 4.18734875483785, 1.4274757980605447e-15)]
+
+
+def test_mirrored_scan_records_are_exact():
+    records, _ = _counted_scan((-2.0, 1.4, -5.0, 5.0))
+    assert records == [ZeroRecord(s=complex(re, im), multiplicity=1, residual=res,
+                                  method="fredholm") for re, im, res in EXACT_5]
+
+
+# Edge-phase memo.  A counting evaluator with no `batch` records every
+# point at which Z is evaluated.
+
+class _Recorded:
+    def __init__(self, f):
+        self.f, self.points = f, []
+
+    def __call__(self, s):
+        self.points.append(complex(s))
+        return self.f(s)
+
+
+def _recorded_cache():
+    recorded = _Recorded(ModelEvaluator(2.0, 4.0, 2))
+    return _CachedEvaluator(recorded), recorded
+
+
+def _on_segment(s, a, b):
+    """s lies on the axis-parallel segment [a, b]."""
+    if a.real == b.real:
+        return s.real == a.real and min(a.imag, b.imag) <= s.imag <= max(a.imag, b.imag)
+    return s.imag == a.imag and min(a.real, b.real) <= s.real <= max(a.real, b.real)
+
+
+def _edges(rect):
+    c = rect.corners()
+    return list(zip(c, c[1:] + c[:1]))
+
+
+def test_reversed_edge_is_the_exact_negation_at_no_cost():
+    ev, recorded = _recorded_cache()
+    p, q = complex(-1.0, 2.7), complex(0.9, 2.7)
+    forward = _edge_phase(ev, p, q, 0.5, 4, 3.0)
+    n = len(recorded.points)
+    assert n >= 17
+    assert _edge_phase(ev, q, p, 0.5, 4, 3.0) == -forward
+    assert len(recorded.points) == n
+
+
+def test_half_split_children_reuse_and_share_edges():
+    ev, recorded = _recorded_cache()
+    rect = Rectangle(-1.2, 0.9, -3.1, 4.4)
+    w = winding_number(ev, rect)
+    total, known, paid = 0, _edges(rect), []
+    for child in rect.split():
+        n = len(recorded.points)
+        total += winding_number(ev, child)
+        new = recorded.points[n:]
+        paid.append(len(new))
+        # outer edges are sub-edges the parent verified, and an edge shared
+        # with an earlier sibling was verified by that sibling
+        assert not [s for s in new for a, b in known if _on_segment(s, a, b)]
+        known += _edges(child)
+    assert total == w
+    assert paid[0] > 0
+
+
+def test_half_step_resampling_evaluates_new_nodes():
+    ev, recorded = _recorded_cache()
+    rect = Rectangle(-1.0, 1.0, -10.0, 10.0)
+    w = winding_number(ev, rect, boundary_step=0.5)
+    n = len(recorded.points)
+    assert winding_number(ev, rect, boundary_step=0.5) == w
+    assert len(recorded.points) == n
+    # the 20-long edges go from 64 to 128 segments: 64 new nodes each
+    assert winding_number(ev, rect, boundary_step=0.25) == w
+    assert len(recorded.points) - n >= 128
+
+
+def test_refine_outside_region_skips_the_certificate():
+    # Newton from 0.3 converges to the zero at GOLDEN, outside the region
+    recorded = _Recorded(ModelEvaluator(2.0, 4.0, 0))
+    rec = refine_zero(recorded, 0.3, max_step=0.5)
+    assert rec.s == pytest.approx(GOLDEN, abs=1e-12)
+    certified = len(recorded.points)
+    recorded.points.clear()
+    with pytest.raises(NoZeroError):
+        refine_zero(recorded, 0.3, max_step=0.5, region=Rectangle(0.0, 0.6, -0.3, 0.3))
+    assert certified - len(recorded.points) >= 48
+    assert all(abs(abs(s - rec.s) - 0.05) > 0.01 for s in recorded.points)
