@@ -498,11 +498,8 @@ def save_catalog(catalog: OrbitCatalog, path: str) -> None:
                     "im_multiplier": o.multiplier.imag}
                    for o in catalog.orbits],
     }
-    from .util import atomic_open
-    # streamed: the payload is never held as one string
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    from .util import atomic_write_text
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def load_catalog(path: str) -> OrbitCatalog:

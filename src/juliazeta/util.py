@@ -3,7 +3,6 @@ float formatting."""
 
 from __future__ import annotations
 
-import contextlib
 import os
 import tempfile
 
@@ -17,27 +16,19 @@ def fmt(x) -> str:
     return str(x)
 
 
-@contextlib.contextmanager
-def atomic_open(path: str):
-    """Text handle on a temp file in `path`'s dir, renamed onto `path`
-    when the block exits cleanly and removed when it raises."""
+def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` to `path` via a temp file + rename in the same dir."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
-            yield fh
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write `text` to `path` via a temp file + rename in the same dir."""
-    with atomic_open(path) as fh:
-        fh.write(text)
 
 
 def write_csv(path: str, header: str, rows) -> None:
