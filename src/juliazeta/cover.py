@@ -88,6 +88,25 @@ def backward_cover(system, n: int) -> DiskCover:
                      trap_diameter=trap_diam)
 
 
+def _deeper(system, cover: DiskCover) -> DiskCover:
+    """The cover one level deeper, in word order: the words b + w for
+    b = 0, then b = 1, each over the cover's own words in their order.
+    Raises HyperbolicityError unless the largest enclosure shrinks."""
+    kind = cover.kind
+    deeper = DiskCover(level=cover.level + 1,
+                       words=tuple(str(b) + w for b in (0, 1) for w in cover.words),
+                       elements=tuple(_apply_branch(system, kind, b, e)
+                                      for b in (0, 1) for e in cover.elements),
+                       kind=kind,
+                       trap_diameter=cover.trap_diameter)
+    diam, new_diam = cover.max_diameter(), deeper.max_diameter()
+    if new_diam >= diam:
+        raise HyperbolicityError(
+            f"backward enclosures stopped contracting at level {deeper.level}: "
+            f"{new_diam} >= {diam}")
+    return deeper
+
+
 @dataclass(frozen=True)
 class CoverStats:
     """Table of (scale, component count, max component diameter)."""
@@ -186,19 +205,22 @@ def cover_profile(system, hs, depth_factor: float = 4.0,
                   max_level: int = DEPTH_CAP) -> CoverStats:
     """P(h) across scales, with the cover depth coupled to h: each h uses
     the shallowest cover whose elements have diameter <= h / depth_factor,
-    so the inflated cover has the same components as the inflated set."""
+    so the inflated cover has the same components as the inflated set.
+    Scales run coarse to fine, and only the deepest cover so far is kept
+    and extended a level at a time."""
     hs = sorted(set(float(h) for h in hs), reverse=True)
     if not hs:
         raise ValueError("empty scale list")
-    covers = [backward_cover(system, 0)]
+    max_level = min(max_level, DEPTH_CAP)
+    cover = backward_cover(system, 0)
     rows = []
     for h in hs:
-        while covers[-1].max_diameter() > h / depth_factor:
-            if covers[-1].level >= max_level:
+        while cover.max_diameter() > h / depth_factor:
+            if cover.level >= max_level:
                 raise ResolutionError(
                     f"scale h = {h} needs a cover deeper than level {max_level}")
-            covers.append(backward_cover(system, covers[-1].level + 1))
-        st = component_stats(covers[-1], h)
+            cover = _deeper(system, cover)
+        st = component_stats(cover, h)
         rows.append((h, st.count, st.maxdiam))
     rows.sort()
     h_list, counts, diams = zip(*rows)

@@ -8,7 +8,12 @@ edge is sampled by recursive halving, and the verified phase of every
 dyadic sub-edge is memoised on the scan's evaluator cache, so a child of
 a 0.5 quadrisection reuses its parent's edge halves and two siblings
 share their common edge.  Regions are quadrisected until each cell winds
-at most once, then Newton polishes the zero.  Counting reports fit the
+at most once, then Newton polishes the zero.  The leading real zero, the
+dimension delta, is instead bracketed by a sign change of Re Z and
+shrunk to adjacent floats by Illinois regula falsi, so it comes out
+exactly real.  Every zero is certified by a winding count on a small
+circle and a residual; for a real centre and a conjugate-symmetric Z
+only the circle's upper half is evaluated.  Counting reports fit the
 growth exponents the theory bounds.
 """
 
@@ -217,19 +222,42 @@ def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
     return int(round(w))
 
 
-def _circle_winding(ev, center: complex, radius: float, nodes: int = 24) -> int:
-    ev = ev if isinstance(ev, _CachedEvaluator) else _CachedEvaluator(ev)
+def _circle(ev: _CachedEvaluator, center: complex, radius: float,
+            nodes: int = 24, symmetric: bool = False) -> tuple[int, list[complex]]:
+    """Winding number of Z around the circle through `nodes` equally
+    spaced nodes, and the values of Z at those nodes.
+
+    With `symmetric` (Z(conj s) = conj Z(s)) and a real centre, only the
+    closed upper half is evaluated: nodes 0..nodes/2, whose ends are put
+    exactly on the real axis, and the midpoints that verify its segments.
+    The lower half's nodes and values are their exact conjugates, so its
+    phase equals the upper half's and the winding is twice the upper
+    phase."""
+    half = symmetric and center.imag == 0.0 and nodes % 2 == 0
     points = [center + radius * cmath.exp(2j * math.pi * k / nodes)
-              for k in range(nodes)]
-    points.append(points[0])
-    ev.prefetch(points)
+              for k in range(nodes // 2 + 1 if half else nodes)]
+    if half:
+        points[0] = complex(center.real + radius, 0.0)
+        points[-1] = complex(center.real - radius, 0.0)
+    else:
+        points.append(points[0])
     values = [ev(p) for p in points]
     total = sum(_segment_phase(ev, points[k], points[k + 1], values[k], values[k + 1], radius)
-                for k in range(nodes))
+                for k in range(len(points) - 1))
+    if half:
+        total *= 2.0
+        values += [v.conjugate() for v in values[-2:0:-1]]
+    else:
+        values.pop()
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.01:
         raise ConvergenceError(f"non-integer circle winding {w} at {center}")
-    return int(round(w))
+    return int(round(w)), values
+
+
+def _circle_winding(ev, center: complex, radius: float, nodes: int = 24) -> int:
+    ev = ev if isinstance(ev, _CachedEvaluator) else _CachedEvaluator(ev)
+    return _circle(ev, center, radius, nodes)[0]
 
 
 @dataclass(frozen=True)
@@ -262,9 +290,7 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
     Steps are clamped to `max_step` so a distant seed cannot fling the
     iteration out of its basin.  An iterate that converges outside
     `region` (up to 1e-12 of its diagonal) raises NoZeroError before the
-    certificate is paid for.  The residual |Z(s)| must come out below
-    `residual_factor` times the local scale of Z (median |Z| on the
-    verification circle).
+    certificate (`certify_zero`) is paid for.
     """
     s = complex(seed)
     converged = False
@@ -311,13 +337,29 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
             ConvergenceError(f"Newton did not converge from seed {seed}")
     if region is not None and not region.contains(s, slack=1e-12 * region.diag):
         raise NoZeroError(f"Newton converged to {s}, outside {region}")
+    return certify_zero(evaluator, s, r_loc, residual_factor)
+
+
+def certify_zero(evaluator, s: complex, r_loc: float = 0.05,
+                 residual_factor: float = 1e-8) -> ZeroRecord:
+    """Multiplicity and residual certificate of an approximate zero s.
+
+    The multiplicity is the winding count of Z on the circle of radius
+    r_loc (at least 1e-7 (1 + |s|)) about s and must be positive; the
+    residual |Z(s)| must be at most `residual_factor` times the local
+    scale of Z, the median |Z| at the circle's 24 nodes.  An evaluator
+    that reports `conjugate_symmetric` pays for the upper half of a
+    circle about a real s only (see `_circle`).
+    """
+    s = complex(s)
+    ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
     r_loc = max(r_loc, 1e-7 * (1.0 + abs(s)))
-    nodes = [s + r_loc * cmath.exp(2j * math.pi * k / 24) for k in range(24)]
-    scale = float(np.median([abs(complex(evaluator(p))) for p in nodes]))
-    mult = _circle_winding(evaluator, s, r_loc)
+    mult, values = _circle(ev, s, r_loc,
+                           symmetric=getattr(evaluator, "conjugate_symmetric", False))
     if mult == 0:
         raise NoZeroError(f"no zero within {r_loc} of refined seed {s}")
-    residual = abs(complex(evaluator(s)))
+    scale = float(np.median([abs(v) for v in values]))
+    residual = abs(ev(s))
     if residual > residual_factor * scale:
         raise ConvergenceError(
             f"residual {residual} exceeds {residual_factor} * local scale {scale}")
@@ -493,31 +535,74 @@ def export_zeros(path: str, records) -> None:
 
 def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
     """The zero of largest real part on the real axis within the bracket
-    (Z is real there for real parameters): locate the rightmost sign
-    change of Re Z, bisect, then Newton-refine."""
+    (Z is real there for real parameters).
+
+    Re Z is evaluated on a 64-point grid over the bracket from the right,
+    stopping at the first sign change, so no grid point left of that cell
+    is evaluated.  `_sign_change` shrinks the cell to adjacent floats and
+    returns an exactly real zero, which `certify_zero` certifies: its
+    winding count on a circle of radius 0.05 and its residual.
+    """
+    def re_z(x: float) -> float:
+        return complex(evaluator(complex(x))).real
+
     lo, hi = bracket
-    n = 64
-    xs = np.linspace(lo, hi, n)
-    vals = [complex(evaluator(complex(x))).real for x in xs]
-    idx = None
-    for k in range(n - 2, -1, -1):
-        if vals[k] == 0.0:
-            return refine_zero(evaluator, complex(xs[k]), max_step=(hi - lo) / n)
-        if vals[k] * vals[k + 1] < 0.0:
-            idx = k
+    xs = np.linspace(lo, hi, 64)
+    right = re_z(xs[-1])
+    for k in range(len(xs) - 2, -1, -1):
+        v = re_z(xs[k])
+        if v == 0.0:
+            root = float(xs[k])
             break
-    if idx is None:
+        if v * right < 0.0:
+            root = _sign_change(re_z, float(xs[k]), float(xs[k + 1]), v, right)
+            break
+        right = v
+    else:
         raise NoZeroError(f"no sign change of Z on [{lo}, {hi}]")
-    a, b = xs[idx], xs[idx + 1]
-    fa = vals[idx]
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        fm = complex(evaluator(complex(m))).real
-        if fa * fm <= 0.0:
-            b = m
+    return certify_zero(evaluator, complex(root))
+
+
+def _sign_change(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A zero of f between a < b, where fa and fb have opposite signs:
+    an exact zero, or else the end of the final adjacent-float bracket
+    with the smaller |f|.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174): the
+    secant through the bracket ends, with the value of an end halved each
+    further step that keeps it.  Brent's safeguards (Algorithms for
+    Minimization without Derivatives, 1973): a trial point that rounds
+    onto an end moves one float inside, and one outside the open bracket,
+    or after three steps in a row that failed to halve the bracket, is
+    replaced by the midpoint.  Every step keeps the sign change.
+    """
+    ga, gb = fa, fb     # interpolation weights of the ends
+    kept = 0            # +1: b was kept by the last step, -1: a was
+    slow = 0
+    while True:
+        mid = a + 0.5 * (b - a)
+        if not a < mid < b:
+            return a if abs(fa) <= abs(fb) else b
+        width = b - a
+        x = a - ga * width / (gb - ga)
+        if x == a or x == b:
+            x = math.nextafter(x, b if x == a else a)
+        if slow >= 3 or not a < x < b:
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, ga = x, fx, fx
+            if kept == 1:
+                gb *= 0.5
+            kept = 1
         else:
-            a, fa = m, fm
-    return refine_zero(evaluator, complex(0.5 * (a + b)), max_step=(hi - lo) / n)
+            b, fb, gb = x, fx, fx
+            if kept == -1:
+                ga *= 0.5
+            kept = -1
+        slow = slow + 1 if b - a > 0.5 * width else 0
 
 
 # ---------------------------------------------------------------------------

@@ -453,7 +453,11 @@ class FredholmEvaluator:
             return self(s.conjugate()).conjugate()
         hit = self._cache.get(s)
         if hit is None:
-            hit = complex(np.linalg.det(np.eye(self.size) - self.matrix(s)))
+            # I - L formed in place: no identity or difference matrix
+            a = self.matrix(s)
+            np.negative(a, out=a)
+            a.flat[::self.size + 1] += 1.0
+            hit = complex(np.linalg.det(a))
             self._cache[s] = hit
         return hit
 

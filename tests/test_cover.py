@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from juliazeta.cover import (backward_cover, box_dimension, component_stats,
-                             cover_profile, fit_box_dimension)
-from juliazeta.dynamics import MapSpec
-from juliazeta.errors import ResolutionError
+import juliazeta.cover
+from juliazeta.cover import (CoverStats, _deeper, backward_cover, box_dimension,
+                             component_stats, cover_profile, fit_box_dimension)
+from juliazeta.dynamics import AffinePair, MapSpec, Mode
+from juliazeta.errors import HyperbolicityError, ResolutionError
 
 
 def test_trap_level(spec6):
@@ -107,3 +108,40 @@ def test_csv_export(tmp_path, middle_thirds):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "h,P,maxdiam"
     assert len(lines) == 3
+
+
+SYSTEMS = [MapSpec(c=-6.0), MapSpec(c=-3.0), MapSpec(c=-6.0, mode=Mode.COMPLEX_2D),
+           MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), AffinePair((2.0, 4.0))]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_level_by_level_covers_equal_backward_cover(system):
+    # built in word order, with no sort, from the cover one level up
+    cover = backward_cover(system, 0)
+    for n in range(1, 9):
+        cover = _deeper(system, cover)
+        assert cover == backward_cover(system, n)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_profile_equals_backward_cover_at_each_level(system):
+    hs = [0.3 * 10.0 ** (-k / 4.0) for k in range(11)]
+    stats = cover_profile(system, hs)
+    rows, level = [], 0
+    for h in sorted(hs, reverse=True):
+        while backward_cover(system, level).max_diameter() > h / 4.0:
+            level += 1
+        st = component_stats(backward_cover(system, level), h)
+        rows.append((h, st.count, st.maxdiam))
+    hs_ref, counts, diams = zip(*sorted(rows))
+    assert stats == CoverStats(hs_ref, counts, diams)
+    assert level >= 8
+
+
+def test_profile_checks_contraction(monkeypatch, middle_thirds):
+    monkeypatch.setattr(juliazeta.cover, "_apply_branch",
+                        lambda system, kind, branch, element: element)
+    with pytest.raises(HyperbolicityError, match="level 1"):
+        cover_profile(middle_thirds, [1e-3])
+    with pytest.raises(HyperbolicityError):
+        backward_cover(middle_thirds, 3)

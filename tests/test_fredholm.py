@@ -77,6 +77,17 @@ def test_real_axis_values_nearly_real(fredholm6):
         assert abs(z.imag) <= 1e-10 * max(1.0, abs(z))
 
 
+def test_in_place_determinant_keeps_the_bits():
+    # I - L is formed in place; the reference subtracts from an identity
+    ev = FredholmEvaluator(MapSpec(c=-6.0), level=1)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 1.5, 256) + 1j * rng.uniform(0.0, 40.0, 256)
+    points[:32] = rng.uniform(0.05, 0.95, 32)
+    for s in points:
+        want = complex(np.linalg.det(np.eye(ev.size) - ev.matrix(s)))
+        assert repr(ev(complex(s))) == repr(want)
+
+
 def test_batch_matches_scalar(spec6):
     ev = FredholmEvaluator(spec6, level=2)
     ss = np.array([0.5 + 1.0j, -0.7 + 4.0j, 2.0 + 0.1j, 1.1 - 2.0j])

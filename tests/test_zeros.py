@@ -6,10 +6,10 @@ import pytest
 from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
 from juliazeta.errors import NoZeroError
 from juliazeta.zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
-                             ZeroRecord, _CachedEvaluator, _edge_phase,
-                             counting_report, growth_exponent_probe,
-                             leading_real_zero, refine_zero, scan_region,
-                             winding_number)
+                             ZeroRecord, _CachedEvaluator, _circle, _edge_phase,
+                             _sign_change, certify_zero, counting_report,
+                             growth_exponent_probe, leading_real_zero,
+                             refine_zero, scan_region, winding_number)
 from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
                             zero_free_abscissa)
 
@@ -189,8 +189,8 @@ CENSUS_5 = [complex(0.2745483557, -4.1873487548), complex(-0.3452427637, -3.0990
             complex(-0.3452427637, 3.0990632948), complex(0.2745483557, 4.1873487548)]
 
 
-def _counted_scan(rect, symmetric=True):
-    ev = FredholmEvaluator(MapSpec(c=-6.0), level=2)
+def _counted_evaluator(c, level):
+    ev = FredholmEvaluator(MapSpec(c=c), level=level)
     matrix, count = ev.matrix, [0]
 
     def counted(s):
@@ -198,6 +198,11 @@ def _counted_scan(rect, symmetric=True):
         return matrix(s)
 
     ev.matrix = counted
+    return ev, count
+
+
+def _counted_scan(rect, symmetric=True):
+    ev, count = _counted_evaluator(-6.0, 2)
     # a plain function has no conjugate_symmetric property
     records = scan_region(ev if symmetric else (lambda s: ev(s)), Rectangle(*rect))
     return records, count[0]
@@ -392,3 +397,122 @@ def test_refine_outside_region_skips_the_certificate():
         refine_zero(recorded, 0.3, max_step=0.5, region=Rectangle(0.0, 0.6, -0.3, 0.3))
     assert certified - len(recorded.points) >= 48
     assert all(abs(abs(s - rec.s) - 0.05) > 0.01 for s in recorded.points)
+
+
+# Leading real zero.  delta at the benchmark's seven dimension c values,
+# level 3, as found by 60 bisection steps and a Newton polish (the real
+# parts of the zeros returned).
+DELTA_L3 = {-3.0: 0.6245701073534808, -4.0: 0.5345773893082982,
+            -5.0: 0.4847982944381581, -6.0: 0.45183750018171154,
+            -8.0: 0.409372281255818, -12.0: 0.3628771480937594,
+            -20.0: 0.31850809575800487}
+
+
+def test_leading_real_zero_work_count():
+    ev, count = _counted_evaluator(-6.0, 3)
+    rec = leading_real_zero(ev, (0.05, 0.95))
+    # 36 grid points from the right down to delta, 6 regula falsi steps,
+    # and 13 nodes plus 12 midpoints on the certificate circle's upper half
+    assert count[0] == 67
+    assert rec.s.imag == 0.0
+    assert abs(rec.s.real - 0.45183750018171) <= 1e-10
+
+
+def test_leading_real_zero_matches_the_bisection_values():
+    counts = {}
+    for c, delta in DELTA_L3.items():
+        ev, count = _counted_evaluator(c, 3)
+        rec = leading_real_zero(ev, (0.05, 0.95))
+        assert abs(rec.s.real - delta) <= 1e-15
+        assert rec.s.imag == 0.0
+        assert rec.multiplicity == 1 and rec.method == "fredholm"
+        assert rec.residual <= 1e-13
+        counts[c] = count[0]
+    # the bisection solver took 1,137 determinants.  The last regula falsi
+    # steps read signs at the rounding level of Z, which moves with the
+    # BLAS kernel and thread count: 470 to 478 were seen
+    assert sum(counts.values()) <= 490
+
+
+class _RaisesLeftOf:
+    """Z that cannot be evaluated left of Re s = edge."""
+
+    conjugate_symmetric = True
+
+    def __init__(self, ev, edge):
+        self.ev, self.edge = ev, edge
+        self.method = ev.method
+
+    def __call__(self, s):
+        if complex(s).real < self.edge:
+            raise ValueError(f"Z is not available at {s}")
+        return self.ev(s)
+
+
+def test_leading_real_zero_evaluates_nothing_left_of_its_bracket(fredholm6, delta6):
+    # the certificate circle about delta reaches delta - 0.05
+    rec = leading_real_zero(_RaisesLeftOf(fredholm6, delta6 - 0.06), (0.05, 0.95))
+    assert rec.s.real == delta6
+    assert rec.multiplicity == 1
+
+
+def test_half_circle_certificate():
+    recorded = _Recorded(ModelEvaluator(2.0, 4.0, 0))
+    ev = _CachedEvaluator(recorded)
+    center, radius = complex(GOLDEN), 0.05
+    w_full, full = _circle(ev, center, radius)
+    n_full = list(recorded.points)
+    ev, recorded.points = _CachedEvaluator(recorded), []
+    w_half, half = _circle(ev, center, radius, symmetric=True)
+    n_half = list(recorded.points)
+
+    def nodes(points):
+        return [p for p in points if abs(abs(p - center) - radius) < 1e-12]
+
+    assert w_full == w_half == 1
+    assert len(nodes(n_full)) == 24 and len(nodes(n_half)) == 13
+    assert all(p.imag >= 0.0 for p in n_half)
+    assert len(n_full) - len(n_half) >= 22
+    # the lower half's values are the upper half's conjugates
+    assert len(half) == 24
+    assert half[1:12] == [v.conjugate() for v in half[23:12:-1]]
+    assert max(abs(a - b) for a, b in zip(full, half)) < 1e-12
+
+
+def test_certificate_uses_the_half_circle_only_for_a_real_centre():
+    class Symmetric(_Recorded):
+        conjugate_symmetric = True
+
+    model = ModelEvaluator(2.0, 4.0, 0)
+    on_axis, off_axis = Symmetric(model), Symmetric(model)
+    rec = certify_zero(on_axis, complex(GOLDEN))
+    assert rec.multiplicity == 1 and rec.s == complex(GOLDEN)
+    assert min(s.imag for s in on_axis.points) >= 0.0
+    certify_zero(off_axis, complex(GOLDEN, 1e-30))
+    assert min(s.imag for s in off_axis.points) < 0.0
+
+
+@pytest.mark.parametrize("f, a, b, most", [
+    # regula falsi without the Illinois halving keeps one end: it takes
+    # 22 steps on each of the first two, 27 and 24 on the next two
+    (lambda x: x ** 3 - 2.0, 1.0, 2.0, 10),
+    (lambda x: 2.0 - (-x) ** 3, -2.0, -1.0, 10),
+    (lambda x: math.exp(x) - 3.0, 0.0, 4.0, 20),
+    (lambda x: math.log(x) - 1.0, 0.5, 10.0, 14),
+    # a flat root and a steep one lean on the midpoint safeguard
+    (lambda x: (x - 0.3) ** 9, 0.0, 1.0, 200),
+    (lambda x: math.atan(1e6 * (x - 0.7)), 0.0, 1.0, 30),
+])
+def test_sign_change_closes_to_adjacent_floats(f, a, b, most):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    x = _sign_change(counted, a, b, f(a), f(b))
+    assert a <= x <= b and len(calls) <= most
+    if f(x) != 0.0:
+        # a neighbouring float on one side has the opposite sign
+        lo, hi = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+        assert f(lo) * f(x) <= 0.0 or f(hi) * f(x) <= 0.0
