@@ -18,10 +18,9 @@ from .tracecheck import (ContractionSpec, closed_form, comparison_table,
                          pullback_trace)
 from .words import Word, aperiodic_necklace_count, enumerate_words
 from .zeros import (CountingReport, GrowthFit, LogFamily, PolyFamily,
-                    Rectangle, StripFamily, ZeroRecord, certify_zero,
-                    counting_report, growth_exponent_probe,
-                    leading_real_zero, refine_zero, scan_region,
-                    winding_number)
+                    Rectangle, StripFamily, ZeroRecord, counting_report,
+                    growth_exponent_probe, leading_real_zero, refine_zero,
+                    scan_region, winding_number)
 from .zeta import (CycleEvaluator, FredholmEvaluator, Law, Method,
                    ModelEvaluator, TransferMatrix, TruncationModel,
                    ZetaValue, cycle_log_zeta, fredholm_det, model_dimension,

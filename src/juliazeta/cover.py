@@ -66,26 +66,11 @@ def backward_cover(system, n: int) -> DiskCover:
     if not (0 <= n <= DEPTH_CAP):
         raise ValueError(f"cover level must lie in 0..{DEPTH_CAP}")
     trap, kind = _system_trap(system)
-    words = [""]
-    elements = [trap]
-    diam = trap.width if kind == "interval" else trap.diameter()
-    for level in range(1, n + 1):
-        words = [str(b) + w for w in words for b in (0, 1)]
-        elements = [_apply_branch(system, kind, b, e)
-                    for e in elements for b in (0, 1)]
-        new_diam = max(e.width if kind == "interval" else e.diameter() for e in elements)
-        if new_diam >= diam:
-            raise HyperbolicityError(
-                f"backward enclosures stopped contracting at level {level}: "
-                f"{new_diam} >= {diam}")
-        diam = new_diam
-    order = sorted(range(len(words)), key=lambda i: words[i])
-    trap_diam = trap.width if kind == "interval" else trap.diameter()
-    return DiskCover(level=n,
-                     words=tuple(words[i] for i in order),
-                     elements=tuple(elements[i] for i in order),
-                     kind=kind,
-                     trap_diameter=trap_diam)
+    cover = DiskCover(level=0, words=("",), elements=(trap,), kind=kind,
+                      trap_diameter=trap.width if kind == "interval" else trap.diameter())
+    for _ in range(n):
+        cover = _deeper(system, cover)
+    return cover
 
 
 def _deeper(system, cover: DiskCover) -> DiskCover:

@@ -290,7 +290,7 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
     Steps are clamped to `max_step` so a distant seed cannot fling the
     iteration out of its basin.  An iterate that converges outside
     `region` (up to 1e-12 of its diagonal) raises NoZeroError before the
-    certificate (`certify_zero`) is paid for.
+    certificate (`_certify_zero`) is paid for.
     """
     s = complex(seed)
     converged = False
@@ -337,11 +337,11 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
             ConvergenceError(f"Newton did not converge from seed {seed}")
     if region is not None and not region.contains(s, slack=1e-12 * region.diag):
         raise NoZeroError(f"Newton converged to {s}, outside {region}")
-    return certify_zero(evaluator, s, r_loc, residual_factor)
+    return _certify_zero(evaluator, s, r_loc, residual_factor)
 
 
-def certify_zero(evaluator, s: complex, r_loc: float = 0.05,
-                 residual_factor: float = 1e-8) -> ZeroRecord:
+def _certify_zero(evaluator, s: complex, r_loc: float = 0.05,
+                  residual_factor: float = 1e-8) -> ZeroRecord:
     """Multiplicity and residual certificate of an approximate zero s.
 
     The multiplicity is the winding count of Z on the circle of radius
@@ -540,7 +540,7 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
     Re Z is evaluated on a 64-point grid over the bracket from the right,
     stopping at the first sign change, so no grid point left of that cell
     is evaluated.  `_sign_change` shrinks the cell to adjacent floats and
-    returns an exactly real zero, which `certify_zero` certifies: its
+    returns an exactly real zero, which `_certify_zero` certifies: its
     winding count on a circle of radius 0.05 and its residual.
     """
     def re_z(x: float) -> float:
@@ -560,7 +560,7 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
         right = v
     else:
         raise NoZeroError(f"no sign change of Z on [{lo}, {hi}]")
-    return certify_zero(evaluator, complex(root))
+    return _certify_zero(evaluator, complex(root))
 
 
 def _sign_change(f, a: float, b: float, fa: float, fb: float) -> float:

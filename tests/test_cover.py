@@ -3,7 +3,7 @@ import math
 import pytest
 
 import juliazeta.cover
-from juliazeta.cover import (CoverStats, _deeper, backward_cover, box_dimension,
+from juliazeta.cover import (CoverStats, backward_cover, box_dimension,
                              component_stats, cover_profile, fit_box_dimension)
 from juliazeta.dynamics import AffinePair, MapSpec, Mode
 from juliazeta.errors import HyperbolicityError, ResolutionError
@@ -114,13 +114,25 @@ SYSTEMS = [MapSpec(c=-6.0), MapSpec(c=-3.0), MapSpec(c=-6.0, mode=Mode.COMPLEX_2
            MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), AffinePair((2.0, 4.0))]
 
 
+def _sorted_cover(system, n):
+    """Reference cover: every word's enclosure built from the trap, then
+    sorted by word."""
+    trap, kind = juliazeta.cover._system_trap(system)
+    cover = {"": trap}
+    for _ in range(n):
+        cover = {str(b) + w: juliazeta.cover._apply_branch(system, kind, b, e)
+                 for w, e in cover.items() for b in (0, 1)}
+    words = sorted(cover)
+    return tuple(words), tuple(cover[w] for w in words)
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_level_by_level_covers_equal_backward_cover(system):
+def test_covers_in_word_order_equal_sorted_reference(system):
     # built in word order, with no sort, from the cover one level up
-    cover = backward_cover(system, 0)
-    for n in range(1, 9):
-        cover = _deeper(system, cover)
-        assert cover == backward_cover(system, n)
+    for n in range(9):
+        cover = backward_cover(system, n)
+        assert cover.level == n
+        assert (cover.words, cover.elements) == _sorted_cover(system, n)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
