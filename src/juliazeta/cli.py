@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -49,11 +50,14 @@ def _check_keys(cfg: dict, allowed: set[str], where: str) -> None:
 
 
 def _as_complex(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{where} must be a number or [re, im] pair")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    try:
+        # type(), not isinstance(): JSON true is a bool, not the number 1
+        if all(type(x) in (int, float) and math.isfinite(x) for x in parts):
+            return complex(parts[0], parts[1])
+    except OverflowError:
+        pass  # an integer too large for a float
+    raise ConfigError(f"{where} must be a finite number or [re, im] pair")
 
 
 def build_system(cfg: dict):

@@ -8,13 +8,16 @@ edge is sampled by recursive halving, and the verified phase of every
 dyadic sub-edge is memoised on the scan's evaluator cache, so a child of
 a 0.5 quadrisection reuses its parent's edge halves and two siblings
 share their common edge.  Regions are quadrisected until each cell winds
-at most once, then Newton polishes the zero.  The leading real zero, the
-dimension delta, is instead bracketed by a sign change of Re Z and
-shrunk to adjacent floats by Illinois regula falsi, so it comes out
-exactly real.  Every zero is certified by a winding count on a small
-circle and a residual; for a real centre and a conjugate-symmetric Z
-only the circle's upper half is evaluated.  Counting reports fit the
-growth exponents the theory bounds.
+at most once, then Newton polishes the zero from the ratio of the
+contour integrals of s/Z and 1/Z, taken by the trapezoid rule over the
+boundary values the windings already evaluated.  For a
+conjugate-symmetric Z, a zero that converges onto the real axis is
+bracketed by a sign change of Re Z and shrunk to adjacent floats by
+Illinois regula falsi, so it comes out exactly real; the leading real
+zero, the dimension delta, is found that way from a grid.  Every zero is
+certified by a winding count on a small circle and a residual; for a
+real centre and a conjugate-symmetric Z only the circle's upper half is
+evaluated.  Counting reports fit the growth exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ class _CachedEvaluator:
     def __init__(self, ev):
         self.ev = ev
         self.method = getattr(ev, "method", None)
+        self.conjugate_symmetric = getattr(ev, "conjugate_symmetric", False)
         self.cache: dict[complex, complex] = {}
         # verified phase of Z along each dyadic sub-edge of a contour,
         # keyed by (low end, high end, boundary step)
@@ -290,7 +294,12 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
     Steps are clamped to `max_step` so a distant seed cannot fling the
     iteration out of its basin.  An iterate that converges outside
     `region` (up to 1e-12 of its diagonal) raises NoZeroError before the
-    certificate (`_certify_zero`) is paid for.
+    certificate (`_certify_zero`) is paid for.  With a
+    `conjugate_symmetric` evaluator and a region that meets the real
+    axis, a limit within 1e-8 (1 + |s|) of the axis is solved on the axis
+    (`_axis_zero`) and certified at its exactly real point: a winding-1
+    circle about a real centre holds a real zero, since the zeros off the
+    axis come in conjugate pairs.
     """
     s = complex(seed)
     converged = False
@@ -337,6 +346,11 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
             ConvergenceError(f"Newton did not converge from seed {seed}")
     if region is not None and not region.contains(s, slack=1e-12 * region.diag):
         raise NoZeroError(f"Newton converged to {s}, outside {region}")
+    if region is not None and getattr(evaluator, "conjugate_symmetric", False) and \
+            region.im_lo <= 0.0 <= region.im_hi and abs(s.imag) <= 1e-8 * (1.0 + abs(s)):
+        x = _axis_zero(evaluator, s.real, region.re_lo, region.re_hi)
+        if x is not None:
+            s = complex(x)
     return _certify_zero(evaluator, s, r_loc, residual_factor)
 
 
@@ -365,6 +379,74 @@ def _certify_zero(evaluator, s: complex, r_loc: float = 0.05,
             f"residual {residual} exceeds {residual_factor} * local scale {scale}")
     method = getattr(getattr(evaluator, "method", None), "value", "")
     return ZeroRecord(s=s, multiplicity=mult, residual=residual, method=method)
+
+
+def _cached_walk(ev: _CachedEvaluator, p: complex, q: complex, out: list) -> None:
+    """Appends to `out` the nodes from p up to, not including, q of the
+    dyadic halvings of [p, q] whose midpoints are already evaluated."""
+    m = _halve(p, q)
+    if m != p and m != q and m in ev.cache:
+        _cached_walk(ev, p, m, out)
+        _cached_walk(ev, m, q, out)
+    else:
+        out.append(p)
+
+
+def _moment_seed(ev: _CachedEvaluator, cell: Rectangle) -> complex:
+    """The zero of a cell that winds once, as the ratio of contour
+    integrals of s/Z and 1/Z (Delves & Lyness, Math. Comp. 21 (1967)
+    543-560): both have a simple pole there, with residues s0/Z'(s0) and
+    1/Z'(s0).  The trapezoid rule runs over the boundary nodes the
+    windings have evaluated, so the seed costs no determinant.  The cell
+    centre is returned when a corner was never evaluated, a node value is
+    0, the integral of 1/Z vanishes, or the estimate lies outside the
+    cell."""
+    corners = cell.corners()
+    nodes = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        edge: list[complex] = []
+        if _reversed(a, b):
+            _cached_walk(ev, b, a, edge)
+            edge = [a] + edge[:0:-1]
+        else:
+            _cached_walk(ev, a, b, edge)
+        nodes += edge
+    values = [ev.cache.get(s) for s in nodes]
+    if None in values or 0 in values:
+        return cell.center
+    s = np.array(nodes)
+    with np.errstate(all="ignore"):
+        inv = 1.0 / np.array(values)
+        ds = np.roll(s, -1) - s
+        i0, i1 = (np.sum(0.5 * (f + np.roll(f, -1)) * ds) for f in (inv, s * inv))
+        seed = complex(i1 / i0) if i0 != 0 else cell.center
+    return seed if cell.contains(seed) else cell.center
+
+
+def _axis_zero(ev, x0: float, lo: float, hi: float) -> float | None:
+    """An exactly real zero of Z near x0 within [lo, hi], for a Z that is
+    real on the axis: Re Z is bracketed about x0 on steps from 1e-12 (1 +
+    |x0|) widening 16-fold, and `_sign_change` closes the bracket.  None
+    when no sign change is found."""
+    def re_z(x: float) -> float:
+        return complex(ev(complex(x))).real
+
+    x0 = min(max(x0, lo), hi)
+    f0 = re_z(x0)
+    if f0 == 0.0:
+        return x0
+    h = 1e-12 * (1.0 + abs(x0))
+    while True:
+        a, b = max(x0 - h, lo), min(x0 + h, hi)
+        fa = re_z(a)
+        if fa * f0 <= 0.0:
+            return a if fa == 0.0 else _sign_change(re_z, a, x0, fa, f0)
+        fb = re_z(b)
+        if fb * f0 <= 0.0:
+            return b if fb == 0.0 else _sign_change(re_z, x0, b, f0, fb)
+        if a == lo and b == hi:
+            return None
+        h *= 16.0
 
 
 # strip half-heights for mirrored scans, as fractions of im_hi; the next
@@ -401,6 +483,15 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
                 jitter_attempts: int = 3, boundary_step: float = 0.5) -> list[ZeroRecord]:
     """All zeros in the rectangle: recursive quadrisection until each
     cell winds at most once, then Newton refinement.
+
+    Newton starts from the cell's moment seed (`_moment_seed`), which
+    costs no evaluation; an iterate that converges outside its cell, or
+    does not converge, sends the cell on to quadrisection.  With a
+    `conjugate_symmetric` evaluator, a zero within 1e-8 (1 + |s|) of the
+    real axis in a cell that meets the axis is solved on the axis and
+    returned exactly real (see `refine_zero`).  Records are sorted by
+    Im s, then by decreasing Re s, so the real zeros come in a fixed
+    order with the leading one, delta, first.
 
     The returned multiplicities sum to the whole-rectangle winding; a
     cell still winding > 1 at the depth limit is returned unresolved with
@@ -446,7 +537,8 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
             return [], 0
         if w == 1:
             try:
-                return [refine_zero(ev, cell.center, max_step=cell.diag, region=cell)], w
+                return [refine_zero(ev, _moment_seed(ev, cell), max_step=cell.diag,
+                                    region=cell)], w
             except (ConvergenceError, NoZeroError, BoundaryZeroError):
                 pass
             # Newton escaped the cell or stalled: keep subdividing
@@ -522,7 +614,7 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
         raise CompletenessError(
             f"found multiplicities sum {sum(r.multiplicity for r in records)}, "
             f"rectangle winds {w_total}")
-    records.sort(key=lambda r: (r.s.imag, r.s.real))
+    records.sort(key=lambda r: (r.s.imag, -r.s.real))
     if found is None:
         records = _verify_multiplicities(ev, records, records)
     return records

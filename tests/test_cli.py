@@ -64,6 +64,27 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("c", [True, float("nan"), float("inf"), [-6.0, float("nan")],
+                               [False, 0.0], 10 ** 400])
+def test_non_numeric_or_non_finite_c_is_a_config_error(tmp_path, capsys, c):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"task": "orbits",
+                               "system": {"kind": "quadratic", "c": c},
+                               "params": {"n_max": 3}}))
+    assert main(["orbits", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "system.c" in err
+
+
+def test_non_finite_trace_parameter_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"task": "trace-check",
+                               "params": {"mu_values": [0.5, float("-inf")]}}))
+    assert main(["trace-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mu_values" in err
+
+
 def test_task_mismatch(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"task": "orbits",

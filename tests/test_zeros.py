@@ -4,10 +4,11 @@ from dataclasses import replace
 import pytest
 
 from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
-from juliazeta.errors import NoZeroError
+from juliazeta.errors import ClusterWarning, NoZeroError
 from juliazeta.zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
                              ZeroRecord, _CachedEvaluator, _certify_zero,
-                             _circle, _edge_phase, _sign_change, counting_report,
+                             _circle, _edge_phase, _moment_seed,
+                             _sign_change, counting_report,
                              growth_exponent_probe, leading_real_zero,
                              refine_zero, scan_region, winding_number)
 from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
@@ -218,7 +219,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 1422   # the plain scan of this rectangle takes 3148
+    assert count == 1184   # the plain scan of this rectangle takes 1435
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -230,28 +231,31 @@ def test_symmetric_scan_mirrors_the_upper_band():
 
 def test_scan_without_symmetry_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
-    assert count == 3148
+    assert count == 1435
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
 
 
 def test_asymmetric_rectangle_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -4.0, 5.0))
-    assert count == 2437
+    assert count == 1021
     _assert_zeros(records, sorted(CENSUS_5[1:], key=lambda z: (z.imag, z.real)))
 
 
 class _Polynomial:
-    """prod (s - z_k) over conjugate-closed roots."""
+    """prod (s - z_k) / prod (s - p_j); conjugate-symmetric when the
+    roots and poles are conjugate-closed, as the scans here use it."""
 
     conjugate_symmetric = True
 
-    def __init__(self, roots):
-        self.roots = roots
+    def __init__(self, roots, poles=()):
+        self.roots, self.poles = roots, poles
 
     def __call__(self, s):
         out = 1.0 + 0.0j
         for z in self.roots:
             out *= complex(s) - z
+        for p in self.poles:
+            out /= complex(s) - p
         return out
 
 
@@ -287,34 +291,159 @@ def test_mirrored_scan_of_a_polynomial(monkeypatch):
     assert records[1].s == records[-2].s.conjugate()
 
 
+# Moment seed.  A cell that winds once knows its zero from the boundary
+# values its winding evaluated.
+
+def _wound_cell(f, cell):
+    recorded = _Recorded(f)
+    ev = _CachedEvaluator(recorded)
+    assert winding_number(ev, cell) == 1
+    return ev, recorded
+
+
+def test_moment_seed_is_near_the_zero_and_costs_nothing():
+    roots = [complex(0.37, 0.21), complex(-0.6, 0.0), complex(0.1, 1.3)]
+    roots += [z.conjugate() for z in roots if z.imag]
+    for cell, root in [(Rectangle(0.0, 0.8, 0.05, 0.5), roots[0]),
+                       (Rectangle(-1.0, 0.0, -0.4, 0.35), roots[1]),
+                       (Rectangle(-0.3, 0.5, 0.9, 1.45), roots[2])]:
+        ev, recorded = _wound_cell(_Polynomial(roots), cell)
+        n = len(recorded.points)
+        seed = _moment_seed(ev, cell)
+        assert len(recorded.points) == n
+        assert seed != cell.center
+        assert abs(seed - root) <= 0.02 * cell.diag
+    # a child of a 0.5 split reads the coarser leaves its parent's edges left
+    parent = Rectangle(-1.0, 1.0, 0.05, 1.05)
+    ev, recorded = _wound_cell(_Polynomial(roots), parent)
+    cell = parent.split()[1]
+    assert winding_number(ev, cell) == 1
+    n = len(recorded.points)
+    seed = _moment_seed(ev, cell)
+    assert len(recorded.points) == n
+    assert abs(seed - roots[0]) <= 0.02 * cell.diag
+
+
+def test_moment_seed_outside_the_cell_falls_back_to_the_centre():
+    # two zeros and one pole in the cell: the winding is 1, but the
+    # moment ratio is z1 + z2 - p = 1.2 + 1.2i, outside the cell
+    cell = Rectangle(-1.0, 1.0, -1.0, 1.0)
+    ev, _ = _wound_cell(_Polynomial([0.6, 0.6j], poles=[-0.6 - 0.6j]), cell)
+    assert _moment_seed(ev, cell) == cell.center
+    # a corner that was never evaluated gives the centre as well
+    assert _moment_seed(_CachedEvaluator(_Polynomial([0.1])), cell) == cell.center
+
+
+def test_iterate_converging_outside_its_cell_is_rejected(monkeypatch):
+    # every seed mutated to 0.7, from where Newton reaches the zero at 0.9:
+    # no cell about the zero at 0.3 may accept it, so the scan splits down
+    # to its smallest cell and reports 0.3 unresolved
+    import juliazeta.zeros
+    monkeypatch.setattr(juliazeta.zeros, "_moment_seed", lambda ev, cell: complex(0.7))
+    with pytest.warns(ClusterWarning):
+        records = scan_region(_Polynomial([0.3, 0.9]), Rectangle(0.0, 0.6, -0.3, 0.3))
+    assert [r.resolved for r in records] == [False]
+    assert abs(records[0].s - 0.3) < 1e-7
+
+
+def test_axis_zeros_are_solved_on_the_axis():
+    roots = [complex(0.4, 0.0), complex(-0.3, 0.0), complex(0.5, 3.0), complex(0.5, -3.0)]
+    records = scan_region(_Polynomial(roots), Rectangle(-1.0, 1.0, -10.0, 10.0))
+    # the real zeros are exactly real and run in decreasing Re
+    assert [r.s.imag for r in records[1:3]] == [0.0, 0.0]
+    assert max(abs(r.s - z) for r, z in zip(records, [0.5 - 3j, 0.4, -0.3, 0.5 + 3j])) < 1e-12
+    # without conjugate symmetry the same scan gives no exactly real zero
+    records = scan_region(lambda s: _Polynomial(roots)(s), Rectangle(-1.0, 1.0, -10.0, 10.0))
+    assert all(r.s.imag != 0.0 for r in records)
+
+
 def test_census_work_count():
     # the benchmark census: 40 zeros in [-2, 1.4] x [-20, 20]
     records, count = _counted_scan((-2.0, 1.4, -20.0, 20.0))
-    assert count == 6899
+    assert count == 3879
     assert len(records) == 40
     assert all(r.resolved and r.multiplicity == 1 for r in records)
+    # the axis zeros are exactly real and run in decreasing Re, delta first
+    axis = [r.s for r in records if abs(r.s.imag) <= 1.0]
+    assert [s.imag for s in axis] == [0.0, 0.0]
+    assert axis[0].real > axis[1].real
+    assert abs(axis[0].real - 0.45183750018171) <= 1e-10
     upper = sorted((r.s for r in records if r.s.imag > 1.0), key=lambda z: z.real)
     lower = sorted((r.s.conjugate() for r in records if r.s.imag < -1.0), key=lambda z: z.real)
     assert len(upper) == 19 and upper == lower
 
 
-# the records of the mirrored [-2, 1.4] x [-5, 5] scan before windings
-# shared their edges; reuse changes how often Z is evaluated, not where
-# the scan's cells, seeds and Newton iterates fall
-EXACT_5 = [(0.27454835566341673, -4.18734875483785, 1.4274757980605447e-15),
-           (-0.3452427637177081, -3.0990632948343397, 1.0912062246016518e-13),
-           (-1.7602600822962378, -2.6437329231130655, 2.015876536372757e-08),
-           (0.4518375001817091, -1.6263566017936856e-15, 5.218381773856824e-15),
-           (-1.0358586031980863, 3.431894385398672e-13, 4.560570255690496e-12),
-           (-1.7602600822962378, 2.6437329231130655, 2.015876536372757e-08),
-           (-0.3452427637177081, 3.0990632948343397, 1.0912062246016518e-13),
-           (0.27454835566341673, 4.18734875483785, 1.4274757980605447e-15)]
+# the records of the mirrored [-2, 1.4] x [-5, 5] scan: Newton runs from
+# each cell's moment seed, and the two axis zeros are solved on the axis
+EXACT_5 = [(0.2745483556634166, -4.18734875483785, 1.1793312498838905e-15),
+           (-0.34524276371767876, -3.099063294834342, 1.1198275368464574e-13),
+           (-1.760260082305301, -2.643732923119056, 1.0654469374547601e-08),
+           (0.4518375001817091, 0.0, 2.6334282571201656e-15),
+           (-1.0358586031978363, 0.0, 5.139904586894231e-12),
+           (-1.760260082305301, 2.643732923119056, 1.0654469374547601e-08),
+           (-0.34524276371767876, 3.099063294834342, 1.1198275368464574e-13),
+           (0.2745483556634166, 4.18734875483785, 1.1793312498838905e-15)]
 
 
 def test_mirrored_scan_records_are_exact():
     records, _ = _counted_scan((-2.0, 1.4, -5.0, 5.0))
     assert records == [ZeroRecord(s=complex(re, im), multiplicity=1, residual=res,
                                   method="fredholm") for re, im, res in EXACT_5]
+
+
+# The axis rows of the mirrored [-2, 1.4] x [-5, 5] scan, as (Re, Im) in
+# row order, printed by a child process so that OpenBLAS can be given
+# another kernel
+_AXIS_ROWS = """
+from juliazeta.dynamics import MapSpec
+from juliazeta.zeros import Rectangle, scan_region
+from juliazeta.zeta import FredholmEvaluator
+records = scan_region(FredholmEvaluator(MapSpec(c=-6.0), level=2),
+                      Rectangle(-2.0, 1.4, -5.0, 5.0))
+print(repr([(r.s.real, r.s.imag) for r in records if abs(r.s.imag) <= 1.0]))
+"""
+
+
+def _openblas() -> bool:
+    import numpy as np
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:
+        return False
+    return "openblas" in name.lower()
+
+
+def _axis_rows(coretype):
+    import ast
+    import os
+    import subprocess
+    import sys
+
+    import juliazeta
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(juliazeta.__file__)))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    out = subprocess.run([sys.executable, "-c", _AXIS_ROWS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out)
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy is not OpenBLAS-backed")
+def test_axis_rows_hold_on_other_blas_kernels():
+    default = _axis_rows(None)
+    assert [im for _, im in default] == [0.0, 0.0]
+    assert default[0][0] > default[1][0]
+    for coretype in ("SandyBridge", "Prescott"):
+        rows = _axis_rows(coretype)
+        # the same exactly real rows in the same order, and delta to the bit
+        assert [im for _, im in rows] == [0.0, 0.0]
+        assert rows[0] == default[0]
+        # Re Z changes sign in rounding noise some 1e-13 wide about
+        # -1.0359 (|Z'| is 24 there, the noise 5e-12), and the noise moves
+        # with the kernel, so that zero's last bits move too
+        assert abs(rows[1][0] - default[1][0]) <= 1e-12
 
 
 # Edge-phase memo.  A counting evaluator with no `batch` records every
