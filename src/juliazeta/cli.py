@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .cover import box_dimension, cover_profile
-from .dynamics import (AffinePair, MapSpec, Mode, build_orbit_catalog,
-                       save_catalog)
+from .dynamics import (N_MAX_CAP, AffinePair, MapSpec, Mode,
+                       build_orbit_catalog, save_catalog)
 from .errors import ConfigError, EngineError
 from .pairing import TestFunction, identity_residual, orbit_length_histogram
 from .tracecheck import comparison_table, export_table
@@ -49,15 +49,38 @@ def _check_keys(cfg: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _is_real(x) -> bool:
+    """A finite JSON number.  type(), not isinstance(): JSON true is a
+    bool, not the number 1."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False  # an integer too large for a float
+
+
 def _as_complex(v, where: str) -> complex:
     parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-    try:
-        # type(), not isinstance(): JSON true is a bool, not the number 1
-        if all(type(x) in (int, float) and math.isfinite(x) for x in parts):
-            return complex(parts[0], parts[1])
-    except OverflowError:
-        pass  # an integer too large for a float
+    if all(_is_real(x) for x in parts):
+        return complex(parts[0], parts[1])
     raise ConfigError(f"{where} must be a finite number or [re, im] pair")
+
+
+def _as_real(v, where: str) -> float:
+    if _is_real(v):
+        return float(v)
+    raise ConfigError(f"{where} must be a finite number")
+
+
+def _as_count(v, where: str, hi: int | None = None) -> int:
+    """A positive JSON integer, at most `hi`."""
+    if type(v) is int and v >= 1 and (hi is None or v <= hi):
+        return v
+    bound = f" at most {hi}" if hi is not None else ""
+    raise ConfigError(f"{where} must be a positive integer{bound}")
+
+
+def _n_max(params: dict) -> int:
+    return _as_count(params.get("n_max", 12), "params.n_max", N_MAX_CAP)
 
 
 def build_system(cfg: dict):
@@ -106,7 +129,7 @@ def _evaluator(system, params: dict, need_left_of_delta: bool = False):
         return FredholmEvaluator(system, level=int(params.get("level", 2)),
                                  order=params.get("order"))
     if method == "cycle":
-        return CycleEvaluator(build_orbit_catalog(system, int(params.get("n_max", 12))))
+        return CycleEvaluator(build_orbit_catalog(system, _n_max(params)))
     raise ConfigError(f"unknown method {method!r} in params")
 
 
@@ -115,6 +138,15 @@ def _rectangle(params: dict) -> Rectangle:
     if not (isinstance(rect, list) and len(rect) == 4):
         raise ConfigError("params.rectangle must be [re_lo, re_hi, im_lo, im_hi]")
     return Rectangle(*[float(v) for v in rect])
+
+
+def _grid(params: dict, key: str) -> np.ndarray:
+    spec = _require(params, key, "params")
+    if not (isinstance(spec, list) and len(spec) == 3):
+        raise ConfigError(f"params.{key} must be [lo, hi, count]")
+    return np.linspace(_as_real(spec[0], f"params.{key}[0]"),
+                       _as_real(spec[1], f"params.{key}[1]"),
+                       _as_count(spec[2], f"params.{key}[2]"))
 
 
 def _family(cfg: dict, delta: float | None):
@@ -150,7 +182,7 @@ def _task_orbits(system, params):
     _check_keys(params, {"n_max"}, "params")
     if not isinstance(system, MapSpec):
         raise ConfigError("orbits task requires a quadratic system")
-    catalog = build_orbit_catalog(system, int(params.get("n_max", 12)))
+    catalog = build_orbit_catalog(system, _n_max(params))
     return {"catalog.json": lambda path: save_catalog(catalog, path)}
 
 
@@ -170,10 +202,7 @@ def _task_zeta_eval(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "re", "im"}, "params")
     ev = _evaluator(system, params)
-    re_spec = _require(params, "re", "params")
-    im_spec = _require(params, "im", "params")
-    res = np.linspace(re_spec[0], re_spec[1], int(re_spec[2]))
-    ims = np.linspace(im_spec[0], im_spec[1], int(im_spec[2]))
+    res, ims = _grid(params, "re"), _grid(params, "im")
     ss = [complex(a, b) for b in ims for a in res]
     return {"zeta_grid.csv": lambda path: export_grid(path, ev, ss)}
 
@@ -218,30 +247,50 @@ def _task_growth(system, params):
         path, json.dumps(payload, indent=1) + "\n")}
 
 
+def _window(win, where: str) -> TestFunction:
+    if not isinstance(win, dict):
+        raise ConfigError(f"{where} must be an object")
+    _check_keys(win, {"d", "gamma"}, where)
+    d = _as_real(_require(win, "d", where), f"{where}.d")
+    gamma = _as_real(_require(win, "gamma", where), f"{where}.gamma")
+    try:
+        return TestFunction(d=d, gamma=gamma)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
 def _task_pairing(system, params):
     _check_keys(params, {"windows", "rectangle", "n_max", "k_max", "delta",
                          "histogram_n", "level"}, "params")
+    windows = _require(params, "windows", "params")
+    if not isinstance(windows, list):
+        raise ConfigError("params.windows must be a list")
+    phis = [_window(win, f"params.windows[{k}]") for k, win in enumerate(windows)]
+    n_max = _n_max(params)
+    histogram_n = params.get("histogram_n")
+    if histogram_n is not None:
+        histogram_n = _as_count(histogram_n, "params.histogram_n", n_max)
     if isinstance(system, AffinePair):
-        catalog = system.orbit_catalog(int(params.get("n_max", 12)))
+        catalog = system.orbit_catalog(n_max)
         ev = ModelEvaluator(*system.ratios, int(params.get("k_max", 40)))
     elif isinstance(system, MapSpec):
-        catalog = build_orbit_catalog(system, int(params.get("n_max", 12)))
+        catalog = build_orbit_catalog(system, n_max)
         ev = FredholmEvaluator(system, level=int(params.get("level", 2)))
     else:
         raise ConfigError("pairing task requires an affine or quadratic system")
     delta = params.get("delta")
     if delta is None:
         delta = _system_delta(system, params)
+    else:
+        delta = _as_real(delta, "params.delta")
     region = _rectangle(params)
     zeros = scan_region(ev, region)
     artifacts = {}
-    for k, win in enumerate(_require(params, "windows", "params")):
-        _check_keys(win, {"d", "gamma"}, "params.windows[]")
-        phi = TestFunction(d=float(win["d"]), gamma=float(win["gamma"]))
-        result = identity_residual(catalog, ev, float(delta), phi, region, zeros=zeros)
+    for k, phi in enumerate(phis):
+        result = identity_residual(catalog, ev, delta, phi, region, zeros=zeros)
         artifacts[f"pairing_{k}.json"] = result.to_json
-    if "histogram_n" in params:
-        hist = orbit_length_histogram(catalog, int(params["histogram_n"]))
+    if histogram_n is not None:
+        hist = orbit_length_histogram(catalog, histogram_n)
         artifacts["length_histogram.csv"] = hist.to_csv
     return artifacts
 

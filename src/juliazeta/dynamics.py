@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (BranchPointError, ConvergenceError, DegeneracyError,
                      DomainError, HyperbolicityError, WordLimitError)
 from .intervals import Disk, Interval
-from .words import Word, aperiodic_necklace_count, enumerate_words
+from .words import Word, aperiodic_necklace_count
+from .words import enumerate_words  # noqa: F401  (module attribute perfbench/tracing.py wraps)
 
 N_MAX_CAP = 20
 CATALOG_VERSION = 1
@@ -354,6 +355,12 @@ def _prime_rotations(n: int) -> np.ndarray:
     return np.stack([(words << k | words >> (n - k)) & top for k in range(n)], axis=1)
 
 
+def _row_words(rows: np.ndarray) -> list[Word]:
+    """The prime words of `_prime_rotations` rows (column 0, n letters)."""
+    n = rows.shape[1]
+    return [Word(format(i, f"0{n}b")) for i in rows[:, 0].tolist()]
+
+
 def _min_separation(points: np.ndarray) -> float:
     """Minimum pairwise distance.  After a sort by (Re, Im), pairs k apart
     are compared for k = 1, 2, ... until no such pair is closer in Re
@@ -401,8 +408,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
             raise DegeneracyError(f"fixed points of iterate {n} collide: min separation "
                                   f"{best} <= guard {10.0 * spec.tol_point}")
         del sharing   # freed before this period's orbit records are made
-        words = [Word(format(i, f"0{n}b")) for i in rows[:, 0].tolist()]
-        orbits += _orbit_points(spec, words, points[n], residual[rows[:, 0]])
+        orbits += _orbit_points(spec, _row_words(rows), points[n], residual[rows[:, 0]])
 
     meta = {"system": "quadratic", "c": spec.c, "mode": spec.mode.value,
             "n_cert": spec.n_cert}
@@ -444,34 +450,38 @@ class AffinePair:
         return Interval(0.0, 1.0)
 
     def orbit_catalog(self, n_max: int = 12) -> OrbitCatalog:
-        """Exact prime-orbit catalog (affine compositions solve in closed
-        form, no iteration)."""
+        """Exact prime-orbit catalog: affine compositions solve in closed
+        form, with no iteration.
+
+        Each period is one numpy pass over the itinerary indices of
+        `_prime_rotations`, as in the quadratic catalog.  The point of a
+        rotation is the fixed point off / (1 - slope) of its composed
+        branch, built over the index bits last letter first, and the
+        multiplier is the product of the branch ratios, first letter
+        first: every element goes through the floating-point operations
+        of a scalar loop over the word's letters.
+        """
         if not (1 <= n_max <= N_MAX_CAP):
             raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}")
         a, b = self.ratios
         orbits = []
         for n in range(1, n_max + 1):
-            for word in enumerate_words(n):
-                if not word.aperiodic:
-                    continue
-                pts = []
-                for k in range(n):
-                    rot = word.rotated(k).letters
-                    slope, off = 1.0, 0.0
-                    for ch in reversed(rot):
-                        # g(x) = x/r + t composed outside-in
-                        if ch == "0":
-                            slope, off = slope / a, off / a
-                        else:
-                            slope, off = slope / b, 1.0 - (1.0 - off) / b
-                    pts.append(complex(off / (1.0 - slope)))
-                lam = 1.0
-                for ch in word.letters:
-                    lam *= a if ch == "0" else b
+            rows = _prime_rotations(n)
+            slope, off = np.ones(rows.shape), np.zeros(rows.shape)
+            for j in range(n):   # g(x) = x/r + t, composed outside-in
+                one = (rows >> j) & 1 == 1
+                slope = np.where(one, slope / b, slope / a)
+                off = np.where(one, 1.0 - (1.0 - off) / b, off / a)
+            pts = off / (1.0 - slope)
+            lams = np.ones(len(rows))
+            for j in reversed(range(n)):
+                lams = lams * np.where((rows[:, 0] >> j) & 1 == 1, b, a)
+            for word, orbit, lam in zip(_row_words(rows), pts.astype(complex).tolist(),
+                                        lams.tolist()):
                 orbits.append(PeriodicOrbitPoint(
-                    word=word, z=pts[0], multiplier=complex(lam),
+                    word=word, z=orbit[0], multiplier=complex(lam),
                     length=math.log(lam), prime=True, residual=0.0,
-                    orbit=tuple(pts)))
+                    orbit=tuple(orbit)))
         meta = {"system": "affine", "ratios": list(self.ratios)}
         return OrbitCatalog(n_max=n_max, tol_point=1e-15, mode=Mode.REAL_1D,
                             a=min(a, b), b=max(a, b), orbits=tuple(orbits), meta=meta)

@@ -19,16 +19,33 @@ e^{-(d - gamma) Im lambda} in the depth of the discarded zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import OrbitCatalog
-from .errors import CoverageError
+from .errors import ConvergenceError, CoverageError
 from .util import atomic_write_text, write_csv
 from .zeros import Rectangle, scan_region
 from .zeta import Mode, _cycle_arrays
+
+
+_MAX_QUAD_NODES = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    A pure function of n, built once and shared by every test function:
+    the arrays are read-only, so no caller can alter another's rule.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -58,20 +75,31 @@ class TestFunction:
         out[inside] = np.exp(-1.0 / (1.0 - usq[inside]))
         return out if out.ndim else float(out)
 
-    def hat_mass(self) -> float:
-        """L1 norm of the hat profile (the support integral)."""
-        x, w = np.polynomial.legendre.leggauss(256)
+    @functools.cached_property
+    def _mass(self) -> float:
+        x, w = _gauss_legendre(256)
         t = self.d + self.gamma * x
         return float(np.sum(w * self.hat(t)) * self.gamma)
 
+    def hat_mass(self) -> float:
+        """L1 norm of the hat profile (the support integral), by 256-node
+        Gauss-Legendre; computed once per test function."""
+        return self._mass
+
     def transform(self, lam: complex, rtol: float = 1e-12) -> complex:
         """I(lam) = int phi_hat(t) e^{i lam t} dt, by Gauss-Legendre with
-        node doubling until two refinements agree."""
+        node doubling from quad_nodes until two refinements agree.
+
+        The rules come from a shared cache, so a transform costs only the
+        integrand sums.  Raises ConvergenceError when no two refinements
+        up to 4096 nodes agree (|lam| too large for the profile's
+        resolution at that rule).
+        """
         lam = complex(lam)
         prev = None
         n = self.quad_nodes
-        while n <= 4096:
-            x, w = np.polynomial.legendre.leggauss(n)
+        while n <= _MAX_QUAD_NODES:
+            x, w = _gauss_legendre(n)
             t = self.d + self.gamma * x
             vals = self.hat(t) * np.exp(1j * lam * t)
             cur = complex(np.sum(w * vals) * self.gamma)
@@ -79,7 +107,9 @@ class TestFunction:
                 return cur
             prev = cur
             n *= 2
-        return cur
+        raise ConvergenceError(
+            f"transform at lambda = {lam} did not converge with {_MAX_QUAD_NODES} "
+            f"quadrature nodes (d = {self.d}, gamma = {self.gamma})")
 
     def transform_bound(self, im_lam: float) -> float:
         """|I| <= ||phi_hat||_1 e^{-(d-gamma) Im lam} for Im lam >= 0."""

@@ -85,6 +85,47 @@ def test_non_finite_trace_parameter_is_a_config_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "mu_values" in err
 
 
+_PAIRING = {"task": "pairing", "system": {"kind": "affine", "ratios": [2.0, 4.0]},
+            "params": {"windows": [{"d": 1.39, "gamma": 0.3}],
+                       "rectangle": [-1.0, 1.0, -5.0, 5.0], "n_max": 8}}
+_ZETA_EVAL = {"task": "zeta-eval", "system": {"kind": "quadratic", "c": -6.0},
+              "params": {"method": "cycle", "n_max": 6,
+                         "re": [1.0, 2.0, 3], "im": [0.0, 4.0, 3]}}
+
+
+def _with(cfg, **params):
+    return dict(cfg, params=dict(cfg["params"], **params))
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (_with(_PAIRING, windows=[{"d": 0.3, "gamma": 0.3}]), "windows[0]"),
+    (_with(_PAIRING, windows=[{"d": 1.39, "gamma": 0.3}, {"d": 0.3, "gamma": 0.5}]),
+     "windows[1]"),
+    (_with(_PAIRING, windows=[{"d": "x", "gamma": 0.3}]), "windows[0].d"),
+    (_with(_PAIRING, windows=[{"d": None, "gamma": 0.3}]), "windows[0].d"),
+    (_with(_PAIRING, windows=[{"gamma": 0.3}]), "'d'"),
+    (_with(_PAIRING, windows={"d": 1.39, "gamma": 0.3}), "windows"),
+    (_with(_PAIRING, n_max="x"), "n_max"),
+    (_with(_PAIRING, n_max=0), "n_max"),
+    (_with(_PAIRING, n_max=21), "n_max"),
+    (_with(_PAIRING, histogram_n=9), "histogram_n"),
+    (_with(_PAIRING, delta="x"), "delta"),
+    (_with(_ZETA_EVAL, re=[1.0, 2.0]), "params.re"),
+    (_with(_ZETA_EVAL, im=[0.0, "4", 3]), "params.im[1]"),
+    (_with(_ZETA_EVAL, re=[1.0, 2.0, 2.5]), "params.re[2]"),
+    (_with(_ZETA_EVAL, n_max="x"), "n_max"),
+    ({"task": "orbits", "system": {"kind": "quadratic", "c": -6.0},
+      "params": {"n_max": "x"}}, "n_max"),
+])
+def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cfg["task"], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and where in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_task_mismatch(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"task": "orbits",

@@ -14,7 +14,7 @@ from juliazeta.dynamics import (AffinePair, MapSpec, Mode,
                                 locate_periodic_point, save_catalog)
 from juliazeta.errors import (BranchPointError, DegeneracyError, DomainError,
                               HyperbolicityError)
-from juliazeta.words import Word
+from juliazeta.words import Word, enumerate_words
 
 
 def test_inverse_branch_fixed_points():
@@ -170,6 +170,44 @@ def test_affine_pair_validation():
         AffinePair((2.0, 2.0))   # touching branch images
     with pytest.raises(ValueError):
         AffinePair((0.5, 4.0))
+
+
+def _scalar_affine_orbits(ratios, n_max):
+    """Reference loop: one word and one rotation at a time, composing the
+    branches letter by letter (the catalog's operations, unvectorised)."""
+    a, b = ratios
+    out = []
+    for n in range(1, n_max + 1):
+        for word in enumerate_words(n):
+            if not word.aperiodic:
+                continue
+            pts = []
+            for k in range(n):
+                slope, off = 1.0, 0.0
+                for ch in reversed(word.rotated(k).letters):
+                    if ch == "0":
+                        slope, off = slope / a, off / a
+                    else:
+                        slope, off = slope / b, 1.0 - (1.0 - off) / b
+                pts.append(complex(off / (1.0 - slope)))
+            lam = 1.0
+            for ch in word.letters:
+                lam *= a if ch == "0" else b
+            out.append((word, pts[0], complex(lam), math.log(lam), True, 0.0, tuple(pts)))
+    return out
+
+
+@pytest.mark.parametrize("ratios", [(2.3, 3.7), (3.0, 2.5)])
+def test_affine_catalog_matches_scalar_loop(ratios):
+    # repr() tells every float bit apart, -0.0 from 0.0 included
+    cat = AffinePair(ratios).orbit_catalog(12)
+    got = [(o.word, o.z, o.multiplier, o.length, o.prime, o.residual, o.orbit)
+           for o in cat.orbits]
+    ref = _scalar_affine_orbits(ratios, 12)
+    assert len(got) == len(ref)
+    bad = [k for k, (g, r) in enumerate(zip(got, ref)) if repr(g) != repr(r)]
+    assert not bad, f"{len(bad)} orbits differ; first {got[bad[0]]} != {ref[bad[0]]}"
+    assert (cat.a, cat.b) == (min(ratios), max(ratios))
 
 
 def test_affine_catalog_binomial_lengths(affine24_cat):

@@ -1,10 +1,14 @@
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 
+from juliazeta import pairing
+from juliazeta.cli import run_job
 from juliazeta.dynamics import MapSpec, build_orbit_catalog
-from juliazeta.errors import CoverageError
+from juliazeta.errors import ConvergenceError, CoverageError
 from juliazeta.pairing import (TestFunction, identity_residual,
                                orbit_length_histogram, orbit_side_pairing,
                                zero_side_pairing)
@@ -35,6 +39,77 @@ def test_transform_decay_bound():
     phi = TestFunction(d=1.0, gamma=0.4)
     for lam in (2.0 + 1.0j, -5.0 + 3.0j, 0.5j):
         assert abs(phi.transform(lam)) <= phi.transform_bound(lam.imag) * (1.0 + 1e-12)
+
+
+def _fresh_rule_transform(phi, lam, rtol=1e-12):
+    """Reference: the transform's node doubling with a freshly built rule
+    at every step."""
+    lam, prev, n = complex(lam), None, phi.quad_nodes
+    while n <= 4096:
+        x, w = np.polynomial.legendre.leggauss(n)
+        t = phi.d + phi.gamma * x
+        cur = complex(np.sum(w * (phi.hat(t) * np.exp(1j * lam * t))) * phi.gamma)
+        if prev is not None and abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+            return cur
+        prev, n = cur, 2 * n
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("d, gamma", [(0.70, 0.22), (1.39, 0.30), (2.08, 0.30)])
+def test_cached_rules_match_fresh_rules(d, gamma):
+    phi = TestFunction(d=d, gamma=gamma)
+    for lam in (0.0, 3.0 + 0.5j, -40.0 + 2.0j, 55.0 + 4.0j, 200.0 + 0.1j):
+        assert phi.transform(lam) == _fresh_rule_transform(phi, lam)
+    x, w = np.polynomial.legendre.leggauss(256)
+    t = d + gamma * x
+    assert phi.hat_mass() == float(np.sum(w * phi.hat(t)) * gamma)
+
+
+def test_hat_mass_is_computed_once(monkeypatch):
+    rules = []
+    monkeypatch.setattr(pairing, "_gauss_legendre",
+                        lambda n: rules.append(n) or np.polynomial.legendre.leggauss(n))
+    phi = TestFunction(d=1.39, gamma=0.3)
+    bounds = [phi.transform_bound(y) for y in (0.0, 1.0, 2.0, 3.0)]
+    assert rules == [256]
+    assert bounds[0] == phi.hat_mass()
+
+
+def test_quadrature_rules_are_shared_read_only_and_bounded():
+    x, w = pairing._gauss_legendre(64)
+    assert pairing._gauss_legendre(64)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert pairing._gauss_legendre.cache_info().maxsize == 16
+
+
+def test_unconverged_transform_raises():
+    phi = TestFunction(d=1.39, gamma=0.3)
+    for lam in (2e4, 5e4):
+        with pytest.raises(ConvergenceError, match="4096"):
+            phi.transform(lam)
+
+
+# artifacts of the seed-0 benchmark pairing job (affine (2, 4), n_max 14,
+# three windows), as the rule-per-step transform and the per-letter affine
+# catalog loop wrote them
+PAIRING_SHA256 = {
+    "length_histogram.csv": "3170de4b2720aa5f5e8f2c7ac6550cf3dbca22bdc0650e71fa59390dd297b820",
+    "pairing_0.json": "7b1fb5642f2862e3fa81df9d515bf5365100594dce184df30bdd18279a0c5d74",
+    "pairing_1.json": "a58a4f70b4616dac42064aaa88820b3e5584def1c531bc2f2e09519ab5b81a46",
+    "pairing_2.json": "53a7ee268d17de2e7d7b4b066008899c16d13f43ba05b4e6345cabf59a936cb8",
+}
+
+
+def test_pairing_job_bytes_pinned(tmp_path):
+    windows = [{"d": d, "gamma": g} for d, g in ((0.70, 0.22), (1.39, 0.30), (2.08, 0.30))]
+    run_job({"task": "pairing", "system": {"kind": "affine", "ratios": [2.0, 4.0]},
+             "params": {"windows": windows, "rectangle": [-3.0, 1.0, -60.0, 60.0],
+                        "n_max": 14, "k_max": 40, "histogram_n": 12}}, str(tmp_path))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in os.listdir(tmp_path) if name != "manifest.json"}
+    assert got == PAIRING_SHA256
 
 
 def test_orbit_side_single_length_window(cat12, delta6):

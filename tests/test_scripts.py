@@ -1,0 +1,49 @@
+"""Smoke tests: each experiment script runs with small arguments in a
+fresh interpreter, exits 0 and leaves its artifacts."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def _run(cwd, name, *args):
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_length_model_check(tmp_path):
+    out = _run(tmp_path, "length_model_check.py", "--n-max", "10", "--height", "20")
+    assert "model dimension delta = 0.69424191" in out
+    assert "32 zeros in Rectangle" in out
+    assert out.count("passed=True") == 3
+
+
+def test_dimension_study(tmp_path):
+    _run(tmp_path, "dimension_study.py", "--c-values", "-6", "--level", "1",
+         "--out", "dim.csv")
+    with open(tmp_path / "dim.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and float(rows[0]["c"]) == -6.0
+    assert float(rows[0]["delta_zeta"]) == pytest.approx(0.45183750018171, abs=1e-12)
+
+
+def test_zero_census(tmp_path):
+    _run(tmp_path, "zero_census.py", "--height", "3", "--level", "1", "--out-dir", "census")
+    census = tmp_path / "census"
+    assert sorted(os.listdir(census)) == ["census_summary.json", "strip_counts.csv",
+                                          "zeros.csv"]
+    with open(census / "zeros.csv", newline="") as fh:
+        zeros = [complex(float(r["re_s"]), float(r["im_s"])) for r in csv.DictReader(fh)]
+    assert len(zeros) == 4
+    assert any(z.imag == 0.0 and abs(z.real - 0.45183750018171) < 1e-12 for z in zeros)
+    with open(census / "census_summary.json") as fh:
+        summary = json.load(fh)
+    assert {"delta", "strip", "growth"} <= set(summary)
