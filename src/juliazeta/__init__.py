@@ -22,8 +22,8 @@ from .zeros import (CountingReport, GrowthFit, LogFamily, PolyFamily,
                     growth_exponent_probe, leading_real_zero, refine_zero,
                     scan_region, winding_number)
 from .zeta import (CycleEvaluator, FredholmEvaluator, Law, Method,
-                   ModelEvaluator, TransferMatrix, TruncationModel,
-                   ZetaValue, cycle_log_zeta, fredholm_det, model_dimension,
+                   ModelEvaluator, TruncationModel,
+                   ZetaValue, cycle_log_zeta, model_dimension,
                    model_zeta, zero_free_abscissa, zeta_derivative)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

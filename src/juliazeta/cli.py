@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cover import box_dimension, cover_profile
+from .cover import DEPTH_CAP, box_dimension, cover_profile
 from .dynamics import (N_MAX_CAP, AffinePair, MapSpec, Mode,
                        build_orbit_catalog, save_catalog)
 from .errors import ConfigError, EngineError
@@ -30,8 +30,8 @@ from .util import atomic_write_text
 from .zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
                     counting_report, export_zeros, growth_exponent_probe,
                     leading_real_zero, scan_region)
-from .zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
-                   export_grid, model_dimension)
+from .zeta import (ORDER_CAP, CycleEvaluator, FredholmEvaluator, ModelEvaluator,
+                   export_grid, folded_size, model_dimension)
 
 TASKS = ("orbits", "cover", "zeta-eval", "zeros", "count", "growth",
          "pairing", "trace-check", "dimension")
@@ -83,6 +83,30 @@ def _n_max(params: dict) -> int:
     return _as_count(params.get("n_max", 12), "params.n_max", N_MAX_CAP)
 
 
+# the most memory one folded Fredholm matrix F (complex, side
+# folded_size(level, order)) may take; the LU works on a copy of it
+FREDHOLM_MATRIX_BYTES = 256 * 2 ** 20
+
+
+def _fredholm_params(params: dict) -> tuple[int, int | None]:
+    """(level, order) of a Fredholm evaluator.  Without an order the
+    evaluator may pick up to ORDER_CAP, so the matrix budget is checked
+    for that."""
+    level = params.get("level", 2)
+    if not (type(level) is int and 0 <= level <= DEPTH_CAP):
+        raise ConfigError(f"params.level must be an integer in 0..{DEPTH_CAP}")
+    order = params.get("order")
+    if order is not None:
+        order = _as_count(order, "params.order", ORDER_CAP)
+    most = ORDER_CAP if order is None else order
+    side = folded_size(level, most)
+    if 16 * side * side > FREDHOLM_MATRIX_BYTES:
+        raise ConfigError(
+            f"params.level {level} at order {most} needs a {side} x {side} Fredholm "
+            f"matrix, over the {FREDHOLM_MATRIX_BYTES >> 20} MiB budget")
+    return level, order
+
+
 def build_system(cfg: dict):
     kind = _require(cfg, "kind", "system")
     if kind == "quadratic":
@@ -125,9 +149,9 @@ def _evaluator(system, params: dict, need_left_of_delta: bool = False):
         a, b = system.ratios
         return ModelEvaluator(a, b, int(params.get("k_max", 40)))
     method = params.get("method", "fredholm" if need_left_of_delta else "cycle")
+    level, order = _fredholm_params(params)
     if method == "fredholm":
-        return FredholmEvaluator(system, level=int(params.get("level", 2)),
-                                 order=params.get("order"))
+        return FredholmEvaluator(system, level=level, order=order)
     if method == "cycle":
         return CycleEvaluator(build_orbit_catalog(system, _n_max(params)))
     raise ConfigError(f"unknown method {method!r} in params")
@@ -137,7 +161,11 @@ def _rectangle(params: dict) -> Rectangle:
     rect = _require(params, "rectangle", "params")
     if not (isinstance(rect, list) and len(rect) == 4):
         raise ConfigError("params.rectangle must be [re_lo, re_hi, im_lo, im_hi]")
-    return Rectangle(*[float(v) for v in rect])
+    re_lo, re_hi, im_lo, im_hi = [_as_real(v, f"params.rectangle[{k}]")
+                                  for k, v in enumerate(rect)]
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise ConfigError("params.rectangle must have re_lo < re_hi and im_lo < im_hi")
+    return Rectangle(re_lo, re_hi, im_lo, im_hi)
 
 
 def _grid(params: dict, key: str) -> np.ndarray:
@@ -166,12 +194,12 @@ def _family(cfg: dict, delta: float | None):
     raise ConfigError(f"unknown counting family {kind!r}")
 
 
-def _system_delta(system, params: dict) -> float:
+def _system_delta(system, level: int) -> float:
     if isinstance(system, tuple) and system[0] == "model":
         return model_dimension(system[1], system[2])
     if isinstance(system, AffinePair):
         return model_dimension(*system.ratios)
-    ev = FredholmEvaluator(system, level=int(params.get("level", 2)))
+    ev = FredholmEvaluator(system, level=level)
     return leading_real_zero(ev, (0.05, 0.95)).s.real
 
 
@@ -201,8 +229,8 @@ def _task_cover(system, params):
 def _task_zeta_eval(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "re", "im"}, "params")
-    ev = _evaluator(system, params)
     res, ims = _grid(params, "re"), _grid(params, "im")
+    ev = _evaluator(system, params)
     ss = [complex(a, b) for b in ims for a in res]
     return {"zeta_grid.csv": lambda path: export_grid(path, ev, ss)}
 
@@ -210,20 +238,22 @@ def _task_zeta_eval(system, params):
 def _task_zeros(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "rectangle"}, "params")
+    rect = _rectangle(params)
     ev = _evaluator(system, params, need_left_of_delta=True)
-    records = scan_region(ev, _rectangle(params))
+    records = scan_region(ev, rect)
     return {"zeros.csv": lambda path: export_zeros(path, records)}
 
 
 def _task_count(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "rectangle", "family", "radii"}, "params")
+    rect = _rectangle(params)
     ev = _evaluator(system, params, need_left_of_delta=True)
-    records = scan_region(ev, _rectangle(params))
+    records = scan_region(ev, rect)
     delta = None
     if _require(params, "family", "params").get("kind") == "log" and \
             "delta" not in params["family"]:
-        delta = _system_delta(system, params)
+        delta = _system_delta(system, _fredholm_params(params)[0])
     family = _family(params["family"], delta)
     report = counting_report(records, family, [float(r) for r in
                                                _require(params, "radii", "params")])
@@ -270,20 +300,21 @@ def _task_pairing(system, params):
     histogram_n = params.get("histogram_n")
     if histogram_n is not None:
         histogram_n = _as_count(histogram_n, "params.histogram_n", n_max)
+    region = _rectangle(params)
+    level, _order = _fredholm_params(params)
     if isinstance(system, AffinePair):
         catalog = system.orbit_catalog(n_max)
         ev = ModelEvaluator(*system.ratios, int(params.get("k_max", 40)))
     elif isinstance(system, MapSpec):
         catalog = build_orbit_catalog(system, n_max)
-        ev = FredholmEvaluator(system, level=int(params.get("level", 2)))
+        ev = FredholmEvaluator(system, level=level)
     else:
         raise ConfigError("pairing task requires an affine or quadratic system")
     delta = params.get("delta")
     if delta is None:
-        delta = _system_delta(system, params)
+        delta = _system_delta(system, level)
     else:
         delta = _as_real(delta, "params.delta")
-    region = _rectangle(params)
     zeros = scan_region(ev, region)
     artifacts = {}
     for k, phi in enumerate(phis):
@@ -306,11 +337,12 @@ def _task_trace_check(system, params):
 
 def _task_dimension(system, params):
     _check_keys(params, {"level", "n_scales", "decades", "h_max"}, "params")
+    level, _order = _fredholm_params(params)
     fit, _stats = box_dimension(system,
                                 h_max=params.get("h_max"),
                                 n_scales=int(params.get("n_scales", 25)),
                                 decades=float(params.get("decades", 3.0)))
-    delta_zeta = _system_delta(system, params)
+    delta_zeta = _system_delta(system, level)
     payload = {"delta_zeta": delta_zeta,
                "delta_box": fit.delta_box,
                "abs_difference": abs(delta_zeta - fit.delta_box),

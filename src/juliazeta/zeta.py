@@ -310,32 +310,13 @@ class ModelEvaluator:
 # ---------------------------------------------------------------------------
 # Fredholm determinant
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Discretized L(s): dense block matrix over cover elements in
-    normalized monomial bases of order M per element."""
-
-    s: complex
-    entries: np.ndarray
-    element_words: tuple[str, ...]
-    order: int
-    blocks: tuple          # (target index, source index, branch) triples
+ORDER_CAP = 80   # the most basis monomials per element the order selection picks
 
 
-class _Block:
-    """Precomputed geometry of one (target element, branch) pair."""
-
-    __slots__ = ("target", "source", "branch", "logw", "basis", "dft", "ratio", "wsup")
-
-    def __init__(self, target, source, branch, logw, basis, dft, ratio):
-        self.target = target
-        self.source = source
-        self.branch = branch
-        self.logw = logw      # log(4 (z_t - c)) at the quadrature nodes
-        self.basis = basis    # basis[t, beta] = ((g_i(z_t) - x_j) / R_j)^beta
-        self.dft = dft        # dft[alpha, t]: trapezoidal Cauchy extraction
-        self.ratio = ratio    # containment ratio of the image enclosure
-        self.wsup = None
+def folded_size(level: int, order: int) -> int:
+    """Side of the folded Fredholm matrix F: half the 2^level * order
+    unknowns of L, or the even degrees of the one level-0 element."""
+    return (order + 1) // 2 if level == 0 else 2 ** (level - 1) * order
 
 
 class FredholmEvaluator:
@@ -347,13 +328,24 @@ class FredholmEvaluator:
     cut), and matrix entries are Taylor coefficients of the image of each
     basis monomial, extracted by a 4M-node trapezoidal rule on circles of
     relative radius theta.
+
+    The determinant is taken at half the size, by the z -> -z symmetry of
+    z^2 + c.  The branches are g_1 = -g_0 with equal weights, and the
+    element of word 1u is the exact negation of that of 0u.  So the
+    branch-1 block of every row equals its branch-0 block times
+    D = diag((-1)^beta), and L = A Q: A holds the branch-0 blocks, whose
+    columns all lie on 0-words, and Q = [I | D] maps the pair (0u, 1u) to
+    0u.  Sylvester's identity gives det(I - A Q) = det(I - Q A), and
+    F = Q A adds the rows of 1u, times D, to the rows of 0u.  F has the
+    trace and nonzero spectrum of L.  The one level-0 element is centred
+    at 0, so there L = A (I + D) and F is the even-degree block of 2A.
     """
 
     method = Method.FREDHOLM
 
     def __init__(self, spec: MapSpec, level: int = 3, order: int | None = None,
                  pad: float = 1.25, theta: float = 0.7,
-                 tail_target: float = 1e-12, order_cap: int = 80,
+                 tail_target: float = 1e-12, order_cap: int = ORDER_CAP,
                  containment_margin: float = 0.02):
         if spec.mode is not Mode.REAL_1D:
             raise CoverError("the Fredholm discretization supports Real1D mode only")
@@ -372,26 +364,35 @@ class FredholmEvaluator:
                     f"element at {disk.center} with radius {disk.radius} reaches "
                     f"the branch-weight cut (c = {c})")
             disks.append(disk)
+        # the fold needs element 1u to be the exact mirror of element 0u
+        half = len(disks) // 2
+        for k, disk in enumerate(disks):
+            mirror = disks[(k + half) % len(disks)]
+            if mirror.center != -disk.center or mirror.radius != disk.radius:
+                raise CoverError(
+                    f"element {cover.words[k]!r} is not the mirror image of "
+                    f"element {cover.words[(k + half) % len(disks)]!r}")
         self.cover = cover
         self.disks = disks
         index = {w: i for i, w in enumerate(cover.words)}
 
         # wiring and containment checks first: the truncation model picks M
-        # from the cover contraction ratio (image radius / target radius)
-        wiring = []
+        # from the cover contraction ratio (image radius / target radius).
+        # The branch-1 image and its target mirror the branch-0 ones, so
+        # they have the same ratios
+        targets = []
         rho_max = 0.0
         from .dynamics import _branch_disk
         for k, w in enumerate(cover.words):
-            for branch in (0, 1):
-                j = index[(str(branch) + w)[:level]] if level > 0 else 0
-                img = _branch_disk(spec, branch, disks[k])
-                reach = (abs(img.center - disks[j].center) + img.radius) / disks[j].radius
-                if reach > 1.0 - containment_margin:
-                    raise CoverError(
-                        f"branch {branch} image of element {w!r} is not strictly "
-                        f"inside element {cover.words[j]!r} (ratio {reach:.3f})")
-                wiring.append((k, j, branch, reach))
-                rho_max = max(rho_max, img.radius / disks[j].radius)
+            j = index[("0" + w)[:level]] if level > 0 else 0
+            img = _branch_disk(spec, 0, disks[k])
+            reach = (abs(img.center - disks[j].center) + img.radius) / disks[j].radius
+            if reach > 1.0 - containment_margin:
+                raise CoverError(
+                    f"branch 0 image of element {w!r} is not strictly "
+                    f"inside element {cover.words[j]!r} (ratio {reach:.3f})")
+            targets.append(j)
+            rho_max = max(rho_max, img.radius / disks[j].radius)
 
         self.truncation = TruncationModel(C=4.0 * len(disks), rate=rho_max,
                                           law=Law.POWER_OF_L)
@@ -405,35 +406,57 @@ class FredholmEvaluator:
         dft = (theta ** (-alphas))[:, None] * \
             np.exp(-2j * np.pi * np.outer(alphas, np.arange(nodes)) / nodes) / nodes
 
-        self.blocks = []
-        for k, j, branch, ratio in wiring:
+        # one branch-0 block per row element k, its column element targets[k]:
+        # logw[k, t] = log(4 (z_t - c)) at the quadrature nodes,
+        # basis[k, beta, t] = ((g_0(z_t) - x_j) / R_j)^beta
+        logw, basis = [], []
+        for k, j in enumerate(targets):
             dk, dj = disks[k], disks[j]
             z_nodes = dk.center + theta * dk.radius * omega
-            sign = 1.0 if branch == 0 else -1.0
-            images = sign * np.sqrt(z_nodes - c)
-            rel = (images - dj.center) / dj.radius
-            basis = rel[:, None] ** alphas[None, :]
-            logw = np.log(4.0 * (z_nodes - c))
-            self.blocks.append(_Block(k, j, branch, logw, basis, dft, ratio))
-        self.size = len(disks) * m
+            rel = (np.sqrt(z_nodes - c) - dj.center) / dj.radius
+            basis.append(rel[None, :] ** alphas[:, None])
+            logw.append(np.log(4.0 * (z_nodes - c)))
+        self._logw = np.array(logw)
+        if level == 0:
+            dft, self._basis = 2.0 * dft[::2], np.array(basis)[:, ::2]
+        else:
+            self._basis = np.array(basis)
+        self._dft = dft
+        # Re dft and -Im dft interleaved, to meet the (re, im) pairs of a
+        # complex row viewed as floats: Re (dft @ x) = dft_ri @ x.view(float)
+        self._dft_ri = np.stack((dft.real, -dft.imag), axis=2).reshape(len(dft), -1)
+        # F's block grid: row k mod half, column targets[k]; the 1u rows
+        # (k >= half) are multiplied by D and added onto the 0u rows
+        self._half = max(half, 1)
+        self._rows = np.arange(len(disks)) % self._half
+        self._cols = np.array(targets)
+        self._sign = (-1.0) ** np.arange(len(dft))[:, None]
+        self.size = folded_size(level, m)
         self._cache: dict[complex, complex] = {}
 
     def matrix(self, s: complex) -> np.ndarray:
+        """The folded matrix F(s), with det(I - F) = det(I - L)."""
         s = complex(s)
-        m = self.order
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for blk in self.blocks:
-            weights = np.exp(-(s / 2.0) * blk.logw)
-            entries = blk.dft @ (weights[:, None] * blk.basis)
-            out[blk.target * m:(blk.target + 1) * m,
-                blk.source * m:(blk.source + 1) * m] += entries
-        return out
-
-    def transfer_matrix(self, s: complex) -> TransferMatrix:
-        return TransferMatrix(s=complex(s), entries=self.matrix(s),
-                              element_words=self.cover.words, order=self.order,
-                              blocks=tuple((b.target, b.source, b.branch)
-                                           for b in self.blocks))
+        h, mb = self._half, len(self._dft)
+        weights = np.exp(-(s / 2.0) * self._logw)
+        terms = weights[:, None, :] * self._basis
+        if s.imag == 0.0:
+            # F is real on the real axis.  Its real part is summed by
+            # numpy's own loops, not by BLAS, and its imaginary part, which
+            # is rounding noise there, is left at zero: Z comes out exactly
+            # real, and its bits, whose signs the axis solvers read down to
+            # adjacent floats, do not depend on the BLAS kernel's assembly
+            blocks = np.einsum("at,kbt->kab", self._dft_ri, terms.view(float),
+                               optimize=False)
+        else:
+            blocks = self._dft @ terms.transpose(0, 2, 1)
+        blocks[h:] *= self._sign
+        out = np.zeros((h, mb, h, mb), dtype=complex)
+        rows, cols = self._rows, self._cols
+        out[rows[:h], :, cols[:h], :] = blocks[:h]
+        # added, not assigned: at level 1 both rows land in the same block
+        out[rows[h:], :, cols[h:], :] += blocks[h:]
+        return out.reshape(self.size, self.size)
 
     @property
     def conjugate_symmetric(self) -> bool:
@@ -453,7 +476,7 @@ class FredholmEvaluator:
             return self(s.conjugate()).conjugate()
         hit = self._cache.get(s)
         if hit is None:
-            # I - L formed in place: no identity or difference matrix
+            # I - F formed in place: no identity or difference matrix
             a = self.matrix(s)
             np.negative(a, out=a)
             a.flat[::self.size + 1] += 1.0
@@ -467,8 +490,7 @@ class FredholmEvaluator:
     def tail_bound(self, s: complex) -> float:
         """Determinant truncation estimate: predicted discarded singular
         values, scaled by the weight sup and a det perturbation factor."""
-        wsup = max(float(np.max(np.abs(np.exp(-(complex(s) / 2.0) * blk.logw))))
-                   for blk in self.blocks)
+        wsup = float(np.max(np.abs(np.exp(-(complex(s) / 2.0) * self._logw))))
         nu_tail = wsup * self.truncation.tail(self.order)
         nu_all = wsup * self.truncation.tail(0)
         return nu_tail * math.exp(1.0 + nu_all)
@@ -480,17 +502,6 @@ class FredholmEvaluator:
     def leading_eigenvalue(self, s: complex) -> complex:
         eig = np.linalg.eigvals(self.matrix(s))
         return complex(eig[np.argmax(np.abs(eig))])
-
-
-def fredholm_det(s: complex, spec_or_evaluator, order: int | None = None,
-                 level: int = 3) -> ZetaValue:
-    """det(I - L_M(s)); accepts a MapSpec (evaluator built on the fly) or
-    a prebuilt FredholmEvaluator."""
-    if isinstance(spec_or_evaluator, FredholmEvaluator):
-        ev = spec_or_evaluator
-    else:
-        ev = FredholmEvaluator(spec_or_evaluator, level=level, order=order)
-    return ev.zeta_value(s)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,9 @@ _ZETA_EVAL = {"task": "zeta-eval", "system": {"kind": "quadratic", "c": -6.0},
               "params": {"method": "cycle", "n_max": 6,
                          "re": [1.0, 2.0, 3], "im": [0.0, 4.0, 3]}}
 
+_ZEROS = {"task": "zeros", "system": {"kind": "quadratic", "c": -6.0},
+          "params": {"level": 1, "rectangle": [-2.0, 1.4, -1.0, 1.0]}}
+
 
 def _with(cfg, **params):
     return dict(cfg, params=dict(cfg["params"], **params))
@@ -116,6 +119,29 @@ def _with(cfg, **params):
     (_with(_ZETA_EVAL, n_max="x"), "n_max"),
     ({"task": "orbits", "system": {"kind": "quadratic", "c": -6.0},
       "params": {"n_max": "x"}}, "n_max"),
+    (_with(_ZEROS, level="abc"), "params.level"),
+    (_with(_ZEROS, level=25), "params.level"),
+    (_with(_ZEROS, level=-1), "params.level"),
+    (_with(_ZEROS, level=True), "params.level"),
+    (_with(_ZEROS, level=2.5), "params.level"),
+    (_with(_ZEROS, level=7), "budget"),            # order up to 80: 5120 x 5120
+    (_with(_ZEROS, level=9, order=30), "budget"),  # 7680 x 7680
+    (_with(_ZEROS, order="x"), "params.order"),
+    (_with(_ZEROS, order=0), "params.order"),
+    (_with(_ZEROS, order=81), "params.order"),
+    (_with(_ZEROS, order=True), "params.order"),
+    (_with(_ZEROS, rectangle=["a", 1, 0, 1]), "params.rectangle[0]"),
+    (_with(_ZEROS, rectangle=[1, 0, 0, 1]), "params.rectangle"),
+    (_with(_ZEROS, rectangle=[0, 1, 0, float("nan")]), "params.rectangle[3]"),
+    (_with(_ZEROS, rectangle=[0, 1, 0]), "params.rectangle"),
+    (_with(_PAIRING, rectangle=[1.0, -1.0, -5.0, 5.0]), "params.rectangle"),
+    (dict(_with(_PAIRING, level=25), system={"kind": "quadratic", "c": -6.0}),
+     "params.level"),
+    ({"task": "dimension", "system": {"kind": "quadratic", "c": -6.0},
+      "params": {"level": "abc"}}, "params.level"),
+    ({"task": "count", "system": {"kind": "quadratic", "c": -6.0},
+      "params": {"method": "cycle", "level": 2.5, "rectangle": [-2.0, 1.4, -1.0, 1.0],
+                 "family": {"kind": "log", "rho": 1.0}, "radii": [1.0]}}, "params.level"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"

@@ -1,9 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import juliazeta.zeta
+from juliazeta.cover import backward_cover
 from juliazeta.dynamics import MapSpec, Mode
 from juliazeta.errors import CoverError, PoleError, RadiusCapError
-from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, fredholm_det,
+from juliazeta.intervals import Interval
+from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, folded_size,
                             zeta_derivative)
 
 
@@ -98,23 +104,24 @@ def test_batch_matches_scalar(spec6):
 
 
 def test_block_structure(fredholm6):
-    tm = fredholm6.transfer_matrix(1.0)
-    elements = len(tm.element_words)
-    assert tm.entries.shape == (elements * tm.order,) * 2
-    targets = {(t, s) for t, s, _branch in tm.blocks}
-    assert len(tm.blocks) == 2 * elements
-    index = {w: i for i, w in enumerate(tm.element_words)}
-    for t, s, branch in tm.blocks:
-        word = tm.element_words[t]
-        assert index[(str(branch) + word)[:fredholm6.level]] == s
-    # blocks outside the wiring are zero
-    m = tm.order
-    wired = {(t, s) for t, s, _ in tm.blocks}
-    for t in range(elements):
-        for s in range(elements):
-            block = tm.entries[t * m:(t + 1) * m, s * m:(s + 1) * m]
-            if (t, s) not in wired:
-                assert np.all(block == 0.0)
+    # F is (2^level M / 2)^2; row element k contributes its branch-0 block
+    # to pair row k mod 2^(level-1), in the column of word ("0" + word)[:level]
+    ev, m = fredholm6, fredholm6.order
+    words = ev.cover.words
+    half = len(words) // 2
+    f = ev.matrix(1.0)
+    assert f.shape == (half * m,) * 2 == (folded_size(ev.level, m),) * 2
+    assert len(ev._rows) == len(ev._cols) == len(words)
+    index = {w: i for i, w in enumerate(words)}
+    for k, word in enumerate(words):
+        assert ev._rows[k] == k % half
+        assert ev._cols[k] == index[("0" + word)[:ev.level]]
+    # blocks outside the wiring are zero, and wired blocks are not
+    wired = set(zip(ev._rows, ev._cols))
+    for t in range(half):
+        for u in range(half):
+            block = f[t * m:(t + 1) * m, u * m:(u + 1) * m]
+            assert np.all(block == 0.0) == ((t, u) not in wired)
 
 
 def test_rejects_complex_mode():
@@ -133,8 +140,8 @@ def test_containment_margin_guard(spec6):
         FredholmEvaluator(spec6, level=1, pad=0.6)
 
 
-def test_fredholm_det_wrapper(spec6, fredholm6):
-    zv = fredholm_det(1.2, fredholm6)
+def test_zeta_value_wraps_the_determinant(fredholm6):
+    zv = fredholm6.zeta_value(1.2)
     assert zv.method.value == "fredholm"
     assert zv.tail_bound > 0.0
     assert zv.value == fredholm6(1.2)
@@ -151,3 +158,105 @@ def test_log_derivative_richardson(fredholm6, cat12):
 def test_log_derivative_pole_flag(fredholm6, delta6):
     with pytest.raises(PoleError):
         zeta_derivative(complex(delta6), fredholm6)
+
+
+# The fold against an independent reference: the full two-branch L(s),
+# 2E blocks on the E * M unknowns of the cover, assembled block by block.
+
+def _full_matrix(ev, s):
+    words, disks, m, theta = ev.cover.words, ev.disks, ev.order, ev.theta
+    c = ev.spec.c.real
+    index = {w: i for i, w in enumerate(words)}
+    nodes = 4 * m
+    omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    alphas = np.arange(m)
+    dft = (theta ** (-alphas))[:, None] * \
+        np.exp(-2j * np.pi * np.outer(alphas, np.arange(nodes)) / nodes) / nodes
+    out = np.zeros((len(words) * m,) * 2, dtype=complex)
+    for k, word in enumerate(words):
+        z = disks[k].center + theta * disks[k].radius * omega
+        weights = np.exp(-(s / 2.0) * np.log(4.0 * (z - c)))
+        for branch in (0, 1):
+            j = index[(str(branch) + word)[:ev.level]] if ev.level > 0 else 0
+            images = (1.0 if branch == 0 else -1.0) * np.sqrt(z - c)
+            rel = (images - disks[j].center) / disks[j].radius
+            out[k * m:(k + 1) * m, j * m:(j + 1) * m] += \
+                dft @ (weights[:, None] * rel[:, None] ** alphas[None, :])
+    return out
+
+
+# the (c, level) pairs with a valid cover: c = -3 needs level 2, c = -6
+# level 1; level 0 has an odd order (15) at c = -20
+_VALID = [(-3.0, 2), (-3.0, 3), (-6.0, 1), (-6.0, 2), (-6.0, 3),
+          (-20.0, 0), (-20.0, 1), (-20.0, 2), (-20.0, 3)]
+
+
+@pytest.mark.parametrize("c, level", _VALID)
+def test_fold_matches_the_full_matrix(c, level):
+    ev = FredholmEvaluator(MapSpec(c=c), level=level)
+    assert ev.size == folded_size(level, ev.order)
+    rng = np.random.default_rng(7)
+    points = list(rng.uniform(-2.0, 1.4, 50) + 1j * rng.uniform(0.0, 40.0, 50))
+    # real points right of -1.5: further left rounding alone moves Z by
+    # 1e-10 (against 30-digit arithmetic at c = -6, level 2, Z(-2) =
+    # 329.000000000003: the fold is off by 2.5e-10 of Z, the reference by
+    # 4.0e-10), and the reference's imaginary part reads up to 1e-9 |Z|
+    points += [complex(x) for x in (-1.0, -0.5, 0.2, 0.6, 1.3)]
+    for s in points:
+        full = _full_matrix(ev, s)
+        want = complex(np.linalg.det(np.eye(len(full)) - full))
+        if s.imag == 0.0:
+            # Z is real on the axis: the reference's imaginary part is
+            # rounding noise, and the fold has none
+            assert ev(s).imag == 0.0
+            want = want.real
+        assert abs(ev(s) - want) <= 1e-10 * abs(want)
+        trace = complex(np.trace(full))
+        assert abs(complex(np.trace(ev.matrix(s))) - trace) <= 1e-12 * max(1.0, abs(trace))
+    for s in (0.3, 0.8 + 2.0j, -1.0 + 15.0j):
+        full = np.linalg.eigvals(_full_matrix(ev, s))
+        lam = complex(full[np.argmax(np.abs(full))])
+        assert abs(ev.leading_eigenvalue(s) - lam) <= 1e-10 * abs(lam)
+
+
+def _one_ulp(iv, where):
+    if where == "lo":
+        return Interval(math.nextafter(iv.lo, -math.inf), iv.hi)
+    return Interval(math.nextafter(iv.lo, math.inf), math.nextafter(iv.hi, math.inf))
+
+
+@pytest.mark.parametrize("level, k, where", [(0, 0, "both"), (1, 1, "lo"),
+                                             (2, 3, "both"), (3, 6, "lo")])
+def test_a_cover_that_is_not_mirrored_is_refused(monkeypatch, level, k, where):
+    spec = MapSpec(c=-20.0)
+    cover = backward_cover(spec, level)
+    elements = list(cover.elements)
+    moved = _one_ulp(elements[k], where)
+    assert (moved.mid, moved.rad) != (elements[k].mid, elements[k].rad)
+    elements[k] = moved
+    bad = replace(cover, elements=tuple(elements))
+    monkeypatch.setattr(juliazeta.zeta, "backward_cover", lambda spec, level: bad)
+    with pytest.raises(CoverError, match="mirror"):
+        FredholmEvaluator(spec, level=level)
+
+
+# order and tail_bound as the unfolded evaluator gave them, bit for bit;
+# they set the tail_bound column of zeta-eval
+_TAIL_POINTS = (0.45, -1.5 + 12.0j, 1.2 - 3.0j)
+_TAIL_PINS = {
+    (-3.0, 3): (42, (331817901.84056634, 8.119590889614867e+255, 281.91490283513275)),
+    (-6.0, 1): (25, (7.198048144163215e-10, 1.245467213690631e+92, 9.709110924812414e-12)),
+    (-6.0, 2): (24, (3.3601283179605776e-07, 2.248357801229669e+138, 7.65139745956836e-11)),
+    (-6.0, 3): (25, (0.04400302011333667, 3.542031082465681e+272, 4.396506193530894e-09)),
+    (-20.0, 0): (15, (2.7187738034345233e-12, 1.4070403553130842e+190,
+                      1.8867072849546143e-13)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TAIL_PINS))
+def test_order_and_tail_bound_keep_their_bits(key):
+    c, level = key
+    ev = FredholmEvaluator(MapSpec(c=c), level=level)
+    order, tails = _TAIL_PINS[key]
+    assert ev.order == order
+    assert tuple(ev.tail_bound(s) for s in _TAIL_POINTS) == tails
