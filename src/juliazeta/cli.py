@@ -214,15 +214,38 @@ def _task_orbits(system, params):
     return {"catalog.json": lambda path: save_catalog(catalog, path)}
 
 
+def _as_positive(v, where: str) -> float:
+    x = _as_real(v, where)
+    if not x > 0.0:
+        raise ConfigError(f"{where} must be positive")
+    return x
+
+
+def _box_params(system, params: dict) -> dict:
+    """box_dimension's keyword arguments: h_max (default: from the trap),
+    n_scales >= 5 (the fit needs five) and decades."""
+    if not isinstance(system, (MapSpec, AffinePair)):
+        raise ConfigError("box counting requires a quadratic or affine system")
+    n_scales = _as_count(params.get("n_scales", 25), "params.n_scales")
+    if n_scales < 5:
+        raise ConfigError("params.n_scales must be at least 5")
+    h_max = params.get("h_max")
+    return {"h_max": None if h_max is None else _as_positive(h_max, "params.h_max"),
+            "n_scales": n_scales,
+            "decades": _as_positive(params.get("decades", 3.0), "params.decades")}
+
+
 def _task_cover(system, params):
     _check_keys(params, {"h_max", "n_scales", "decades", "hs"}, "params")
+    box = _box_params(system, params)
     if "hs" in params:
-        stats = cover_profile(system, [float(h) for h in params["hs"]])
+        hs = params["hs"]
+        if not (isinstance(hs, list) and hs):
+            raise ConfigError("params.hs must be a non-empty list of scales")
+        stats = cover_profile(system, [_as_positive(h, f"params.hs[{k}]")
+                                       for k, h in enumerate(hs)])
     else:
-        _fit, stats = box_dimension(system,
-                                    h_max=params.get("h_max"),
-                                    n_scales=int(params.get("n_scales", 25)),
-                                    decades=float(params.get("decades", 3.0)))
+        _fit, stats = box_dimension(system, **box)
     return {"cover_stats.csv": stats.to_csv}
 
 
@@ -338,10 +361,7 @@ def _task_trace_check(system, params):
 def _task_dimension(system, params):
     _check_keys(params, {"level", "n_scales", "decades", "h_max"}, "params")
     level, _order = _fredholm_params(params)
-    fit, _stats = box_dimension(system,
-                                h_max=params.get("h_max"),
-                                n_scales=int(params.get("n_scales", 25)),
-                                decades=float(params.get("decades", 3.0)))
+    fit, _stats = box_dimension(system, **_box_params(system, params))
     delta_zeta = _system_delta(system, level)
     payload = {"delta_zeta": delta_zeta,
                "delta_box": fit.delta_box,

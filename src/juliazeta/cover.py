@@ -11,63 +11,78 @@ the dimension is the slope of log P against log(1/h).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import AffinePair, MapSpec, Mode, _branch_disk, _branch_interval
+from .dynamics import AffinePair, MapSpec, Mode, backward_images
 from .errors import HyperbolicityError, ResolutionError
+from .intervals import Disk, Interval
 from .util import write_csv
 
 DEPTH_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskCover:
-    """Level-n backward cover; elements are ordered by their branch word."""
+    """Level-n backward cover as arrays in word order: element k encloses
+    g_w(trap) for the word w = format(k, f"0{n}b"), whose letters are the
+    bits of k, most significant first.  The interval kind holds endpoint
+    arrays lo and hi, the disk kind a complex center array and a radius
+    array; the other kind's fields are None."""
 
     level: int
-    words: tuple[str, ...]
-    elements: tuple          # Interval or Disk per word
     kind: str                # "interval" | "disk"
     trap_diameter: float
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    center: np.ndarray | None = None
+    radius: np.ndarray | None = None
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        n = self.level
+        return tuple(format(k, f"0{n}b") for k in range(2 ** n)) if n else ("",)
+
+    @property
+    def elements(self) -> tuple:
+        """The elements as Interval or Disk objects, built on each access."""
+        if self.kind == "interval":
+            return tuple(map(Interval, self.lo.tolist(), self.hi.tolist()))
+        return tuple(map(Disk, self.center.tolist(), self.radius.tolist()))
 
     def max_diameter(self) -> float:
         if self.kind == "interval":
-            return max(e.width for e in self.elements)
-        return max(e.diameter() for e in self.elements)
+            return float((self.hi - self.lo).max())
+        return float((2.0 * self.radius).max())
 
     def contains_point(self, z: complex) -> bool:
         if self.kind == "interval":
-            return any(z.imag == 0.0 and z.real in e for e in self.elements)
-        return any(z in e for e in self.elements)
+            return z.imag == 0.0 and bool(np.any((self.lo <= z.real) & (z.real <= self.hi)))
+        w = z - self.center
+        return bool(np.any(np.hypot(w.real, w.imag) <= self.radius))
 
 
-def _system_trap(system):
+def _trap_cover(system) -> DiskCover:
+    """The level-0 cover: the trap interval of an AffinePair or a Real1D
+    MapSpec, the trap disk of a Complex2D MapSpec."""
+    if isinstance(system, AffinePair) or (isinstance(system, MapSpec)
+                                          and system.mode is Mode.REAL_1D):
+        trap = system.trap_interval()
+        return DiskCover(level=0, kind="interval", trap_diameter=trap.width,
+                         lo=np.array([trap.lo]), hi=np.array([trap.hi]))
     if isinstance(system, MapSpec):
-        if system.mode is Mode.REAL_1D:
-            return system.trap_interval(), "interval"
-        return system.trap_disk(), "disk"
-    if isinstance(system, AffinePair):
-        return system.trap_interval(), "interval"
+        trap = system.trap_disk()
+        return DiskCover(level=0, kind="disk", trap_diameter=trap.diameter(),
+                         center=np.array([trap.center]), radius=np.array([trap.radius]))
     raise TypeError(f"unsupported system: {system!r}")
-
-
-def _apply_branch(system, kind: str, branch: int, element):
-    if isinstance(system, MapSpec):
-        if kind == "interval":
-            return _branch_interval(system, branch, element)
-        return _branch_disk(system, branch, element)
-    return system.branch_interval(branch, element)
 
 
 def backward_cover(system, n: int) -> DiskCover:
     """The 2^n certified enclosures of g_w(trap) over words of length n."""
     if not (0 <= n <= DEPTH_CAP):
         raise ValueError(f"cover level must lie in 0..{DEPTH_CAP}")
-    trap, kind = _system_trap(system)
-    cover = DiskCover(level=0, words=("",), elements=(trap,), kind=kind,
-                      trap_diameter=trap.width if kind == "interval" else trap.diameter())
+    cover = _trap_cover(system)
     for _ in range(n):
         cover = _deeper(system, cover)
     return cover
@@ -77,13 +92,12 @@ def _deeper(system, cover: DiskCover) -> DiskCover:
     """The cover one level deeper, in word order: the words b + w for
     b = 0, then b = 1, each over the cover's own words in their order.
     Raises HyperbolicityError unless the largest enclosure shrinks."""
-    kind = cover.kind
-    deeper = DiskCover(level=cover.level + 1,
-                       words=tuple(str(b) + w for b in (0, 1) for w in cover.words),
-                       elements=tuple(_apply_branch(system, kind, b, e)
-                                      for b in (0, 1) for e in cover.elements),
-                       kind=kind,
-                       trap_diameter=cover.trap_diameter)
+    if cover.kind == "interval":
+        lo, hi = backward_images(system, cover.lo, cover.hi)
+        deeper = replace(cover, level=cover.level + 1, lo=lo, hi=hi)
+    else:
+        center, radius = backward_images(system, cover.center, cover.radius)
+        deeper = replace(cover, level=cover.level + 1, center=center, radius=radius)
     diam, new_diam = cover.max_diameter(), deeper.max_diameter()
     if new_diam >= diam:
         raise HyperbolicityError(
@@ -112,62 +126,81 @@ class CoverStats:
     def maxdiam(self) -> float:
         return self.maxdiams[0]
 
-    def merged(self, other: "CoverStats") -> "CoverStats":
-        rows = sorted(zip(self.hs + other.hs, self.counts + other.counts,
-                          self.maxdiams + other.maxdiams))
-        hs, cs, ds = zip(*rows)
-        return CoverStats(hs, cs, ds)
-
     def to_csv(self, path: str) -> None:
         write_csv(path, "h,P,maxdiam", zip(self.hs, self.counts, self.maxdiams))
 
 
-def _interval_components(elements, h: float):
-    spans = sorted((e.lo - h, e.hi + h) for e in elements)
-    comps = []
-    lo, hi = spans[0]
-    for a, b in spans[1:]:
-        if a <= hi:
-            hi = max(hi, b)
-        else:
-            comps.append(hi - lo)
-            lo, hi = a, b
-    comps.append(hi - lo)
-    return comps
+def _count_intervals(lo: np.ndarray, hi: np.ndarray, h: float) -> tuple[int, float]:
+    """(components, max component width) of the intervals inflated by h.
+    After a sort by (lo, hi), a component ends where the next interval
+    starts beyond the running maximum of the upper ends so far."""
+    a, b = lo - h, hi + h
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    reach = np.maximum.accumulate(b)
+    breaks = np.flatnonzero(a[1:] > reach[:-1])
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(a) - 1]))
+    return len(starts), float((reach[ends] - a[starts]).max())
 
 
-def _disk_components(elements, h: float):
-    k = len(elements)
-    parent = list(range(k))
+def _near_pairs(order: np.ndarray, near):
+    """Element pairs (order[p], order[p + d]) for d = 1, 2, ... while
+    near(p, p + d) holds, as two index arrays per d.  Once near(p, p + d)
+    fails, it must fail for every larger d."""
+    live, d = np.arange(len(order) - 1), 1
+    while True:
+        live = live[near(live, live + d)]
+        if not live.size:
+            return
+        yield order[live], order[live + d]
+        d += 1
+        live = live[live + d < len(order)]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    cs = [e.center for e in elements]
-    rs = [e.radius + h for e in elements]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(cs[i] - cs[j]) <= rs[i] + rs[j]:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    comps = []
-    for members in groups.values():
-        diam = 0.0
-        for a in range(len(members)):
-            i = members[a]
-            diam = max(diam, 2.0 * rs[i])
-            for b in range(a + 1, len(members)):
-                j = members[b]
-                diam = max(diam, abs(cs[i] - cs[j]) + rs[i] + rs[j])
-        comps.append(diam)
-    return comps
+def _count_disks(center: np.ndarray, radius: np.ndarray, h: float) -> tuple[int, float]:
+    """(components, max component diameter) of the disks inflated by h.
+
+    Disks i and j touch when |c_i - c_j| <= r_i + r_j, which needs their
+    gap in Re to be at most twice the largest radius: candidates are the
+    pairs within that gap after a sort on Re.  Components are labelled by
+    hooking every root onto the smallest root it touches, then jumping
+    pointers until every label is a root.  A component's diameter is the
+    largest (|c_i - c_j| + r_i) + r_j over its members i < j, or 2 r_i.
+    Every array is O(k) long; none is k x k.
+    """
+    k = len(radius)
+    x, y, r = center.real, center.imag, radius + h
+
+    def dist(i, j):
+        return np.hypot(x[i] - x[j], y[i] - y[j])   # abs(complex), bit for bit
+
+    cut = 2.0 * float(r.max())
+    by_re = np.argsort(x, kind="stable")
+    xs = x[by_re]
+    ii, jj = [np.empty(0, int)], [np.empty(0, int)]
+    for i, j in _near_pairs(by_re, lambda p, q: xs[q] - xs[p] <= cut):
+        touch = dist(i, j) <= r[i] + r[j]
+        ii.append(i[touch])
+        jj.append(j[touch])
+    i, j = np.concatenate(ii), np.concatenate(jj)
+    label = np.arange(k)
+    while True:
+        li, lj = label[i], label[j]
+        if np.array_equal(li, lj):
+            break
+        low = np.minimum(li, lj)
+        np.minimum.at(label, li, low)
+        np.minimum.at(label, lj, low)
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    # members of each component side by side, in element order
+    by_label = np.argsort(label, kind="stable")
+    lab = label[by_label]
+    best = float((2.0 * r).max())
+    for i, j in _near_pairs(by_label, lambda p, q: lab[p] == lab[q]):
+        best = max(best, float(((dist(i, j) + r[i]) + r[j]).max()))
+    return int(np.count_nonzero(label == np.arange(k))), best
 
 
 def component_stats(cover: DiskCover, h: float) -> CoverStats:
@@ -180,10 +213,10 @@ def component_stats(cover: DiskCover, h: float) -> CoverStats:
         raise ResolutionError(
             f"h = {h} exceeds half the trap diameter {cover.trap_diameter}")
     if cover.kind == "interval":
-        comps = _interval_components(cover.elements, h)
+        count, diam = _count_intervals(cover.lo, cover.hi, h)
     else:
-        comps = _disk_components(cover.elements, h)
-    return CoverStats(hs=(h,), counts=(len(comps),), maxdiams=(max(comps),))
+        count, diam = _count_disks(cover.center, cover.radius, h)
+    return CoverStats(hs=(h,), counts=(count,), maxdiams=(diam,))
 
 
 def cover_profile(system, hs, depth_factor: float = 4.0,
@@ -252,9 +285,7 @@ def box_dimension(system, h_max: float | None = None, n_scales: int = 25,
     of Cantor component counts; single-decade fits can be off by 0.05.
     """
     if h_max is None:
-        trap, kind = _system_trap(system)
-        diam = trap.width if kind == "interval" else trap.diameter()
-        h_max = diam / 120.0
+        h_max = _trap_cover(system).trap_diameter / 120.0
     hs = [h_max * 10.0 ** (-decades * k / (n_scales - 1)) for k in range(n_scales)]
     stats = cover_profile(system, hs)
     fit = fit_box_dimension(stats, (min(hs) * 0.999, max(hs) * 1.001))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import (BranchPointError, ConvergenceError, DegeneracyError,
                      DomainError, HyperbolicityError, WordLimitError)
-from .intervals import Disk, Interval
+from .intervals import DISK_SLACK, Disk, Interval
 from .words import Word, aperiodic_necklace_count
 from .words import enumerate_words  # noqa: F401  (module attribute perfbench/tracing.py wraps)
 
@@ -113,13 +114,49 @@ def inverse_branch(spec: MapSpec, branch: int, z: complex) -> complex:
     return w if branch == 0 else -w
 
 
-def _branch_interval(spec: MapSpec, branch: int, iv: Interval) -> Interval:
-    out = iv.shift(-spec.c.real).sqrt()
-    return out if branch == 0 else out.neg()
+def backward_images(system, first: np.ndarray, second: np.ndarray):
+    """Enclosures of both inverse-branch images of every element of a
+    cover, branch 0 images first, then branch 1 images, each in element
+    order.  Elements are (lo, hi) arrays of intervals for an AffinePair or
+    a Real1D MapSpec, (center, radius) arrays of disks in Complex2D mode.
 
-
-def _branch_disk(spec: MapSpec, branch: int, disk: Disk) -> Disk:
-    return disk.sqrt_shift(spec.c, branch)
+    Elementwise these are the floating-point operations of
+    AffinePair.branch_interval, of Interval.shift(-c).sqrt() (negated for
+    branch 1), and of Disk.sqrt_shift, so the arrays hold the same bits.
+    Raises HyperbolicityError when a shifted interval reaches below zero,
+    BranchPointError when a shifted disk meets the branch point or cut.
+    """
+    if isinstance(system, AffinePair):
+        a, b = system.ratios
+        lo = np.concatenate((first / a, 1.0 - (1.0 - first) / b))
+        hi = np.concatenate((second / a, 1.0 - (1.0 - second) / b))
+        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    if system.mode is Mode.REAL_1D:
+        c = system.c.real
+        lo, hi = np.nextafter(first - c, -np.inf), np.nextafter(second - c, np.inf)
+        if lo.min() < 0.0:
+            raise HyperbolicityError(
+                f"backward interval iteration failed: an element shifted by {-c} "
+                f"reaches below zero ({float(lo.min())}), off the square root's domain")
+        lo = np.where(lo > 0.0, np.nextafter(np.sqrt(lo), -np.inf), 0.0)
+        hi = np.nextafter(np.sqrt(hi), np.inf)
+        return np.concatenate((lo, -hi)), np.concatenate((hi, -lo))
+    c = system.c
+    w = first - c
+    d = np.hypot(w.real, w.imag)     # abs(complex), bit for bit
+    encloses = d <= second
+    # the cut is hit when the shifted disk meets the non-positive real axis
+    bad = encloses | ((w.real <= 0.0) & (np.abs(w.imag) <= second))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if encloses[k]:
+            raise BranchPointError(
+                f"disk around {complex(first[k])} encloses the branch point {c}")
+        raise BranchPointError(
+            f"disk around {complex(first[k])} shifted by {-c} straddles the sqrt cut")
+    root = np.sqrt(w)
+    rad = second * (0.5 / np.sqrt(d - second)) * (1.0 + DISK_SLACK) + 1e-300
+    return np.concatenate((root, -root)), np.concatenate((rad, rad))
 
 
 def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
@@ -130,27 +167,28 @@ def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
     HyperbolicityError when the certified lower bound is not > 1.
     """
     if spec.mode is Mode.REAL_1D:
-        elements = [spec.trap_interval()]
-        try:
-            for _ in range(spec.n_cert):
-                elements = [_branch_interval(spec, b, iv)
-                            for iv in elements for b in (0, 1)]
-        except ValueError as exc:
-            raise HyperbolicityError(f"backward interval iteration failed: {exc}") from exc
-        lo = min(iv.abs_bounds()[0] for iv in elements)
-        hi = max(iv.abs_bounds()[1] for iv in elements)
+        trap = spec.trap_interval()
+        lo, hi = np.array([trap.lo]), np.array([trap.hi])
+        for _ in range(spec.n_cert):
+            lo, hi = backward_images(spec, lo, hi)
+        # min and max of |x| over each interval (Interval.abs_bounds): a
+        # square-root image meets 0 only at an end that is 0
+        size_lo, size_hi = np.abs(lo), np.abs(hi)
+        low = float(np.minimum(size_lo, size_hi).min())
+        high = float(np.maximum(size_lo, size_hi).max())
     else:
-        elements = [spec.trap_disk()]
+        trap = spec.trap_disk()
+        center, radius = np.array([trap.center]), np.array([trap.radius])
         try:
             for _ in range(spec.n_cert):
-                elements = [_branch_disk(spec, b, d)
-                            for d in elements for b in (0, 1)]
+                center, radius = backward_images(spec, center, radius)
         except BranchPointError as exc:
             raise HyperbolicityError(
                 f"certificate failed: {exc} (parameter outside the Cantor regime?)") from exc
-        lo = min(max(abs(d.center) - d.radius, 0.0) for d in elements)
-        hi = max(abs(d.center) + d.radius for d in elements)
-    a, b = 2.0 * lo, 2.0 * hi
+        dist = np.hypot(center.real, center.imag)
+        low = float(np.maximum(dist - radius, 0.0).min())
+        high = float((dist + radius).max())
+    a, b = 2.0 * low, 2.0 * high
     if not a > 1.0:
         raise HyperbolicityError(
             f"expansion certificate failed at depth {spec.n_cert}: "
@@ -158,16 +196,10 @@ def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
     return ExpansionBounds(a=a, b=b, n_cert=spec.n_cert)
 
 
-_CERT_CACHE: dict[MapSpec, ExpansionBounds] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def certified_bounds(spec: MapSpec) -> ExpansionBounds:
     """Memoized expansion certificate for a spec."""
-    bounds = _CERT_CACHE.get(spec)
-    if bounds is None:
-        bounds = expansion_bounds(spec)
-        _CERT_CACHE[spec] = bounds
-    return bounds
+    return expansion_bounds(spec)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,11 @@ class DivergenceRegionError(EngineError):
     """Cycle expansion requested outside its convergence half-plane."""
 
 
+class TruncationError(EngineError):
+    """A truncation-error estimate is not finite, so the evaluation cannot
+    report how far its value may be off."""
+
+
 class CatalogError(EngineError):
     """Catalog too shallow for the requested truncation order."""
 

@@ -28,22 +28,8 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def rad(self) -> float:
-        return 0.5 * (self.hi - self.lo)
-
-    @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def shift(self, a: float) -> "Interval":
         # outward rounding: one ulp each way covers the rounding of lo+a, hi+a
@@ -77,12 +63,6 @@ class Disk:
     def __post_init__(self):
         if self.radius < 0.0:
             raise ValueError("negative disk radius")
-
-    def __contains__(self, z: complex) -> bool:
-        return abs(z - self.center) <= self.radius
-
-    def contains_disk(self, other: "Disk", margin: float = 0.0) -> bool:
-        return abs(other.center - self.center) + other.radius <= self.radius * (1.0 - margin)
 
     def diameter(self) -> float:
         return 2.0 * self.radius

@@ -31,7 +31,7 @@ import numpy as np
 from .cover import backward_cover
 from .dynamics import MapSpec, Mode, OrbitCatalog
 from .errors import (CatalogError, CoverError, DivergenceRegionError,
-                     PoleError, RadiusCapError)
+                     PoleError, RadiusCapError, TruncationError)
 from .intervals import Disk
 from .util import write_csv
 
@@ -357,8 +357,9 @@ class FredholmEvaluator:
         cover = backward_cover(spec, level)
         c = spec.c.real
         disks = []
-        for iv in cover.elements:
-            disk = Disk(complex(iv.mid), iv.rad * pad)
+        mids, rads = 0.5 * (cover.lo + cover.hi), 0.5 * (cover.hi - cover.lo)
+        for mid, rad in zip(mids.tolist(), rads.tolist()):
+            disk = Disk(complex(mid), rad * pad)
             if not disk.center.real - disk.radius - c > 0.0:
                 raise RadiusCapError(
                     f"element at {disk.center} with radius {disk.radius} reaches "
@@ -374,7 +375,6 @@ class FredholmEvaluator:
                     f"element {cover.words[(k + half) % len(disks)]!r}")
         self.cover = cover
         self.disks = disks
-        index = {w: i for i, w in enumerate(cover.words)}
 
         # wiring and containment checks first: the truncation model picks M
         # from the cover contraction ratio (image radius / target radius).
@@ -382,14 +382,13 @@ class FredholmEvaluator:
         # they have the same ratios
         targets = []
         rho_max = 0.0
-        from .dynamics import _branch_disk
-        for k, w in enumerate(cover.words):
-            j = index[("0" + w)[:level]] if level > 0 else 0
-            img = _branch_disk(spec, 0, disks[k])
+        for k, disk in enumerate(disks):
+            j = k >> 1   # the element of the word ("0" + w)[:level], w that of k
+            img = disk.sqrt_shift(spec.c, 0)
             reach = (abs(img.center - disks[j].center) + img.radius) / disks[j].radius
             if reach > 1.0 - containment_margin:
                 raise CoverError(
-                    f"branch 0 image of element {w!r} is not strictly "
+                    f"branch 0 image of element {cover.words[k]!r} is not strictly "
                     f"inside element {cover.words[j]!r} (ratio {reach:.3f})")
             targets.append(j)
             rho_max = max(rho_max, img.radius / disks[j].radius)
@@ -493,7 +492,15 @@ class FredholmEvaluator:
         wsup = float(np.max(np.abs(np.exp(-(complex(s) / 2.0) * self._logw))))
         nu_tail = wsup * self.truncation.tail(self.order)
         nu_all = wsup * self.truncation.tail(0)
-        return nu_tail * math.exp(1.0 + nu_all)
+        try:
+            bound = nu_tail * math.exp(1.0 + nu_all)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise TruncationError(
+                f"determinant tail estimate at s = {s} overflows "
+                f"(weight sup {wsup:.3g} over the cover)")
+        return bound
 
     def zeta_value(self, s: complex) -> ZetaValue:
         return ZetaValue(value=self(s), log_value=None,

@@ -95,6 +95,10 @@ _ZETA_EVAL = {"task": "zeta-eval", "system": {"kind": "quadratic", "c": -6.0},
 _ZEROS = {"task": "zeros", "system": {"kind": "quadratic", "c": -6.0},
           "params": {"level": 1, "rectangle": [-2.0, 1.4, -1.0, 1.0]}}
 
+_COVER = {"task": "cover", "system": {"kind": "quadratic", "c": -6.0}, "params": {}}
+_DIMENSION = {"task": "dimension", "system": {"kind": "quadratic", "c": -6.0},
+              "params": {"level": 1}}
+
 
 def _with(cfg, **params):
     return dict(cfg, params=dict(cfg["params"], **params))
@@ -142,6 +146,23 @@ def _with(cfg, **params):
     ({"task": "count", "system": {"kind": "quadratic", "c": -6.0},
       "params": {"method": "cycle", "level": 2.5, "rectangle": [-2.0, 1.4, -1.0, 1.0],
                  "family": {"kind": "log", "rho": 1.0}, "radii": [1.0]}}, "params.level"),
+    (_with(_COVER, n_scales=3), "params.n_scales"),
+    (_with(_COVER, n_scales=True), "params.n_scales"),
+    (_with(_COVER, n_scales=25.5), "params.n_scales"),
+    (_with(_COVER, decades=0), "params.decades"),
+    (_with(_COVER, decades=float("inf")), "params.decades"),
+    (_with(_COVER, h_max=-1), "params.h_max"),
+    (_with(_COVER, hs=[]), "params.hs"),
+    (_with(_COVER, hs=0.01), "params.hs"),
+    (_with(_COVER, hs=["abc"]), "params.hs[0]"),
+    (_with(_COVER, hs=[0.01, 0.0]), "params.hs[1]"),
+    (_with(_DIMENSION, n_scales=4), "params.n_scales"),
+    (_with(_DIMENSION, decades="3"), "params.decades"),
+    (_with(_DIMENSION, h_max=float("nan")), "params.h_max"),
+    (dict(_COVER, system={"kind": "model", "a": 2.0, "b": 4.0, "k_max": 3}),
+     "quadratic or affine"),
+    (dict(_DIMENSION, system={"kind": "model", "a": 2.0, "b": 4.0, "k_max": 3}),
+     "quadratic or affine"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
@@ -150,6 +171,23 @@ def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:") and where in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, error", [
+    # c = -2 is admitted in Real1D mode, but no backward cover exists there
+    (dict(_COVER, system={"kind": "quadratic", "c": -2.0}), "HyperbolicityError"),
+    (dict(_DIMENSION, system={"kind": "quadratic", "c": -2.0}), "HyperbolicityError"),
+    # the weight sup at Re s = -1.5 overflows the determinant tail estimate
+    ({"task": "zeta-eval", "system": {"kind": "quadratic", "c": -20.0},
+      "params": {"method": "fredholm", "level": 3,
+                 "re": [-1.5, -1.5, 1], "im": [12.0, 12.0, 1]}}, "TruncationError"),
+])
+def test_engine_failures_exit_3_with_one_line(tmp_path, capsys, cfg, error):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cfg["task"], "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{error}:")
 
 
 def test_task_mismatch(tmp_path):

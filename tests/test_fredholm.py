@@ -8,7 +8,6 @@ import juliazeta.zeta
 from juliazeta.cover import backward_cover
 from juliazeta.dynamics import MapSpec, Mode
 from juliazeta.errors import CoverError, PoleError, RadiusCapError
-from juliazeta.intervals import Interval
 from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, folded_size,
                             zeta_derivative)
 
@@ -219,10 +218,15 @@ def test_fold_matches_the_full_matrix(c, level):
         assert abs(ev.leading_eigenvalue(s) - lam) <= 1e-10 * abs(lam)
 
 
-def _one_ulp(iv, where):
+def _one_ulp(lo, hi, k, where):
+    """Copies of the endpoint arrays with element k moved by one ulp: its
+    lower end down, or both ends up."""
+    lo, hi = lo.copy(), hi.copy()
     if where == "lo":
-        return Interval(math.nextafter(iv.lo, -math.inf), iv.hi)
-    return Interval(math.nextafter(iv.lo, math.inf), math.nextafter(iv.hi, math.inf))
+        lo[k] = math.nextafter(lo[k], -math.inf)
+    else:
+        lo[k], hi[k] = math.nextafter(lo[k], math.inf), math.nextafter(hi[k], math.inf)
+    return lo, hi
 
 
 @pytest.mark.parametrize("level, k, where", [(0, 0, "both"), (1, 1, "lo"),
@@ -230,11 +234,10 @@ def _one_ulp(iv, where):
 def test_a_cover_that_is_not_mirrored_is_refused(monkeypatch, level, k, where):
     spec = MapSpec(c=-20.0)
     cover = backward_cover(spec, level)
-    elements = list(cover.elements)
-    moved = _one_ulp(elements[k], where)
-    assert (moved.mid, moved.rad) != (elements[k].mid, elements[k].rad)
-    elements[k] = moved
-    bad = replace(cover, elements=tuple(elements))
+    lo, hi = _one_ulp(cover.lo, cover.hi, k, where)
+    assert (0.5 * (lo[k] + hi[k]), 0.5 * (hi[k] - lo[k])) != \
+        (0.5 * (cover.lo[k] + cover.hi[k]), 0.5 * (cover.hi[k] - cover.lo[k]))
+    bad = replace(cover, lo=lo, hi=hi)
     monkeypatch.setattr(juliazeta.zeta, "backward_cover", lambda spec, level: bad)
     with pytest.raises(CoverError, match="mirror"):
         FredholmEvaluator(spec, level=level)
