@@ -13,8 +13,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from juliazeta.dynamics import AffinePair
 from juliazeta.pairing import TestFunction, identity_residual
 from juliazeta.zeros import Rectangle, scan_region
-from juliazeta.zeta import (ModelEvaluator, cycle_log_zeta, model_dimension,
-                            model_zeta)
+from juliazeta.zeta import CycleEvaluator, ModelEvaluator, model_dimension
 
 
 def main():
@@ -31,9 +30,10 @@ def main():
     print(f"model dimension delta = {delta:.8f}")
 
     print("cycle sums vs model product:")
+    cycle, product = CycleEvaluator(catalog), ModelEvaluator(args.a, args.b, 60)
     for s in (2.5, 3.0 + 1.0j, 3.5 - 2.0j):
-        got = cycle_log_zeta(s, catalog).log_value
-        want = model_zeta(s, args.a, args.b, 60).log_value
+        got = cycle.zeta_value(s).log_value
+        want = product.zeta_value(s).log_value
         print(f"  s={s}:  |cycle - product| = {abs(got - want):.2e}")
 
     ev = ModelEvaluator(args.a, args.b, 40)

@@ -22,8 +22,7 @@ from .zeros import (CountingReport, GrowthFit, LogFamily, PolyFamily,
                     growth_exponent_probe, leading_real_zero, refine_zero,
                     scan_region, winding_number)
 from .zeta import (CycleEvaluator, FredholmEvaluator, Law, Method,
-                   ModelEvaluator, TruncationModel,
-                   ZetaValue, cycle_log_zeta, model_dimension,
-                   model_zeta, zero_free_abscissa, zeta_derivative)
+                   ModelEvaluator, TruncationModel, ZetaValue,
+                   model_dimension, zero_free_abscissa)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -71,16 +71,28 @@ def _as_real(v, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number")
 
 
-def _as_count(v, where: str, hi: int | None = None) -> int:
-    """A positive JSON integer, at most `hi`."""
-    if type(v) is int and v >= 1 and (hi is None or v <= hi):
+def _as_positive(v, where: str) -> float:
+    x = _as_real(v, where)
+    if not x > 0.0:
+        raise ConfigError(f"{where} must be positive")
+    return x
+
+
+def _as_count(v, where: str, hi: int | None = None, lo: int = 1) -> int:
+    """A JSON integer, at least `lo` (1 or 0) and at most `hi`."""
+    if type(v) is int and v >= lo and (hi is None or v <= hi):
         return v
     bound = f" at most {hi}" if hi is not None else ""
-    raise ConfigError(f"{where} must be a positive integer{bound}")
+    sign = "positive" if lo == 1 else "non-negative"
+    raise ConfigError(f"{where} must be a {sign} integer{bound}")
 
 
 def _n_max(params: dict) -> int:
     return _as_count(params.get("n_max", 12), "params.n_max", N_MAX_CAP)
+
+
+def _k_max(params: dict) -> int:
+    return _as_count(params.get("k_max", 40), "params.k_max", lo=0)
 
 
 # the most memory one folded Fredholm matrix F (complex, side
@@ -119,22 +131,27 @@ def build_system(cfg: dict):
         try:
             return MapSpec(c=_as_complex(_require(cfg, "c", "system"), "system.c"),
                            mode=mode,
-                           tol_point=cfg.get("tol_point", 1e-12),
-                           n_cert=cfg.get("n_cert", 1))
+                           tol_point=_as_positive(cfg.get("tol_point", 1e-12),
+                                                  "system.tol_point"),
+                           n_cert=_as_count(cfg.get("n_cert", 1), "system.n_cert", 14))
         except ValueError as exc:
             raise ConfigError(f"invalid quadratic system: {exc}") from exc
     if kind == "model":
         _check_keys(cfg, {"kind", "a", "b", "k_max"}, "system")
-        return ("model", float(_require(cfg, "a", "system")),
-                float(_require(cfg, "b", "system")),
-                int(_require(cfg, "k_max", "system")))
+        a, b = (_as_real(_require(cfg, key, "system"), f"system.{key}") for key in "ab")
+        k_max = _as_count(_require(cfg, "k_max", "system"), "system.k_max", lo=0)
+        try:
+            return ModelEvaluator(a, b, k_max)
+        except ValueError as exc:
+            raise ConfigError(f"invalid model system: {exc}") from exc
     if kind == "affine":
         _check_keys(cfg, {"kind", "ratios"}, "system")
         ratios = _require(cfg, "ratios", "system")
         if not (isinstance(ratios, list) and len(ratios) == 2):
             raise ConfigError("system.ratios must be a pair")
         try:
-            return AffinePair((float(ratios[0]), float(ratios[1])))
+            return AffinePair(tuple(_as_real(r, f"system.ratios[{k}]")
+                                    for k, r in enumerate(ratios)))
         except ValueError as exc:
             raise ConfigError(f"invalid affine system: {exc}") from exc
     raise ConfigError(f"unknown system kind {kind!r}")
@@ -143,11 +160,10 @@ def build_system(cfg: dict):
 def _evaluator(system, params: dict, need_left_of_delta: bool = False):
     """Evaluator for the configured system; quadratic systems use the
     Fredholm route when the job needs values left of delta."""
-    if isinstance(system, tuple) and system[0] == "model":
-        return ModelEvaluator(system[1], system[2], system[3])
+    if isinstance(system, ModelEvaluator):
+        return system
     if isinstance(system, AffinePair):
-        a, b = system.ratios
-        return ModelEvaluator(a, b, int(params.get("k_max", 40)))
+        return ModelEvaluator(*system.ratios, _k_max(params))
     method = params.get("method", "fredholm" if need_left_of_delta else "cycle")
     level, order = _fredholm_params(params)
     if method == "fredholm":
@@ -177,26 +193,41 @@ def _grid(params: dict, key: str) -> np.ndarray:
                        _as_count(spec[2], f"params.{key}[2]"))
 
 
-def _family(cfg: dict, delta: float | None):
+def _family(cfg, system, params: dict):
+    """The counting family; a log family without a delta takes the
+    system's."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("params.family must be an object")
     kind = _require(cfg, "kind", "params.family")
+
+    def number(key: str) -> float:
+        return _as_real(_require(cfg, key, "params.family"), f"params.family.{key}")
+
     if kind == "strip":
         _check_keys(cfg, {"kind", "c0"}, "params.family")
-        return StripFamily(float(_require(cfg, "c0", "params.family")))
+        return StripFamily(number("c0"))
     if kind == "poly":
         _check_keys(cfg, {"kind", "alpha"}, "params.family")
-        return PolyFamily(float(_require(cfg, "alpha", "params.family")))
+        return PolyFamily(number("alpha"))
     if kind == "log":
         _check_keys(cfg, {"kind", "rho", "delta"}, "params.family")
-        d = cfg.get("delta", delta)
-        if d is None:
-            raise ConfigError("params.family.delta required for the log family")
-        return LogFamily(rho=float(_require(cfg, "rho", "params.family")), delta=float(d))
+        rho = number("rho")
+        delta = number("delta") if "delta" in cfg else \
+            _system_delta(system, _fredholm_params(params)[0])
+        return LogFamily(rho=rho, delta=delta)
     raise ConfigError(f"unknown counting family {kind!r}")
 
 
+def _radii(params: dict) -> list[float]:
+    radii = _require(params, "radii", "params")
+    if not (isinstance(radii, list) and radii):
+        raise ConfigError("params.radii must be a non-empty list of radii")
+    return [_as_positive(r, f"params.radii[{k}]") for k, r in enumerate(radii)]
+
+
 def _system_delta(system, level: int) -> float:
-    if isinstance(system, tuple) and system[0] == "model":
-        return model_dimension(system[1], system[2])
+    if isinstance(system, ModelEvaluator):
+        return model_dimension(system.a, system.b)
     if isinstance(system, AffinePair):
         return model_dimension(*system.ratios)
     ev = FredholmEvaluator(system, level=level)
@@ -212,13 +243,6 @@ def _task_orbits(system, params):
         raise ConfigError("orbits task requires a quadratic system")
     catalog = build_orbit_catalog(system, _n_max(params))
     return {"catalog.json": lambda path: save_catalog(catalog, path)}
-
-
-def _as_positive(v, where: str) -> float:
-    x = _as_real(v, where)
-    if not x > 0.0:
-        raise ConfigError(f"{where} must be positive")
-    return x
 
 
 def _box_params(system, params: dict) -> dict:
@@ -255,7 +279,8 @@ def _task_zeta_eval(system, params):
     res, ims = _grid(params, "re"), _grid(params, "im")
     ev = _evaluator(system, params)
     ss = [complex(a, b) for b in ims for a in res]
-    return {"zeta_grid.csv": lambda path: export_grid(path, ev, ss)}
+    values = [ev.zeta_value(s) for s in ss]
+    return {"zeta_grid.csv": lambda path: export_grid(path, ss, values)}
 
 
 def _task_zeros(system, params):
@@ -270,16 +295,10 @@ def _task_zeros(system, params):
 def _task_count(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "rectangle", "family", "radii"}, "params")
-    rect = _rectangle(params)
+    rect, radii = _rectangle(params), _radii(params)
     ev = _evaluator(system, params, need_left_of_delta=True)
-    records = scan_region(ev, rect)
-    delta = None
-    if _require(params, "family", "params").get("kind") == "log" and \
-            "delta" not in params["family"]:
-        delta = _system_delta(system, _fredholm_params(params)[0])
-    family = _family(params["family"], delta)
-    report = counting_report(records, family, [float(r) for r in
-                                               _require(params, "radii", "params")])
+    family = _family(_require(params, "family", "params"), system, params)
+    report = counting_report(scan_region(ev, rect), family, radii)
     return {"counts.csv": report.to_csv,
             "count_summary.json": lambda path: atomic_write_text(
                 path, json.dumps(report.summary(), indent=1) + "\n")}
@@ -288,10 +307,11 @@ def _task_count(system, params):
 def _task_growth(system, params):
     _check_keys(params, {"method", "level", "order", "n_max", "k_max",
                          "c0", "radii", "re_samples"}, "params")
+    c0 = _as_real(_require(params, "c0", "params"), "params.c0")
+    radii = _radii(params)
+    re_samples = _as_count(params.get("re_samples", 33), "params.re_samples")
     ev = _evaluator(system, params, need_left_of_delta=True)
-    fit = growth_exponent_probe(ev, float(_require(params, "c0", "params")),
-                                [float(r) for r in _require(params, "radii", "params")],
-                                re_samples=int(params.get("re_samples", 33)))
+    fit = growth_exponent_probe(ev, c0, radii, re_samples=re_samples)
     payload = {"exponent": fit.exponent, "r2": fit.r2,
                "rows": [{"r": r, "max_log_abs_Z": m}
                         for r, m in zip(fit.rs, fit.max_log_abs)],
@@ -326,8 +346,8 @@ def _task_pairing(system, params):
     region = _rectangle(params)
     level, _order = _fredholm_params(params)
     if isinstance(system, AffinePair):
+        ev = ModelEvaluator(*system.ratios, _k_max(params))
         catalog = system.orbit_catalog(n_max)
-        ev = ModelEvaluator(*system.ratios, int(params.get("k_max", 40)))
     elif isinstance(system, MapSpec):
         catalog = build_orbit_catalog(system, n_max)
         ev = FredholmEvaluator(system, level=level)
@@ -353,8 +373,10 @@ def _task_trace_check(system, params):
     _check_keys(params, {"mu_values", "tol"}, "params")
     mu_values = None
     if "mu_values" in params:
+        if not isinstance(params["mu_values"], list):
+            raise ConfigError("params.mu_values must be a list")
         mu_values = [_as_complex(v, "params.mu_values[]") for v in params["mu_values"]]
-    rows = comparison_table(mu_values, tol=float(params.get("tol", 1e-11)))
+    rows = comparison_table(mu_values, tol=_as_positive(params.get("tol", 1e-11), "params.tol"))
     return {"trace_table.csv": lambda path: export_table(path, rows)}
 
 

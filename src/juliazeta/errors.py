@@ -78,10 +78,6 @@ class CoverageError(EngineError):
     """Orbit catalog does not exhaust the support of a test function."""
 
 
-class PoleError(EngineError):
-    """Logarithmic derivative evaluated at a zero of the function."""
-
-
 class TraceError(EngineError):
     """A pullback trace fails an identity it must satisfy (the
     two-variable trace is real by conjugate pairing)."""

@@ -15,9 +15,11 @@ conjugate-symmetric Z, a zero that converges onto the real axis is
 bracketed by a sign change of Re Z and shrunk to adjacent floats by
 Illinois regula falsi, so it comes out exactly real; the leading real
 zero, the dimension delta, is found that way from a grid.  Every zero is
-certified by a winding count on a small circle and a residual; for a
-real centre and a conjugate-symmetric Z only the circle's upper half is
-evaluated.  Counting reports fit the growth exponents the theory bounds.
+certified by a winding count on a small circle and a residual.  A scan
+or solve memoises Z in one `_CachedEvaluator`; for a conjugate-symmetric
+Z it serves every point below the axis as the conjugate of its mirror,
+so a circle about a real centre costs its upper half only.  Counting
+reports fit the growth exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -86,6 +88,14 @@ class Rectangle:
 
 
 class _CachedEvaluator:
+    """The memo of Z for one scan or solve.
+
+    For an evaluator that reports `conjugate_symmetric` (Z(conj s) =
+    conj Z(s)), a point below the real axis is served as the exact
+    conjugate of the value at its mirror, which is evaluated at most
+    once; the requested point is stored too, since edge walks and moment
+    seeds look points up in `cache` by key."""
+
     def __init__(self, ev):
         self.ev = ev
         self.method = getattr(ev, "method", None)
@@ -95,25 +105,30 @@ class _CachedEvaluator:
         # keyed by (low end, high end, boundary step)
         self.edges: dict[tuple[complex, complex, float], float] = {}
 
+    def _upper(self, s: complex) -> complex:
+        """The point whose evaluation serves s: s itself, or its mirror."""
+        return s.conjugate() if self.conjugate_symmetric and s.imag < 0.0 else s
+
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         v = self.cache.get(s)
         if v is None:
-            v = complex(self.ev(s))
+            up = self._upper(s)
+            v = complex(self.ev(s)) if up is s else self(up).conjugate()
             self.cache[s] = v
         return v
 
     def prefetch(self, ss) -> None:
-        todo = [complex(s) for s in ss if complex(s) not in self.cache]
-        if not todo:
-            return
-        if hasattr(self.ev, "batch"):
-            vals = self.ev.batch(np.array(todo))
-            for s, v in zip(todo, vals):
-                self.cache[s] = complex(v)
-        else:
-            for s in todo:
-                self.cache[s] = complex(self.ev(s))
+        """Evaluates the points of ss not yet cached in one batch, each
+        point below the axis at its mirror."""
+        ss = [complex(s) for s in ss if complex(s) not in self.cache]
+        todo = [m for m in dict.fromkeys(map(self._upper, ss)) if m not in self.cache]
+        if todo:
+            vals = self.ev.batch(np.array(todo)) if hasattr(self.ev, "batch") \
+                else map(self.ev, todo)
+            self.cache.update(zip(todo, map(complex, vals)))
+        for s in ss:
+            self(s)   # a point below the axis: the conjugate of its mirror
 
 
 def _segment_phase(ev: _CachedEvaluator, pa: complex, pb: complex,
@@ -227,32 +242,27 @@ def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
 
 
 def _circle(ev: _CachedEvaluator, center: complex, radius: float,
-            nodes: int = 24, symmetric: bool = False) -> tuple[int, list[complex]]:
+            nodes: int = 24) -> tuple[int, list[complex]]:
     """Winding number of Z around the circle through `nodes` equally
     spaced nodes, and the values of Z at those nodes.
 
-    With `symmetric` (Z(conj s) = conj Z(s)) and a real centre, only the
-    closed upper half is evaluated: nodes 0..nodes/2, whose ends are put
-    exactly on the real axis, and the midpoints that verify its segments.
-    The lower half's nodes and values are their exact conjugates, so its
-    phase equals the upper half's and the winding is twice the upper
-    phase."""
-    half = symmetric and center.imag == 0.0 and nodes % 2 == 0
+    About a real centre, with an even node count, the two nodes on the
+    real axis are put exactly there and the lower half's nodes are the
+    exact conjugates of the upper half's; so are the midpoints that
+    verify its segments.  A conjugate-symmetric `ev` then serves the
+    lower half from its cache: only the closed upper half is evaluated."""
     points = [center + radius * cmath.exp(2j * math.pi * k / nodes)
-              for k in range(nodes // 2 + 1 if half else nodes)]
-    if half:
+              for k in range(nodes)]
+    if center.imag == 0.0 and nodes % 2 == 0:
+        half = nodes // 2
         points[0] = complex(center.real + radius, 0.0)
-        points[-1] = complex(center.real - radius, 0.0)
-    else:
-        points.append(points[0])
+        points[half] = complex(center.real - radius, 0.0)
+        points[half + 1:] = [p.conjugate() for p in points[half - 1:0:-1]]
+    points.append(points[0])
     values = [ev(p) for p in points]
     total = sum(_segment_phase(ev, points[k], points[k + 1], values[k], values[k + 1], radius)
-                for k in range(len(points) - 1))
-    if half:
-        total *= 2.0
-        values += [v.conjugate() for v in values[-2:0:-1]]
-    else:
-        values.pop()
+                for k in range(nodes))
+    values.pop()
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.01:
         raise ConvergenceError(f"non-integer circle winding {w} at {center}")
@@ -368,8 +378,7 @@ def _certify_zero(evaluator, s: complex, r_loc: float = 0.05,
     s = complex(s)
     ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
     r_loc = max(r_loc, 1e-7 * (1.0 + abs(s)))
-    mult, values = _circle(ev, s, r_loc,
-                           symmetric=getattr(evaluator, "conjugate_symmetric", False))
+    mult, values = _circle(ev, s, r_loc)
     if mult == 0:
         raise NoZeroError(f"no zero within {r_loc} of refined seed {s}")
     scale = float(np.median([abs(v) for v in values]))
@@ -633,10 +642,13 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
     stopping at the first sign change, so no grid point left of that cell
     is evaluated.  `_sign_change` shrinks the cell to adjacent floats and
     returns an exactly real zero, which `_certify_zero` certifies: its
-    winding count on a circle of radius 0.05 and its residual.
+    winding count on a circle of radius 0.05 and its residual.  The grid,
+    the regula falsi and the certificate share one cache.
     """
+    ev = _CachedEvaluator(evaluator)
+
     def re_z(x: float) -> float:
-        return complex(evaluator(complex(x))).real
+        return ev(complex(x)).real
 
     lo, hi = bracket
     xs = np.linspace(lo, hi, 64)
@@ -652,7 +664,7 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
         right = v
     else:
         raise NoZeroError(f"no sign change of Z on [{lo}, {hi}]")
-    return _certify_zero(evaluator, complex(root))
+    return _certify_zero(ev, complex(root))
 
 
 def _sign_change(f, a: float, b: float, fa: float, fb: float) -> float:

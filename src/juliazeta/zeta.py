@@ -16,7 +16,14 @@
 * Model product: prod_k (1 - A^{-(s+k)} - B^{-(s+k)}), the binomial
   length-model zeta; exact for two-branch affine systems.
 
-Every evaluation reports a truncation-error estimate on the value scale.
+Each route is one evaluator class with the same protocol: Z(s) by a
+call, an array of values by `batch`, and a `ZetaValue` by `zeta_value`,
+whose tail_bound is a truncation-error estimate on the value scale.
+The cycle and model routes also give d/ds log Z by `dlog`.  Every route
+reports `conjugate_symmetric`, true for all three: their coefficients
+are real, so Z(conj s) = conj Z(s).  An evaluator holds no per-point
+state; a zero scan memoises its values (`zeros._CachedEvaluator`), and
+serves the lower half-plane from the conjugates of the upper.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from .cover import backward_cover
 from .dynamics import MapSpec, Mode, OrbitCatalog
 from .errors import (CatalogError, CoverError, DivergenceRegionError,
-                     PoleError, RadiusCapError, TruncationError)
+                     RadiusCapError, TruncationError)
 from .intervals import Disk
 from .util import write_csv
 
@@ -131,30 +138,6 @@ def _cycle_log_tail(catalog: OrbitCatalog, n_trunc: int, re_s: float) -> float:
     return (-math.log1p(-q) - partial) / (1.0 - 1.0 / catalog.a)
 
 
-def cycle_log_zeta(s: complex, catalog: OrbitCatalog, n_trunc: int | None = None,
-                   mode: Mode | None = None) -> ZetaValue:
-    """Truncated cycle expansion of log Z(s) over the catalog.
-
-    Valid for Re s above the certified convergence abscissa; refuses to
-    extrapolate left of it.  tail_bound is the closed-form geometric tail
-    transported to the value scale.
-    """
-    s = complex(s)
-    if n_trunc is None:
-        n_trunc = catalog.n_max
-    if n_trunc > catalog.n_max:
-        raise CatalogError(f"truncation {n_trunc} exceeds catalog depth {catalog.n_max}")
-    if mode is None:
-        mode = catalog.mode
-    log_tail = _cycle_log_tail(catalog, n_trunc, s.real)
-    lengths, dens, weights = _cycle_arrays(catalog, n_trunc, mode)
-    log_z = -complex(np.sum(weights * np.exp(-s * lengths) / dens))
-    value = cmath.exp(log_z)
-    return ZetaValue(value=value, log_value=log_z,
-                     tail_bound=abs(value) * math.expm1(log_tail),
-                     method=Method.CYCLE)
-
-
 def zero_free_abscissa(catalog: OrbitCatalog) -> float:
     """C0 with |log Z| <= log 2 (hence |Z| >= 1/2) for Re s >= C0, from
     the closed-form tail of the full cycle sum."""
@@ -163,27 +146,26 @@ def zero_free_abscissa(catalog: OrbitCatalog) -> float:
 
 
 class CycleEvaluator:
-    """Fast callable wrapper around the cycle expansion."""
+    """Truncated cycle expansion of Z(s) over the catalog.
+
+    Valid for Re s above the certified convergence abscissa; refuses to
+    extrapolate left of it."""
 
     method = Method.CYCLE
+    # Z(conj s) = conj Z(s): the lengths log |Lambda|, the denominators and
+    # the weights are real for every catalog, complex c included
+    conjugate_symmetric = True
 
     def __init__(self, catalog: OrbitCatalog, n_trunc: int | None = None,
                  mode: Mode | None = None):
         self.catalog = catalog
         self.n_trunc = catalog.n_max if n_trunc is None else n_trunc
         if self.n_trunc > catalog.n_max:
-            raise CatalogError(f"truncation {self.n_trunc} exceeds catalog depth")
+            raise CatalogError(f"truncation {self.n_trunc} exceeds catalog depth "
+                               f"{catalog.n_max}")
         self.mode = catalog.mode if mode is None else mode
         self._arrays = _cycle_arrays(catalog, self.n_trunc, self.mode)
         self.min_re = cycle_convergence_abscissa(catalog)
-
-    @property
-    def conjugate_symmetric(self) -> bool:
-        """Z(conj s) = conj Z(s): the catalog's map has a real parameter
-        (affine catalogs always do)."""
-        meta = self.catalog.meta
-        return meta.get("system") == "affine" or (
-            meta.get("system") == "quadratic" and complex(meta["c"]).imag == 0.0)
 
     def valid_at(self, s: complex) -> bool:
         return s.real > self.min_re
@@ -211,32 +193,19 @@ class CycleEvaluator:
         return np.exp(-(np.exp(-np.outer(ss, lengths)) * (weights / dens)).sum(axis=1))
 
     def zeta_value(self, s: complex) -> ZetaValue:
-        return cycle_log_zeta(s, self.catalog, self.n_trunc, self.mode)
+        """Z(s) and log Z(s); tail_bound is the closed-form geometric tail
+        transported to the value scale."""
+        s = complex(s)
+        log_tail = _cycle_log_tail(self.catalog, self.n_trunc, s.real)
+        log_z = self.log(s)
+        value = cmath.exp(log_z)
+        return ZetaValue(value=value, log_value=log_z,
+                         tail_bound=abs(value) * math.expm1(log_tail),
+                         method=Method.CYCLE)
 
 
 # ---------------------------------------------------------------------------
 # model product
-
-def model_zeta(s: complex, a: float, b: float, k_max: int) -> ZetaValue:
-    """Finite model product prod_{k=0..K} (1 - a^{-(s+k)} - b^{-(s+k)})."""
-    if not (a > 1.0 and b > 1.0):
-        raise ValueError("model bases must exceed 1")
-    if k_max < 0:
-        raise ValueError("K must be >= 0")
-    s = complex(s)
-    value = 1.0 + 0.0j
-    log_value: complex | None = 0.0 + 0.0j
-    for k in range(k_max + 1):
-        factor = 1.0 - a ** (-(s + k)) - b ** (-(s + k))
-        value *= factor
-        log_value = None if (log_value is None or factor == 0.0) \
-            else log_value + cmath.log(factor)
-    ra, rb = a ** (-(s.real + k_max + 1)), b ** (-(s.real + k_max + 1))
-    log_tail = ra / (1.0 - 1.0 / a) + rb / (1.0 - 1.0 / b)
-    return ZetaValue(value=value, log_value=log_value,
-                     tail_bound=abs(value) * math.expm1(log_tail),
-                     method=Method.MODEL)
-
 
 def model_dimension(a: float, b: float) -> float:
     """The positive root of a^(-x) + b^(-x) = 1 (the model's leading
@@ -256,22 +225,18 @@ def model_dimension(a: float, b: float) -> float:
 
 
 class ModelEvaluator:
-    """Entire model zeta; analytic derivative available everywhere."""
+    """The finite model product prod_{k=0..K} (1 - a^{-(s+k)} - b^{-(s+k)}):
+    entire, with an analytic derivative everywhere."""
 
     method = Method.MODEL
+    conjugate_symmetric = True   # the bases are real
 
     def __init__(self, a: float, b: float, k_max: int):
         if not (a > 1.0 and b > 1.0):
             raise ValueError("model bases must exceed 1")
+        if k_max < 0:
+            raise ValueError("K must be >= 0")
         self.a, self.b, self.k_max = float(a), float(b), int(k_max)
-
-    @property
-    def conjugate_symmetric(self) -> bool:
-        """Z(conj s) = conj Z(s): the bases are real."""
-        return True
-
-    def valid_at(self, s: complex) -> bool:
-        return True
 
     def __call__(self, s: complex) -> complex:
         s = complex(s)
@@ -287,12 +252,6 @@ class ModelEvaluator:
             out = out * (1.0 - self.a ** (-(ss + k)) - self.b ** (-(ss + k)))
         return out
 
-    def log(self, s: complex) -> complex:
-        total = 0.0 + 0.0j
-        for k in range(self.k_max + 1):
-            total += cmath.log(1.0 - self.a ** (-(complex(s) + k)) - self.b ** (-(complex(s) + k)))
-        return total
-
     def dlog(self, s: complex) -> complex:
         s = complex(s)
         la, lb = math.log(self.a), math.log(self.b)
@@ -304,7 +263,21 @@ class ModelEvaluator:
         return total
 
     def zeta_value(self, s: complex) -> ZetaValue:
-        return model_zeta(s, self.a, self.b, self.k_max)
+        """Z(s) and log Z(s) (None when a factor is exactly 0); tail_bound
+        covers the factors k > K."""
+        s = complex(s)
+        value = 1.0 + 0.0j
+        log_value: complex | None = 0.0 + 0.0j
+        for k in range(self.k_max + 1):
+            factor = 1.0 - self.a ** (-(s + k)) - self.b ** (-(s + k))
+            value *= factor
+            log_value = None if (log_value is None or factor == 0.0) \
+                else log_value + cmath.log(factor)
+        n = -(s.real + self.k_max + 1)
+        log_tail = self.a ** n / (1.0 - 1.0 / self.a) + self.b ** n / (1.0 - 1.0 / self.b)
+        return ZetaValue(value=value, log_value=log_value,
+                         tail_bound=abs(value) * math.expm1(log_tail),
+                         method=Method.MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +315,7 @@ class FredholmEvaluator:
     """
 
     method = Method.FREDHOLM
+    conjugate_symmetric = True   # Real1D mode has a real parameter c
 
     def __init__(self, spec: MapSpec, level: int = 3, order: int | None = None,
                  pad: float = 1.25, theta: float = 0.7,
@@ -431,7 +405,6 @@ class FredholmEvaluator:
         self._cols = np.array(targets)
         self._sign = (-1.0) ** np.arange(len(dft))[:, None]
         self.size = folded_size(level, m)
-        self._cache: dict[complex, complex] = {}
 
     def matrix(self, s: complex) -> np.ndarray:
         """The folded matrix F(s), with det(I - F) = det(I - L)."""
@@ -457,31 +430,18 @@ class FredholmEvaluator:
         out[rows[h:], :, cols[h:], :] += blocks[h:]
         return out.reshape(self.size, self.size)
 
-    @property
-    def conjugate_symmetric(self) -> bool:
-        """Z(conj s) = conj Z(s): Real1D mode has a real parameter c."""
-        return True
-
-    def valid_at(self, s: complex) -> bool:
-        return True
-
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         if s.imag < 0.0:
             # c is real, so Z(conj s) = conj Z(s); reflecting makes the
-            # symmetry exact in floating point and lets a point below the
-            # axis reuse the determinant of its conjugate (scan_region
-            # mirrors symmetric scans instead of relying on this)
+            # symmetry exact in floating point for a direct call (a scan's
+            # cache in `zeros` serves the lower half-plane itself)
             return self(s.conjugate()).conjugate()
-        hit = self._cache.get(s)
-        if hit is None:
-            # I - F formed in place: no identity or difference matrix
-            a = self.matrix(s)
-            np.negative(a, out=a)
-            a.flat[::self.size + 1] += 1.0
-            hit = complex(np.linalg.det(a))
-            self._cache[s] = hit
-        return hit
+        # I - F formed in place: no identity or difference matrix
+        a = self.matrix(s)
+        np.negative(a, out=a)
+        a.flat[::self.size + 1] += 1.0
+        return complex(np.linalg.det(a))
 
     def batch(self, ss) -> np.ndarray:
         return np.array([self(complex(s)) for s in np.asarray(ss).ravel()])
@@ -506,41 +466,13 @@ class FredholmEvaluator:
         return ZetaValue(value=self(s), log_value=None,
                          tail_bound=self.tail_bound(s), method=Method.FREDHOLM)
 
-    def leading_eigenvalue(self, s: complex) -> complex:
-        eig = np.linalg.eigvals(self.matrix(s))
-        return complex(eig[np.argmax(np.abs(eig))])
-
 
 # ---------------------------------------------------------------------------
-# derivative of log Z
+# export
 
-def zeta_derivative(s: complex, evaluator, fd_step: float = 1e-5) -> complex:
-    """d/ds log Z.  Analytic term-wise for cycle and model evaluators; a
-    Richardson-checked central difference on the log determinant for the
-    Fredholm route."""
-    s = complex(s)
-    if hasattr(evaluator, "dlog"):
-        return evaluator.dlog(s)
-
-    def diff(h: float) -> complex:
-        zp, zm = evaluator(s + h), evaluator(s - h)
-        if zp == 0 or zm == 0:
-            raise PoleError(f"log-derivative stencil hit a zero of Z near {s}")
-        return cmath.log(zp / zm) / (2.0 * h)
-
-    d1 = diff(fd_step)
-    d2 = diff(fd_step / 2.0)
-    if abs(d2 - d1) > 0.1 * max(1.0, abs(d2)):
-        raise PoleError(
-            f"central difference for d/ds log Z unstable at {s}: {d1} vs {d2}")
-    return (4.0 * d2 - d1) / 3.0
-
-
-def export_grid(path: str, evaluator, ss) -> None:
-    """CSV of evaluations: re_s,im_s,re_Z,im_Z,tail_bound,method."""
-    rows = []
-    for s in ss:
-        zv = evaluator.zeta_value(s)
-        rows.append((complex(s).real, complex(s).imag, zv.value.real,
-                     zv.value.imag, zv.tail_bound, zv.method.value))
+def export_grid(path: str, ss, values) -> None:
+    """CSV of evaluations, one ZetaValue per point of ss:
+    re_s,im_s,re_Z,im_Z,tail_bound,method."""
+    rows = [(complex(s).real, complex(s).imag, zv.value.real, zv.value.imag,
+             zv.tail_bound, zv.method.value) for s, zv in zip(ss, values)]
     write_csv(path, "re_s,im_s,re_Z,im_Z,tail_bound,method", rows)

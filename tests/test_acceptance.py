@@ -19,8 +19,7 @@ from juliazeta.tracecheck import (ContractionSpec, closed_form,
 from juliazeta.zeros import (PolyFamily, Rectangle, StripFamily,
                              counting_report, growth_exponent_probe,
                              leading_real_zero, scan_region, winding_number)
-from juliazeta.zeta import (CycleEvaluator, ModelEvaluator, cycle_log_zeta,
-                            model_zeta, zero_free_abscissa)
+from juliazeta.zeta import CycleEvaluator, ModelEvaluator, zero_free_abscissa
 
 GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 
@@ -60,7 +59,7 @@ def test_criterion_02_evaluator_equivalence(cat16, fredholm6, delta6):
     for re in np.linspace(delta6 + 0.5, delta6 + 3.0, 5):
         for im in np.linspace(0.0, 10.0, 5):
             s = complex(re, im)
-            zc = cycle_log_zeta(s, cat16)
+            zc = cyc.zeta_value(s)
             zf = fredholm6.zeta_value(s)
             diff = abs(zc.value - zf.value)
             assert diff <= zc.tail_bound + zf.tail_bound
@@ -79,8 +78,8 @@ def test_criterion_03_model_replication():
     catalog = fixture.orbit_catalog(16)
     worst = 0.0
     for s in (2.0, 2.5 + 1.0j, 3.0 - 2.0j, 4.0 + 5.0j):
-        got = cycle_log_zeta(s, catalog).log_value
-        want = model_zeta(s, 2.0, 4.0, 60).log_value
+        got = CycleEvaluator(catalog).zeta_value(s).log_value
+        want = ModelEvaluator(2.0, 4.0, 60).zeta_value(s).log_value
         worst = max(worst, abs(got - want))
     assert worst <= 1e-9
     report(3, f"cycle sums reproduce the truncated product log to {worst:.2e}")

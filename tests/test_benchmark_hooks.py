@@ -1,0 +1,41 @@
+"""The benchmark in perfbench/ reaches into the library by name: its
+tracer wraps functions and methods, and its workloads build the systems
+and evaluators their jobs use.  Installing the tracer and setting up
+both workloads here makes a renamed or deleted name fail this suite
+before it fails the benchmark.  Nothing under perfbench/ is changed."""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    # no bytecode cache is written next to the benchmark's sources
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+def test_tracer_installs_and_uninstalls(perfbench):
+    tracing, _ = perfbench
+    from juliazeta.zeta import FredholmEvaluator
+    call = FredholmEvaluator.__call__
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert FredholmEvaluator.__call__ is not call
+    finally:
+        tracer.uninstall()
+    assert FredholmEvaluator.__call__ is call
+
+
+@pytest.mark.parametrize("workload", ["census", "ledger"])
+def test_workloads_set_up(perfbench, workload):
+    _, workloads = perfbench
+    workloads.set_up(workloads.make_plan(workload, 0))

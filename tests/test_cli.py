@@ -95,6 +95,15 @@ _ZETA_EVAL = {"task": "zeta-eval", "system": {"kind": "quadratic", "c": -6.0},
 _ZEROS = {"task": "zeros", "system": {"kind": "quadratic", "c": -6.0},
           "params": {"level": 1, "rectangle": [-2.0, 1.4, -1.0, 1.0]}}
 
+_MODEL = {"kind": "model", "a": 2.0, "b": 4.0, "k_max": 3}
+_MODEL_EVAL = {"task": "zeta-eval", "system": _MODEL,
+               "params": {"re": [1.0, 2.0, 3], "im": [0.0, 4.0, 3]}}
+_COUNT = {"task": "count", "system": _MODEL,
+          "params": {"rectangle": [-1.5, 1.0, -5.0, 5.0],
+                     "family": {"kind": "strip", "c0": 1.5}, "radii": [2.0, 4.0]}}
+_GROWTH = {"task": "growth", "system": _MODEL,
+           "params": {"c0": 1.5, "radii": [5.0, 10.0]}}
+
 _COVER = {"task": "cover", "system": {"kind": "quadratic", "c": -6.0}, "params": {}}
 _DIMENSION = {"task": "dimension", "system": {"kind": "quadratic", "c": -6.0},
               "params": {"level": 1}}
@@ -163,6 +172,23 @@ def _with(cfg, **params):
      "quadratic or affine"),
     (dict(_DIMENSION, system={"kind": "model", "a": 2.0, "b": 4.0, "k_max": 3}),
      "quadratic or affine"),
+    (dict(_MODEL_EVAL, system=dict(_MODEL, a="x")), "system.a"),
+    (dict(_MODEL_EVAL, system=dict(_MODEL, k_max="x")), "system.k_max"),
+    (dict(_MODEL_EVAL, system=dict(_MODEL, a=0.5)), "bases must exceed 1"),
+    (dict(_MODEL_EVAL, system=dict(_MODEL, k_max=-1)), "system.k_max"),
+    (_with(_PAIRING, k_max="x"), "params.k_max"),
+    (_with(_COUNT, family={"kind": "strip", "c0": "x"}), "params.family.c0"),
+    (_with(_COUNT, family=3), "params.family"),
+    (_with(_COUNT, radii=["a"]), "params.radii[0]"),
+    (_with(_GROWTH, c0="x"), "params.c0"),
+    (_with(_GROWTH, re_samples=0), "params.re_samples"),
+    ({"task": "trace-check", "params": {"tol": "x"}}, "params.tol"),
+    (dict(_ZETA_EVAL, system={"kind": "quadratic", "c": -6.0, "tol_point": "x"}),
+     "system.tol_point"),
+    (dict(_ZETA_EVAL, system={"kind": "quadratic", "c": -6.0, "n_cert": "x"}),
+     "system.n_cert"),
+    (dict(_PAIRING, system={"kind": "affine", "ratios": [None, 4.0]}), "system.ratios[0]"),
+    ({"task": "trace-check", "params": {"mu_values": 0.5}}, "params.mu_values"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
@@ -188,6 +214,7 @@ def test_engine_failures_exit_3_with_one_line(tmp_path, capsys, cfg, error):
     assert main([cfg["task"], "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{error}:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_task_mismatch(tmp_path):
@@ -212,14 +239,14 @@ def test_cache_coherence(tmp_path):
     # a catalog loaded from cache drives downstream results identical to
     # a fresh build
     from juliazeta.dynamics import MapSpec, build_orbit_catalog, load_catalog, save_catalog
-    from juliazeta.zeta import cycle_log_zeta
+    from juliazeta.zeta import CycleEvaluator
     cat = build_orbit_catalog(MapSpec(c=-6), 8)
     path = tmp_path / "cat.json"
     save_catalog(cat, str(path))
     loaded = load_catalog(str(path))
     for s in (1.1, 2.0 + 3.0j):
-        a = cycle_log_zeta(s, cat)
-        b = cycle_log_zeta(s, loaded)
+        a = CycleEvaluator(cat).zeta_value(s)
+        b = CycleEvaluator(loaded).zeta_value(s)
         assert a.value == b.value
         assert a.tail_bound == b.tail_bound
 

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import juliazeta.zeros
 from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
 from juliazeta.errors import ClusterWarning, NoZeroError
 from juliazeta.zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
@@ -176,8 +178,42 @@ def test_conjugate_symmetry_is_read_from_the_inputs(cat12, affine24_cat):
     assert ModelEvaluator(2.0, 4.0, 0).conjugate_symmetric
     assert CycleEvaluator(cat12).conjugate_symmetric
     assert CycleEvaluator(affine24_cat).conjugate_symmetric
-    complex_c = build_orbit_catalog(MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), 4)
-    assert not CycleEvaluator(complex_c).conjugate_symmetric
+
+
+@pytest.mark.parametrize("c", [-6.0 + 0.3j, -5.0 - 0.7j])
+def test_complex_c_cycle_route_is_exactly_conjugate_symmetric(c):
+    # the lengths log |Lambda| and the denominators are real for complex c
+    # too, so Z(conj s) is conj Z(s) to the bit on every path
+    ev = CycleEvaluator(build_orbit_catalog(MapSpec(c=c, mode=Mode.COMPLEX_2D), 8))
+    assert ev.conjugate_symmetric
+    rng = np.random.default_rng(3)
+    ss = ev.min_re + rng.uniform(0.05, 3.0, 150) + 1j * rng.uniform(-10.0, 10.0, 150)
+    assert list(ev.batch(ss.conjugate())) == [v.conjugate() for v in ev.batch(ss)]
+    for s in ss:
+        s = complex(s)
+        assert ev(s.conjugate()) == ev(s).conjugate()
+        a, b = ev.zeta_value(s), ev.zeta_value(s.conjugate())
+        assert (b.value, b.log_value, b.tail_bound) == \
+            (a.value.conjugate(), a.log_value.conjugate(), a.tail_bound)
+
+
+def test_complex_c_cycle_scan_is_mirrored(monkeypatch):
+    # a rectangle symmetric about the axis: the evaluator sees no point
+    # below it, and every lower value is the exact conjugate of its mirror
+    ev = CycleEvaluator(build_orbit_catalog(MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), 8))
+    seen, batch = [], CycleEvaluator.batch
+    monkeypatch.setattr(CycleEvaluator, "batch",
+                        lambda self, ss: seen.extend(ss) or batch(self, ss))
+    caches, init = [], _CachedEvaluator.__init__
+    monkeypatch.setattr(_CachedEvaluator, "__init__",
+                        lambda self, f: caches.append(self) or init(self, f))
+    x = ev.min_re
+    assert scan_region(ev, Rectangle(x + 0.2, x + 2.0, -5.0, 5.0)) == []
+    assert seen and min(s.imag for s in seen) >= 0.0
+    lower = [s for s in caches[0].cache if s.imag < 0.0]
+    assert lower
+    assert all(caches[0].cache[s] == caches[0].cache[s.conjugate()].conjugate()
+               for s in lower)
 
 
 # Work-count pins.  Each scan uses a fresh c = -6, level 2 evaluator and
@@ -219,7 +255,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 1193   # the plain scan of this rectangle takes 1393
+    assert count == 1193   # the plain scan of this rectangle takes 1557
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -230,8 +266,10 @@ def test_symmetric_scan_mirrors_the_upper_band():
 
 
 def test_scan_without_symmetry_takes_the_plain_path():
+    # the lambda hides the symmetry, so the scan's cache evaluates the
+    # lower band's points too
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
-    assert count == 1393
+    assert count == 1557
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
 
 
@@ -262,7 +300,6 @@ class _Polynomial:
 def _polynomial_scan(monkeypatch, roots):
     """Scan [-1, 1] x [-10, 10]; also returns how many records were made
     by mirroring."""
-    import juliazeta.zeros
     mirrored, made = juliazeta.zeros._mirrored, []
     monkeypatch.setattr(juliazeta.zeros, "_mirrored",
                         lambda rec: made.append(rec) or mirrored(rec))
@@ -338,7 +375,6 @@ def test_iterate_converging_outside_its_cell_is_rejected(monkeypatch):
     # every seed mutated to 0.7, from where Newton reaches the zero at 0.9:
     # no cell about the zero at 0.3 may accept it, so the scan splits down
     # to its smallest cell and reports 0.3 unresolved
-    import juliazeta.zeros
     monkeypatch.setattr(juliazeta.zeros, "_moment_seed", lambda ev, cell: complex(0.7))
     with pytest.warns(ClusterWarning):
         records = scan_region(_Polynomial([0.3, 0.9]), Rectangle(0.0, 0.6, -0.3, 0.3))
@@ -587,15 +623,30 @@ def test_leading_real_zero_evaluates_nothing_left_of_its_bracket(fredholm6, delt
     assert rec.multiplicity == 1
 
 
+class _Symmetric(_Recorded):
+    conjugate_symmetric = True
+
+
+def test_leading_real_zero_evaluates_each_point_once(fredholm6, delta6):
+    # the grid, the regula falsi and the certificate share one cache, and
+    # the certificate circle's lower half is served from its upper half
+    recorded = _Symmetric(fredholm6)
+    assert leading_real_zero(recorded, (0.05, 0.95)).s.real == delta6
+    assert len(recorded.points) == len(set(recorded.points))
+    assert min(s.imag for s in recorded.points) >= 0.0
+
+
 def test_half_circle_certificate():
-    recorded = _Recorded(ModelEvaluator(2.0, 4.0, 0))
-    ev = _CachedEvaluator(recorded)
+    # the same circle through a cache that does not know the symmetry and
+    # through one that does
+    model = ModelEvaluator(2.0, 4.0, 0)
     center, radius = complex(GOLDEN), 0.05
-    w_full, full = _circle(ev, center, radius)
-    n_full = list(recorded.points)
-    ev, recorded.points = _CachedEvaluator(recorded), []
-    w_half, half = _circle(ev, center, radius, symmetric=True)
-    n_half = list(recorded.points)
+    recorded = _Recorded(model)
+    w_full, full = _circle(_CachedEvaluator(recorded), center, radius)
+    n_full = recorded.points
+    recorded = _Symmetric(model)
+    w_half, half = _circle(_CachedEvaluator(recorded), center, radius)
+    n_half = recorded.points
 
     def nodes(points):
         return [p for p in points if abs(abs(p - center) - radius) < 1e-12]
@@ -611,16 +662,20 @@ def test_half_circle_certificate():
 
 
 def test_certificate_uses_the_half_circle_only_for_a_real_centre():
-    class Symmetric(_Recorded):
-        conjugate_symmetric = True
-
     model = ModelEvaluator(2.0, 4.0, 0)
-    on_axis, off_axis = Symmetric(model), Symmetric(model)
+    on_axis, off_axis = _Symmetric(model), _Symmetric(model)
+
+    def nodes(points, center):
+        return {p for p in points if abs(abs(p - center) - 0.05) < 1e-12}
+
     rec = _certify_zero(on_axis, complex(GOLDEN))
     assert rec.multiplicity == 1 and rec.s == complex(GOLDEN)
     assert min(s.imag for s in on_axis.points) >= 0.0
+    assert len(nodes(on_axis.points, complex(GOLDEN))) == 13
+    # off the axis the lower nodes are requested too; the cache serves
+    # only those whose mirrors round onto upper nodes
     _certify_zero(off_axis, complex(GOLDEN, 1e-30))
-    assert min(s.imag for s in off_axis.points) < 0.0
+    assert len(nodes(off_axis.points, complex(GOLDEN, 1e-30))) > 13
 
 
 @pytest.mark.parametrize("f, a, b, most", [

@@ -8,26 +8,26 @@ from hypothesis import given, settings, strategies as st
 from juliazeta.dynamics import Mode
 from juliazeta.errors import CatalogError, DivergenceRegionError
 from juliazeta.zeta import (CycleEvaluator, Law, ModelEvaluator,
-                            TruncationModel, cycle_log_zeta, model_dimension,
-                            model_zeta, zero_free_abscissa, zeta_derivative)
+                            TruncationModel, model_dimension,
+                            zero_free_abscissa)
 
 GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 
 
 def test_model_simple_zero():
-    zv = model_zeta(1.0, 2.0, 2.0, 0)
+    zv = ModelEvaluator(2.0, 2.0, 0).zeta_value(1.0)
     assert zv.value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_model_golden_ratio_zero():
     assert model_dimension(2.0, 4.0) == pytest.approx(GOLDEN, abs=1e-12)
-    zv = model_zeta(GOLDEN, 2.0, 4.0, 0)
+    zv = ModelEvaluator(2.0, 4.0, 0).zeta_value(GOLDEN)
     assert abs(zv.value) < 1e-12
 
 
 def test_model_truncation_difference_bound():
-    z0 = model_zeta(3.0, 2.0, 4.0, 0)
-    z5 = model_zeta(3.0, 2.0, 4.0, 5)
+    z0 = ModelEvaluator(2.0, 4.0, 0).zeta_value(3.0)
+    z5 = ModelEvaluator(2.0, 4.0, 5).zeta_value(3.0)
     direct = sum(2.0 ** -(3 + k) + 4.0 ** -(3 + k) for k in range(1, 6))
     diff = abs(z0.value - z5.value)
     assert diff <= direct + 0.01 * direct + 1e-12
@@ -38,31 +38,31 @@ def test_model_truncation_difference_bound():
 
 
 def test_model_value_matches_log():
-    zv = model_zeta(1.5 + 2.0j, 2.0, 4.0, 6)
+    zv = ModelEvaluator(2.0, 4.0, 6).zeta_value(1.5 + 2.0j)
     assert abs(zv.value - cmath.exp(zv.log_value)) <= 1e-12 * abs(zv.value)
 
 
 def test_cycle_far_right_is_one(cat12):
-    zv = cycle_log_zeta(30.0, cat12, 10)
+    zv = CycleEvaluator(cat12, 10).zeta_value(30.0)
     bound = 2.0 * (2.0 * math.sqrt(3.0)) ** -30 / (1.0 - 1.0 / (2.0 * math.sqrt(3.0)))
     assert abs(zv.log_value) <= bound < 1e-15
     assert abs(zv.value - 1.0) <= 1e-15
     # and along the whole vertical segment at Re s = 30
     for t in np.linspace(-10.0, 10.0, 21):
-        assert abs(cycle_log_zeta(complex(30.0, t), cat12).value - 1.0) <= 1e-12
+        assert abs(CycleEvaluator(cat12).zeta_value(complex(30.0, t)).value - 1.0) <= 1e-12
 
 
 def test_cycle_real_on_real_axis(cat12):
-    zv = cycle_log_zeta(1.25, cat12)
+    zv = CycleEvaluator(cat12).zeta_value(1.25)
     assert zv.log_value.imag == 0.0
     assert zv.value.imag == 0.0
 
 
 def test_cycle_refuses_divergence_region(cat12):
     with pytest.raises(DivergenceRegionError):
-        cycle_log_zeta(0.3, cat12)
+        CycleEvaluator(cat12).zeta_value(0.3)
     with pytest.raises(CatalogError):
-        cycle_log_zeta(2.0, cat12, 13)
+        CycleEvaluator(cat12, 13).zeta_value(2.0)
 
 
 def test_cycle_telescopes_to_model_product(affine24_cat):
@@ -70,16 +70,16 @@ def test_cycle_telescopes_to_model_product(affine24_cat):
     # over k of (1 - A^-(s+k) - B^-(s+k)); K large enough to exhaust it
     # (the depth-14 fixture catalog supports Re s >= 2.5 at 1e-9)
     for s in (2.5, 3.0 + 1.0j, 3.5 - 2.0j):
-        got = cycle_log_zeta(s, affine24_cat).log_value
-        want = model_zeta(s, 2.0, 4.0, 60).log_value
+        got = CycleEvaluator(affine24_cat).zeta_value(s).log_value
+        want = ModelEvaluator(2.0, 4.0, 60).zeta_value(s).log_value
         assert abs(got - want) < 1e-9
 
 
 def test_cycle_denominator_modes_differ(affine24_cat):
     # contracting branch derivatives make 1 - 1/Lambda < 1, so squaring
     # the denominator enlarges every term
-    one = cycle_log_zeta(2.0, affine24_cat, mode=Mode.REAL_1D).log_value
-    two = cycle_log_zeta(2.0, affine24_cat, mode=Mode.COMPLEX_2D).log_value
+    one = CycleEvaluator(affine24_cat, mode=Mode.REAL_1D).zeta_value(2.0).log_value
+    two = CycleEvaluator(affine24_cat, mode=Mode.COMPLEX_2D).zeta_value(2.0).log_value
     assert abs(two) > abs(one)
     from juliazeta.zeta import _cycle_arrays
     lengths, dens, weights = _cycle_arrays(affine24_cat, 14, Mode.COMPLEX_2D)
@@ -89,8 +89,8 @@ def test_cycle_denominator_modes_differ(affine24_cat):
 
 def test_tail_honesty_under_halving(cat12):
     for s in (1.2, 1.6 + 3j, 2.5 + 8j):
-        full = cycle_log_zeta(s, cat12, 12)
-        half = cycle_log_zeta(s, cat12, 6)
+        full = CycleEvaluator(cat12, 12).zeta_value(s)
+        half = CycleEvaluator(cat12, 6).zeta_value(s)
         assert abs(full.value - half.value) <= half.tail_bound
 
 
@@ -99,8 +99,8 @@ def test_tail_honesty_under_halving(cat12):
 @settings(max_examples=25, deadline=None)
 def test_cycle_conjugate_symmetry(cat12, re, im):
     s = complex(re, im)
-    a = cycle_log_zeta(s, cat12).value
-    b = cycle_log_zeta(s.conjugate(), cat12).value
+    a = CycleEvaluator(cat12).zeta_value(s).value
+    b = CycleEvaluator(cat12).zeta_value(s.conjugate()).value
     assert abs(b - a.conjugate()) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -122,7 +122,7 @@ def test_zero_free_abscissa_bound(cat12):
 
 def test_model_derivative_closed_form():
     ev = ModelEvaluator(2.0, 2.0, 0)
-    got = zeta_derivative(2.0, ev)
+    got = ev.dlog(2.0)
     assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
 
