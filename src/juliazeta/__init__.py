@@ -21,8 +21,8 @@ from .zeros import (CountingReport, GrowthFit, LogFamily, PolyFamily,
                     Rectangle, StripFamily, ZeroRecord, counting_report,
                     growth_exponent_probe, leading_real_zero, refine_zero,
                     scan_region, winding_number)
-from .zeta import (CycleEvaluator, FredholmEvaluator, Law, Method,
-                   ModelEvaluator, TruncationModel, ZetaValue,
-                   model_dimension, zero_free_abscissa)
+from .zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
+                   TruncationModel, ZetaValue, model_dimension,
+                   zero_free_abscissa)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -157,6 +157,9 @@ def build_system(cfg: dict):
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
+_EVALUATOR_KEYS = frozenset({"method", "level", "order", "n_max", "k_max"})  # read by _evaluator
+
+
 def _evaluator(system, params: dict, need_left_of_delta: bool = False):
     """Evaluator for the configured system; quadratic systems use the
     Fredholm route when the job needs values left of delta."""
@@ -274,8 +277,7 @@ def _task_cover(system, params):
 
 
 def _task_zeta_eval(system, params):
-    _check_keys(params, {"method", "level", "order", "n_max", "k_max",
-                         "re", "im"}, "params")
+    _check_keys(params, _EVALUATOR_KEYS | {"re", "im"}, "params")
     res, ims = _grid(params, "re"), _grid(params, "im")
     ev = _evaluator(system, params)
     ss = [complex(a, b) for b in ims for a in res]
@@ -284,8 +286,7 @@ def _task_zeta_eval(system, params):
 
 
 def _task_zeros(system, params):
-    _check_keys(params, {"method", "level", "order", "n_max", "k_max",
-                         "rectangle"}, "params")
+    _check_keys(params, _EVALUATOR_KEYS | {"rectangle"}, "params")
     rect = _rectangle(params)
     ev = _evaluator(system, params, need_left_of_delta=True)
     records = scan_region(ev, rect)
@@ -293,8 +294,7 @@ def _task_zeros(system, params):
 
 
 def _task_count(system, params):
-    _check_keys(params, {"method", "level", "order", "n_max", "k_max",
-                         "rectangle", "family", "radii"}, "params")
+    _check_keys(params, _EVALUATOR_KEYS | {"rectangle", "family", "radii"}, "params")
     rect, radii = _rectangle(params), _radii(params)
     ev = _evaluator(system, params, need_left_of_delta=True)
     family = _family(_require(params, "family", "params"), system, params)
@@ -305,8 +305,7 @@ def _task_count(system, params):
 
 
 def _task_growth(system, params):
-    _check_keys(params, {"method", "level", "order", "n_max", "k_max",
-                         "c0", "radii", "re_samples"}, "params")
+    _check_keys(params, _EVALUATOR_KEYS | {"c0", "radii", "re_samples"}, "params")
     c0 = _as_real(_require(params, "c0", "params"), "params.c0")
     radii = _radii(params)
     re_samples = _as_count(params.get("re_samples", 33), "params.re_samples")
@@ -469,11 +468,15 @@ def main(argv=None) -> int:
         else:
             with open(args.config) as fh:
                 config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ConfigError("config root must be an object")
         if config.get("task") != args.task:
             raise ConfigError(
                 f"config task {config.get('task')!r} does not match "
                 f"subcommand {args.task!r}")
         out = config.get("out", args.out)
+        if not isinstance(out, str):
+            raise ConfigError("config.out must be a path string")
         written = run_job(config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from .intervals import Disk, Interval
 from .util import write_csv
 
 DEPTH_CAP = 20
+_DEPTH_FACTOR = 4.0   # a profile's cover for scale h has diameters <= h / this
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +56,6 @@ class DiskCover:
         if self.kind == "interval":
             return float((self.hi - self.lo).max())
         return float((2.0 * self.radius).max())
-
-    def contains_point(self, z: complex) -> bool:
-        if self.kind == "interval":
-            return z.imag == 0.0 and bool(np.any((self.lo <= z.real) & (z.real <= self.hi)))
-        w = z - self.center
-        return bool(np.any(np.hypot(w.real, w.imag) <= self.radius))
 
 
 def _trap_cover(system) -> DiskCover:
@@ -113,10 +108,6 @@ class CoverStats:
     hs: tuple[float, ...]
     counts: tuple[int, ...]
     maxdiams: tuple[float, ...]
-
-    @property
-    def h(self) -> float:
-        return self.hs[0]
 
     @property
     def count(self) -> int:
@@ -219,24 +210,22 @@ def component_stats(cover: DiskCover, h: float) -> CoverStats:
     return CoverStats(hs=(h,), counts=(count,), maxdiams=(diam,))
 
 
-def cover_profile(system, hs, depth_factor: float = 4.0,
-                  max_level: int = DEPTH_CAP) -> CoverStats:
+def cover_profile(system, hs) -> CoverStats:
     """P(h) across scales, with the cover depth coupled to h: each h uses
-    the shallowest cover whose elements have diameter <= h / depth_factor,
+    the shallowest cover whose elements have diameter <= h / _DEPTH_FACTOR,
     so the inflated cover has the same components as the inflated set.
     Scales run coarse to fine, and only the deepest cover so far is kept
     and extended a level at a time."""
     hs = sorted(set(float(h) for h in hs), reverse=True)
     if not hs:
         raise ValueError("empty scale list")
-    max_level = min(max_level, DEPTH_CAP)
     cover = backward_cover(system, 0)
     rows = []
     for h in hs:
-        while cover.max_diameter() > h / depth_factor:
-            if cover.level >= max_level:
+        while cover.max_diameter() > h / _DEPTH_FACTOR:
+            if cover.level >= DEPTH_CAP:
                 raise ResolutionError(
-                    f"scale h = {h} needs a cover deeper than level {max_level}")
+                    f"scale h = {h} needs a cover deeper than level {DEPTH_CAP}")
             cover = _deeper(system, cover)
         st = component_stats(cover, h)
         rows.append((h, st.count, st.maxdiam))

@@ -91,7 +91,6 @@ class ExpansionBounds:
 
     a: float
     b: float
-    n_cert: int
 
 
 def inverse_branch(spec: MapSpec, branch: int, z: complex) -> complex:
@@ -193,7 +192,7 @@ def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
         raise HyperbolicityError(
             f"expansion certificate failed at depth {spec.n_cert}: "
             f"certified min |f'| = {a} <= 1")
-    return ExpansionBounds(a=a, b=b, n_cert=spec.n_cert)
+    return ExpansionBounds(a=a, b=b)
 
 
 @functools.lru_cache(maxsize=64)
@@ -352,13 +351,6 @@ class OrbitCatalog:
     def log_a(self) -> float:
         return math.log(self.a)
 
-    @property
-    def log_b(self) -> float:
-        return math.log(self.b)
-
-    def prime_count(self, p: int) -> int:
-        return sum(1 for o in self.orbits if o.n == p)
-
     def fixed_point_data(self, n: int):
         """Data for the 2^n fixed points of f^n, grouped by prime orbit:
         yields (length L_n, multiplier of f^n, point count p) triples."""
@@ -367,12 +359,6 @@ class OrbitCatalog:
             if n % p == 0:
                 k = n // p
                 yield (k * o.length, o.multiplier ** k, p)
-
-    def all_points(self) -> list[complex]:
-        return [z for o in self.orbits for z in o.orbit]
-
-    def shortest_length(self) -> float:
-        return min(o.length for o in self.orbits)
 
 
 def _prime_rotations(n: int) -> np.ndarray:
@@ -405,6 +391,14 @@ def _min_separation(points: np.ndarray) -> float:
             break
         best = min(best, float(np.abs(pts[k:][near] - pts[:-k][near]).min()))
     return best
+
+
+def _quadratic_catalog(spec: MapSpec, n_max: int, bounds: ExpansionBounds,
+                       orbits: list) -> OrbitCatalog:
+    meta = {"system": "quadratic", "c": spec.c, "mode": spec.mode.value,
+            "n_cert": spec.n_cert}
+    return OrbitCatalog(n_max=n_max, tol_point=spec.tol_point, mode=spec.mode,
+                        a=bounds.a, b=bounds.b, orbits=tuple(orbits), meta=meta)
 
 
 def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
@@ -442,10 +436,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
         del sharing   # freed before this period's orbit records are made
         orbits += _orbit_points(spec, _row_words(rows), points[n], residual[rows[:, 0]])
 
-    meta = {"system": "quadratic", "c": spec.c, "mode": spec.mode.value,
-            "n_cert": spec.n_cert}
-    return OrbitCatalog(n_max=n_max, tol_point=spec.tol_point, mode=spec.mode,
-                        a=bounds.a, b=bounds.b, orbits=tuple(orbits), meta=meta)
+    return _quadratic_catalog(spec, n_max, bounds, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +536,18 @@ def save_catalog(catalog: OrbitCatalog, path: str) -> None:
 
 
 def load_catalog(path: str) -> OrbitCatalog:
-    """Rebuild a catalog from its cache.
+    """Read a catalog from its cache and check it, without rebuilding it.
 
-    Points are re-located from the cached parameters (the same
-    deterministic code path as a fresh build), then the cached points and
-    multipliers are cross-checked against them; downstream results are
-    therefore identical to a fresh build.
+    The words must be a build's, in its order, and the expansion bounds
+    those of `certified_bounds`.  Per period, one pass of the composed
+    inverse branches (the loop of `_locate`) must bring every cached
+    point back to itself within 100 * tol_point, which checks its
+    periodicity and its itinerary, and the chain product of f' over the
+    pass must match the cached multiplier within 100 * tol_point
+    relative.  Records keep the cached point and multiplier, with length
+    log |multiplier|, so downstream results equal a fresh build's; their
+    other orbit points are the pass's.  Raises ValueError when a check
+    fails.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -560,19 +557,41 @@ def load_catalog(path: str) -> OrbitCatalog:
                    mode=Mode(payload["mode"]),
                    tol_point=payload["tol_point"],
                    n_cert=payload["n_cert"])
-    n_max = payload["n_max"]
-    cached = {rec["word"]: (complex(rec["re_z"], rec["im_z"]),
-                            complex(rec["re_multiplier"], rec["im_multiplier"]))
-              for rec in payload["orbits"]}
-    del payload   # only the word -> (z, multiplier) map is needed from here on
-    catalog = build_orbit_catalog(spec, n_max=n_max)
-    if set(cached) != {o.word.letters for o in catalog.orbits}:
-        raise ValueError("catalog cache words do not match the rebuilt catalog")
-    tol = 100.0 * spec.tol_point
-    for o in catalog.orbits:
-        z, lam = cached[o.word.letters]
-        if not abs(o.z - z) <= tol:
-            raise ValueError(f"cached point for word {o.word} disagrees with rebuild")
-        if not abs(o.multiplier - lam) <= tol * abs(o.multiplier):
-            raise ValueError(f"cached multiplier for word {o.word} disagrees with rebuild")
-    return catalog
+    n_max, records = payload["n_max"], payload["orbits"]
+    bounds = certified_bounds(spec)
+    if not (1 <= n_max <= N_MAX_CAP):
+        raise ValueError(f"catalog cache n_max {n_max} is outside 1..{N_MAX_CAP}")
+    if payload["expansion"] != {"a": bounds.a, "b": bounds.b}:
+        raise ValueError("catalog cache expansion bounds differ from the certificate")
+    tol, orbits = 100.0 * spec.tol_point, []
+    for n in range(1, n_max + 1):
+        rows = _prime_rotations(n)
+        words = _row_words(rows)
+        batch = records[len(orbits):len(orbits) + len(rows)]
+        if [rec["word"] for rec in batch] != [w.letters for w in words]:
+            raise ValueError(f"catalog cache words of period {n} differ from a build's")
+        z = np.array([complex(rec["re_z"], rec["im_z"]) for rec in batch])
+        lam = np.array([complex(rec["re_multiplier"], rec["im_multiplier"]) for rec in batch])
+        w, pts = z, []
+        for j in range(n):   # the pass of _locate, keeping every point
+            w = np.sqrt(w - spec.c)
+            np.negative(w, out=w, where=(rows[:, 0] >> j) & 1 == 1)
+            pts.append(w)
+        back = np.abs(w - z)
+        if not np.all(back <= tol):
+            raise ValueError(f"cached point for word {words[np.argmin(back <= tol)]} "
+                             f"is not periodic")
+        chain = np.prod(2.0 * np.array(pts), axis=0)
+        good = np.abs(chain - lam) <= tol * np.abs(chain)
+        if not np.all(good):
+            raise ValueError(f"cached multiplier for word {words[np.argmin(good)]} "
+                             f"disagrees with its orbit")
+        # orbit[k] = f^k(z): the pass visits f^(n-1)(z), ..., f(z), then z
+        forward = np.stack([z] + pts[-2::-1], axis=1).tolist()
+        orbits += [PeriodicOrbitPoint(word=word, z=orbit[0], multiplier=m,
+                                      length=math.log(abs(m)), prime=True, residual=r,
+                                      orbit=tuple(orbit))
+                   for word, orbit, m, r in zip(words, forward, lam.tolist(), back.tolist())]
+    if len(orbits) != len(records):
+        raise ValueError(f"catalog cache lists words beyond period {n_max}")
+    return _quadratic_catalog(spec, n_max, bounds, orbits)

@@ -29,10 +29,12 @@ from .dynamics import OrbitCatalog
 from .errors import ConvergenceError, CoverageError
 from .util import atomic_write_text, write_csv
 from .zeros import Rectangle, scan_region
-from .zeta import Mode, _cycle_arrays
+from .zeta import _cycle_arrays
 
-
-_MAX_QUAD_NODES = 4096
+_MIN_QUAD_NODES = 64      # a transform doubles its rule from this many
+_MAX_QUAD_NODES = 4096    # nodes, up to this many, until two sums agree
+_TRANSFORM_RTOL = 1e-12   # to this relative tolerance
+_ROUNDING_BUDGET = 1e-9   # orbit-side rounding allowance, times max(1, |orbit side|)
 
 
 @functools.lru_cache(maxsize=16)
@@ -57,13 +59,10 @@ class TestFunction:
 
     d: float
     gamma: float
-    quad_nodes: int = 64
 
     def __post_init__(self):
         if not (self.d > 0.0 and 0.0 < self.gamma < self.d):
             raise ValueError("need 0 < gamma < d so the support stays positive")
-        if self.quad_nodes < 8:
-            raise ValueError("too few quadrature nodes")
 
     def hat(self, t):
         """phi_hat(t); vectorized, zero outside the support."""
@@ -86,9 +85,9 @@ class TestFunction:
         Gauss-Legendre; computed once per test function."""
         return self._mass
 
-    def transform(self, lam: complex, rtol: float = 1e-12) -> complex:
+    def transform(self, lam: complex) -> complex:
         """I(lam) = int phi_hat(t) e^{i lam t} dt, by Gauss-Legendre with
-        node doubling from quad_nodes until two refinements agree.
+        node doubling from _MIN_QUAD_NODES until two refinements agree.
 
         The rules come from a shared cache, so a transform costs only the
         integrand sums.  Raises ConvergenceError when no two refinements
@@ -97,13 +96,13 @@ class TestFunction:
         """
         lam = complex(lam)
         prev = None
-        n = self.quad_nodes
+        n = _MIN_QUAD_NODES
         while n <= _MAX_QUAD_NODES:
             x, w = _gauss_legendre(n)
             t = self.d + self.gamma * x
             vals = self.hat(t) * np.exp(1j * lam * t)
             cur = complex(np.sum(w * vals) * self.gamma)
-            if prev is not None and abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+            if prev is not None and abs(cur - prev) <= _TRANSFORM_RTOL * max(1.0, abs(cur)):
                 return cur
             prev = cur
             n *= 2
@@ -116,20 +115,17 @@ class TestFunction:
         return self.hat_mass() * math.exp(-(self.d - self.gamma) * im_lam)
 
 
-def orbit_side_pairing(catalog: OrbitCatalog, delta: float, phi: TestFunction,
-                       mode: Mode | None = None) -> float:
+def orbit_side_pairing(catalog: OrbitCatalog, delta: float, phi: TestFunction) -> float:
     """sum_n (1/n) sum_{f^n(z)=z} L_n e^{-delta L_n} phi_hat(L_n) / den.
 
     All terms are nonnegative.  The catalog must exhaust the support:
     orbits of period beyond n_max have lengths > n log A past d + gamma.
     """
-    if mode is None:
-        mode = catalog.mode
     if (catalog.n_max + 1) * catalog.log_a <= phi.d + phi.gamma:
         raise CoverageError(
             f"catalog depth {catalog.n_max} does not exhaust the support "
             f"(need (n_max+1) log A > {phi.d + phi.gamma})")
-    lengths, dens, weights = _cycle_arrays(catalog, catalog.n_max, mode)
+    lengths, dens, weights = _cycle_arrays(catalog, catalog.n_max, catalog.mode)
     return float(np.sum(weights * lengths * np.exp(-delta * lengths)
                         * phi.hat(lengths) / dens))
 
@@ -194,9 +190,7 @@ def _local_strip_density(zeros, delta: float, region: Rectangle) -> float:
 
 def identity_residual(catalog: OrbitCatalog, evaluator, delta: float,
                       phi: TestFunction, region: Rectangle,
-                      zeros=None, density_per_unit: float | None = None,
-                      mode: Mode | None = None,
-                      rounding_budget_factor: float = 1e-9) -> PairingResult:
+                      zeros=None) -> PairingResult:
     """Assemble both pairings and compare.
 
     Passes when the residual is within the zero-side tail estimate plus
@@ -204,14 +198,13 @@ def identity_residual(catalog: OrbitCatalog, evaluator, delta: float,
     winding-validated list for the region; otherwise the region is
     scanned here.
     """
-    orbit = orbit_side_pairing(catalog, delta, phi, mode=mode)
+    orbit = orbit_side_pairing(catalog, delta, phi)
     if zeros is None:
         zeros = scan_region(evaluator, region)
-    if density_per_unit is None:
-        density_per_unit = _local_strip_density(zeros, delta, region)
-    zside, tail = zero_side_pairing(zeros, delta, phi, region, density_per_unit)
+    density = _local_strip_density(zeros, delta, region)
+    zside, tail = zero_side_pairing(zeros, delta, phi, region, density)
     residual = abs(orbit - zside)
-    budget = rounding_budget_factor * max(1.0, abs(orbit))
+    budget = _ROUNDING_BUDGET * max(1.0, abs(orbit))
     return PairingResult(orbit_side=orbit, zero_side=zside,
                          zero_tail_estimate=tail, residual=residual,
                          d=phi.d, gamma=phi.gamma,

@@ -48,14 +48,6 @@ class ContractionSpec:
     def image_center(self) -> complex:
         return self.mu * (self.center - self.fixed_point) + self.fixed_point
 
-    @property
-    def a(self) -> float:
-        return self.mu.real
-
-    @property
-    def b(self) -> float:
-        return self.mu.imag
-
 
 def pullback_matrix_1d(spec: ContractionSpec, order: int) -> np.ndarray:
     """Order-M matrix of u -> u(g(z)) in the monomial basis
@@ -68,7 +60,6 @@ def pullback_matrix_1d(spec: ContractionSpec, order: int) -> np.ndarray:
     d = (spec.image_center() - spec.center) / r
     mat = np.zeros((order, order), dtype=complex)
     for beta in range(order):
-        coeff = 1.0 + 0.0j   # binomial(beta, alpha) mu^alpha d^(beta-alpha)
         for alpha in range(beta, -1, -1):
             mat[alpha, beta] = math.comb(beta, alpha) * mu ** alpha * d ** (beta - alpha)
     return mat
@@ -88,28 +79,6 @@ def symmetric_block_trace(mu: complex, degree: int) -> complex:
     for j in range(1, degree + 1):
         powers[j] = powers[j - 1] * lam
     return complex(np.dot(powers, np.conj(powers[::-1])))
-
-
-def symmetric_block_matrix(a: float, b: float, degree: int) -> np.ndarray:
-    """Raw-coordinate degree-d block of the two-variable pullback: the
-    matrix of w^alpha -> (a w1 - b w2)^{alpha1} (b w1 + a w2)^{alpha2}
-    restricted to |alpha| = d.  Used to cross-check the eigenvalue route;
-    the linear change of variables that diagonalizes the differential has
-    determinant one and preserves each block's trace exactly."""
-    size = degree + 1
-    mat = np.zeros((size, size), dtype=float)
-    for a1 in range(size):
-        a2 = degree - a1
-        # coefficients of (a w1 - b w2)^a1 convolved with (b w1 + a w2)^a2
-        p = np.zeros(a1 + 1)
-        for j in range(a1 + 1):
-            p[j] = math.comb(a1, j) * a ** j * (-b) ** (a1 - j)
-        q = np.zeros(a2 + 1)
-        for j in range(a2 + 1):
-            q[j] = math.comb(a2, j) * b ** j * a ** (a2 - j)
-        col = np.convolve(p, q)      # col[k] = coefficient of w1^k w2^(d-k)
-        mat[:, a1] = col
-    return mat
 
 
 def pullback_trace(spec: ContractionSpec, variables: int, order: int) -> float:

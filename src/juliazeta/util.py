@@ -9,8 +9,6 @@ import tempfile
 
 def fmt(x) -> str:
     """Shortest decimal string that round-trips the value."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
     return str(x)

@@ -47,21 +47,10 @@ class Word:
     def aperiodic(self) -> bool:
         return self.period == len(self.letters)
 
-    @property
-    def canonical(self) -> bool:
-        return self.letters == min(self.rotations())
-
-    def rotations(self) -> list[str]:
-        w = self.letters
-        return [w[k:] + w[:k] for k in range(len(w))]
-
     def rotated(self, k: int) -> "Word":
         w = self.letters
         k %= len(w)
         return Word(w[k:] + w[:k])
-
-    def canonical_form(self) -> "Word":
-        return Word(min(self.rotations()))
 
 
 def lyndon_words(n: int):

@@ -37,6 +37,14 @@ from .util import write_csv
 
 _PHASE_CAP = 0.5 * math.pi
 _MIN_PARAM = 1e-10
+_NODES_PER_EDGE = 16      # a contour edge has at least this many segments,
+_BOUNDARY_STEP = 0.5      # at most this far apart
+_MAX_NEWTON = 60          # Newton steps, which stop at a step of
+_STEP_TOL = 5e-13         # at most _STEP_TOL (1 + |s|)
+_R_LOC = 0.05             # a zero's certificate circle; the residual must be at
+_RESIDUAL_FACTOR = 1e-8   # most this times the median |Z| on it
+_DEPTH_LIMIT = 42         # a scan's quadrisection depth
+_JITTER_ATTEMPTS = 3      # a scan's retries of an outer contour that grazes a zero
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ class _CachedEvaluator:
 
     def __init__(self, ev):
         self.ev = ev
-        self.method = getattr(ev, "method", None)
+        self.method = getattr(ev, "method", "")
         self.conjugate_symmetric = getattr(ev, "conjugate_symmetric", False)
         self.cache: dict[complex, complex] = {}
         # verified phase of Z along each dyadic sub-edge of a contour,
@@ -208,13 +216,13 @@ def _edge_phase(ev: _CachedEvaluator, p: complex, q: complex, step: float,
     return phase
 
 
-def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
-                   boundary_step: float = 0.5) -> int:
+def winding_number(evaluator, rect: Rectangle,
+                   boundary_step: float = _BOUNDARY_STEP) -> int:
     """Argument-principle count of zeros (with multiplicity) inside the
     rectangle, from the total phase change along its boundary.
 
     The boundary is four edge phases.  An edge is split by recursive
-    halving into the next power of two of at least `nodes_per_edge`
+    halving into the next power of two of at least _NODES_PER_EDGE
     segments, spaced at most `boundary_step` apart; midpoint verification
     then refines every segment whose phase increment is in doubt.  The
     phase of every halving sub-edge is memoised on the evaluator cache
@@ -227,7 +235,7 @@ def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
     edges = []
     nodes: dict[complex, None] = {}
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(nodes_per_edge, math.ceil(abs(b - a) / boundary_step))
+        n = max(_NODES_PER_EDGE, math.ceil(abs(b - a) / boundary_step))
         depth = (n - 1).bit_length()
         edges.append((a, b, depth))
         lo, hi = (b, a) if _reversed(a, b) else (a, b)
@@ -241,16 +249,18 @@ def winding_number(evaluator, rect: Rectangle, nodes_per_edge: int = 16,
     return int(round(w))
 
 
-def _circle(ev: _CachedEvaluator, center: complex, radius: float,
+def _circle(ev, center: complex, radius: float,
             nodes: int = 24) -> tuple[int, list[complex]]:
     """Winding number of Z around the circle through `nodes` equally
-    spaced nodes, and the values of Z at those nodes.
+    spaced nodes, and the values of Z at those nodes; `ev` is wrapped in
+    a fresh cache unless it is one.
 
     About a real centre, with an even node count, the two nodes on the
     real axis are put exactly there and the lower half's nodes are the
     exact conjugates of the upper half's; so are the midpoints that
     verify its segments.  A conjugate-symmetric `ev` then serves the
     lower half from its cache: only the closed upper half is evaluated."""
+    ev = ev if isinstance(ev, _CachedEvaluator) else _CachedEvaluator(ev)
     points = [center + radius * cmath.exp(2j * math.pi * k / nodes)
               for k in range(nodes)]
     if center.imag == 0.0 and nodes % 2 == 0:
@@ -267,11 +277,6 @@ def _circle(ev: _CachedEvaluator, center: complex, radius: float,
     if abs(w - round(w)) > 0.01:
         raise ConvergenceError(f"non-integer circle winding {w} at {center}")
     return int(round(w)), values
-
-
-def _circle_winding(ev, center: complex, radius: float, nodes: int = 24) -> int:
-    ev = ev if isinstance(ev, _CachedEvaluator) else _CachedEvaluator(ev)
-    return _circle(ev, center, radius, nodes)[0]
 
 
 @dataclass(frozen=True)
@@ -293,10 +298,7 @@ def _derivative(evaluator, s: complex, fd_scale: float) -> complex:
     return (evaluator(s + h) - evaluator(s - h)) / (2.0 * h)
 
 
-def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
-                max_iter: int = 60, step_tol: float = 5e-13,
-                residual_factor: float = 1e-8,
-                max_step: float = math.inf,
+def refine_zero(evaluator, seed: complex, max_step: float = math.inf,
                 region: Rectangle | None = None) -> ZeroRecord:
     """Newton-polish a zero from a seed and certify its multiplicity by a
     surrounding winding count.
@@ -316,7 +318,7 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
     failure: Exception | None = None
     best_step, best_s, stale = math.inf, s, 0
     try:
-        for _ in range(max_iter):
+        for _ in range(_MAX_NEWTON):
             z = complex(evaluator(s))
             dz = _derivative(evaluator, s, 1e-7)
             if dz == 0:
@@ -329,7 +331,7 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
                 best_step, best_s, stale = abs(step), s, 0
             else:
                 stale += 1
-            if abs(step) <= step_tol * (1.0 + abs(s)):
+            if abs(step) <= _STEP_TOL * (1.0 + abs(s)):
                 converged = True
                 break
             # chattering at the evaluator noise floor: accept the best iterate
@@ -347,8 +349,8 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
     if not converged:
         # distinguish a bad seed from a hard iteration failure
         try:
-            if _circle_winding(evaluator, complex(seed),
-                               max(r_loc, 1e-7 * (1.0 + abs(seed)))) == 0:
+            if _circle(evaluator, complex(seed),
+                       max(_R_LOC, 1e-7 * (1.0 + abs(seed))))[0] == 0:
                 raise NoZeroError(f"winding 0 around seed {seed}")
         except BoundaryZeroError:
             pass
@@ -361,33 +363,31 @@ def refine_zero(evaluator, seed: complex, r_loc: float = 0.05,
         x = _axis_zero(evaluator, s.real, region.re_lo, region.re_hi)
         if x is not None:
             s = complex(x)
-    return _certify_zero(evaluator, s, r_loc, residual_factor)
+    return _certify_zero(evaluator, s)
 
 
-def _certify_zero(evaluator, s: complex, r_loc: float = 0.05,
-                  residual_factor: float = 1e-8) -> ZeroRecord:
+def _certify_zero(evaluator, s: complex) -> ZeroRecord:
     """Multiplicity and residual certificate of an approximate zero s.
 
     The multiplicity is the winding count of Z on the circle of radius
-    r_loc (at least 1e-7 (1 + |s|)) about s and must be positive; the
-    residual |Z(s)| must be at most `residual_factor` times the local
+    _R_LOC (at least 1e-7 (1 + |s|)) about s and must be positive; the
+    residual |Z(s)| must be at most _RESIDUAL_FACTOR times the local
     scale of Z, the median |Z| at the circle's 24 nodes.  An evaluator
     that reports `conjugate_symmetric` pays for the upper half of a
     circle about a real s only (see `_circle`).
     """
     s = complex(s)
     ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
-    r_loc = max(r_loc, 1e-7 * (1.0 + abs(s)))
+    r_loc = max(_R_LOC, 1e-7 * (1.0 + abs(s)))
     mult, values = _circle(ev, s, r_loc)
     if mult == 0:
         raise NoZeroError(f"no zero within {r_loc} of refined seed {s}")
     scale = float(np.median([abs(v) for v in values]))
     residual = abs(ev(s))
-    if residual > residual_factor * scale:
+    if residual > _RESIDUAL_FACTOR * scale:
         raise ConvergenceError(
-            f"residual {residual} exceeds {residual_factor} * local scale {scale}")
-    method = getattr(getattr(evaluator, "method", None), "value", "")
-    return ZeroRecord(s=s, multiplicity=mult, residual=residual, method=method)
+            f"residual {residual} exceeds {_RESIDUAL_FACTOR} * local scale {scale}")
+    return ZeroRecord(s=s, multiplicity=mult, residual=residual, method=ev.method)
 
 
 def _cached_walk(ev: _CachedEvaluator, p: complex, q: complex, out: list) -> None:
@@ -477,10 +477,9 @@ def _verify_multiplicities(ev, records: list[ZeroRecord],
         nearest = min(abs(rec.s - q.s) for q in others if q is not rec)
         if nearest < 0.1:
             r = max(min(0.05, 0.45 * nearest), 1e-7 * (1.0 + abs(rec.s)))
-            mult = _circle_winding(ev, rec.s, r)
+            mult = _circle(ev, rec.s, r)[0]
             if mult != rec.multiplicity:
-                out[i] = ZeroRecord(s=rec.s, multiplicity=mult,
-                                    residual=rec.residual, method=rec.method)
+                out[i] = replace(rec, multiplicity=mult)
     return out
 
 
@@ -488,8 +487,7 @@ def _mirrored(rec: ZeroRecord) -> ZeroRecord:
     return replace(rec, s=rec.s.conjugate())
 
 
-def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
-                jitter_attempts: int = 3, boundary_step: float = 0.5) -> list[ZeroRecord]:
+def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     """All zeros in the rectangle: recursive quadrisection until each
     cell winds at most once, then Newton refinement.
 
@@ -525,7 +523,7 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
         """Windings of the children, verified to add up (child k counted
         copies[k] times) to the cell's winding, tightening the boundary
         sampling (and re-verifying the parent) on mismatch."""
-        step = boundary_step
+        step = _BOUNDARY_STEP
         for _ in range(3):
             ws = [winding_number(ev, child, boundary_step=step) for child in children]
             total = sum(k * cw for k, cw in zip(copies, ws))
@@ -551,11 +549,11 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
             except (ConvergenceError, NoZeroError, BoundaryZeroError):
                 pass
             # Newton escaped the cell or stalled: keep subdividing
-        if depth >= depth_limit or cell.diag < 1e-8 * (1.0 + abs(cell.center)):
+        if depth >= _DEPTH_LIMIT or cell.diag < 1e-8 * (1.0 + abs(cell.center)):
             warnings.warn(f"cell {cell} unresolved with winding {w}", ClusterWarning)
             rec = ZeroRecord(s=cell.center, multiplicity=w,
                              residual=abs(complex(ev(cell.center))),
-                             method=getattr(ev.method, "value", ""),
+                             method=ev.method,
                              resolved=False)
             return [rec], w
         last: BaseException | None = None
@@ -576,7 +574,7 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
     def mirrored_scan():
         """(records, winding) of the rectangle from its axis strip and
         upper band, or None when every strip height grazes a zero."""
-        w = winding_number(ev, rect, boundary_step=boundary_step)
+        w = winding_number(ev, rect)
         if w == 0:
             return [], 0
         for frac in _STRIP_FRACTIONS:
@@ -609,13 +607,13 @@ def scan_region(evaluator, rect: Rectangle, depth_limit: int = 42,
         records = []
         w_total = 0
         outer = rect
-        for attempt in range(jitter_attempts + 1):
+        for attempt in range(_JITTER_ATTEMPTS + 1):
             try:
-                w_total = winding_number(ev, outer, boundary_step=boundary_step)
+                w_total = winding_number(ev, outer)
                 records, w_total = handle(outer, w_total, 0)
                 break
             except BoundaryZeroError:
-                if attempt == jitter_attempts:
+                if attempt == _JITTER_ATTEMPTS:
                     raise
                 outer = rect.shifted(complex(1e-6 * rect.width * (attempt + 1),
                                              1.3e-6 * rect.height * (attempt + 1)))
@@ -775,6 +773,16 @@ class CountingReport:
                 "exponent": self.exponent, "r2": self.r2}
 
 
+def _loglog_fit(xs, ys) -> tuple[float, float]:
+    """(slope, r2) of the least-squares line through (xs, ys); a series
+    with no spread in ys fits with r2 = 1."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    tot = float(np.sum((ys - ys.mean()) ** 2))
+    return float(slope), 1.0 - float(np.sum(resid ** 2)) / tot if tot > 0 else 1.0
+
+
 def counting_report(zeros, family, rs) -> CountingReport:
     """Counts (with multiplicity) per radius plus a log-log fitted
     exponent over the radii with nonzero count."""
@@ -784,16 +792,9 @@ def counting_report(zeros, family, rs) -> CountingReport:
         counts.append(sum(z.multiplicity for z in zeros if family.member(z.s, r)))
     xs = [math.log(r) for r, c in zip(rs, counts) if c > 0]
     ys = [math.log(c) for c in counts if c > 0]
-    if len(xs) >= 2:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        resid = np.array(ys) - (slope * np.array(xs) + intercept)
-        tot = float(np.sum((np.array(ys) - np.mean(ys)) ** 2))
-        r2 = 1.0 - float(np.sum(resid ** 2)) / tot if tot > 0 else 1.0
-    else:
-        slope, r2 = math.nan, math.nan
+    slope, r2 = _loglog_fit(xs, ys) if len(xs) >= 2 else (math.nan, math.nan)
     return CountingReport(family=family.name, params=family.params(),
-                          rs=tuple(rs), counts=tuple(counts),
-                          exponent=float(slope), r2=float(r2))
+                          rs=tuple(rs), counts=tuple(counts), exponent=slope, r2=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -818,11 +819,7 @@ def growth_exponent_probe(evaluator, c0: float, rs, re_samples: int = 33) -> Gro
     res = np.linspace(-c0, c0, re_samples)
     rows, skipped = [], []
     for r in sorted(float(r) for r in rs):
-        ss = res + 1j * r
-        if hasattr(evaluator, "batch"):
-            vals = np.abs(evaluator.batch(ss))
-        else:
-            vals = np.array([abs(complex(evaluator(s))) for s in ss])
+        vals = np.abs(evaluator.batch(res + 1j * r))
         m = float(np.max(np.log(np.maximum(vals, 1e-300))))
         if m <= 0.0:
             skipped.append(r)
@@ -830,13 +827,8 @@ def growth_exponent_probe(evaluator, c0: float, rs, re_samples: int = 33) -> Gro
             rows.append((r, m))
     if len(rows) < 2:
         raise ConvergenceError("growth probe has fewer than two usable radii")
-    xs = np.log([r for r, _ in rows])
-    ys = np.log([m for _, m in rows])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / tot if tot > 0 else 1.0
-    return GrowthFit(exponent=float(slope), r2=float(r2),
+    slope, r2 = _loglog_fit(np.log([r for r, _ in rows]), np.log([m for _, m in rows]))
+    return GrowthFit(exponent=slope, r2=r2,
                      rs=tuple(r for r, _ in rows),
                      max_log_abs=tuple(m for _, m in rows),
                      skipped=tuple(skipped))

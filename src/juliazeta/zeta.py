@@ -29,7 +29,6 @@ serves the lower half-plane from the conjugates of the upper.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -43,27 +42,16 @@ from .intervals import Disk
 from .util import write_csv
 
 
-class Method(enum.Enum):
-    CYCLE = "cycle"
-    FREDHOLM = "fredholm"
-    MODEL = "model"
-
-
 @dataclass(frozen=True)
 class ZetaValue:
     value: complex
     log_value: complex | None
     tail_bound: float
-    method: Method
+    method: str   # the evaluator's route: "cycle", "fredholm" or "model"
 
     def __post_init__(self):
         if not math.isfinite(self.tail_bound):
             raise ValueError("tail bound must be finite")
-
-
-class Law(enum.Enum):
-    POWER_OF_L = "rho^l"            # one-variable discretizations
-    POWER_OF_SQRT_L = "rho^sqrt(l)"  # two-variable discretizations
 
 
 @dataclass(frozen=True)
@@ -74,7 +62,6 @@ class TruncationModel:
 
     C: float
     rate: float
-    law: Law = Law.POWER_OF_L
 
     def __post_init__(self):
         if not (0.0 < self.rate < 1.0):
@@ -84,12 +71,7 @@ class TruncationModel:
 
     def tail(self, m: int) -> float:
         """Predicted sum_{l >= m} nu_l."""
-        if self.law is Law.POWER_OF_L:
-            return self.C * self.rate ** m / (1.0 - self.rate)
-        # integral bound for sum rho^sqrt(l): substitute u = sqrt(x)
-        a = -math.log(self.rate)
-        u = math.sqrt(max(m - 1, 0))
-        return self.C * 2.0 * math.exp(-a * u) * (u / a + 1.0 / (a * a))
+        return self.C * self.rate ** m / (1.0 - self.rate)
 
     def select_order(self, target: float, cap: int = 80) -> int:
         m = 1
@@ -151,7 +133,7 @@ class CycleEvaluator:
     Valid for Re s above the certified convergence abscissa; refuses to
     extrapolate left of it."""
 
-    method = Method.CYCLE
+    method = "cycle"
     # Z(conj s) = conj Z(s): the lengths log |Lambda|, the denominators and
     # the weights are real for every catalog, complex c included
     conjugate_symmetric = True
@@ -167,16 +149,13 @@ class CycleEvaluator:
         self._arrays = _cycle_arrays(catalog, self.n_trunc, self.mode)
         self.min_re = cycle_convergence_abscissa(catalog)
 
-    def valid_at(self, s: complex) -> bool:
-        return s.real > self.min_re
-
     def log(self, s: complex) -> complex:
-        if not self.valid_at(complex(s)):
+        s = complex(s)
+        if not s.real > self.min_re:
             raise DivergenceRegionError(
-                f"cycle expansion invalid at Re s = {complex(s).real} "
-                f"<= {self.min_re}")
+                f"cycle expansion invalid at Re s = {s.real} <= {self.min_re}")
         lengths, dens, weights = self._arrays
-        return -complex(np.sum(weights * np.exp(-complex(s) * lengths) / dens))
+        return -complex(np.sum(weights * np.exp(-s * lengths) / dens))
 
     def dlog(self, s: complex) -> complex:
         lengths, dens, weights = self._arrays
@@ -201,7 +180,7 @@ class CycleEvaluator:
         value = cmath.exp(log_z)
         return ZetaValue(value=value, log_value=log_z,
                          tail_bound=abs(value) * math.expm1(log_tail),
-                         method=Method.CYCLE)
+                         method=self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +207,7 @@ class ModelEvaluator:
     """The finite model product prod_{k=0..K} (1 - a^{-(s+k)} - b^{-(s+k)}):
     entire, with an analytic derivative everywhere."""
 
-    method = Method.MODEL
+    method = "model"
     conjugate_symmetric = True   # the bases are real
 
     def __init__(self, a: float, b: float, k_max: int):
@@ -277,13 +256,16 @@ class ModelEvaluator:
         log_tail = self.a ** n / (1.0 - 1.0 / self.a) + self.b ** n / (1.0 - 1.0 / self.b)
         return ZetaValue(value=value, log_value=log_value,
                          tail_bound=abs(value) * math.expm1(log_tail),
-                         method=Method.MODEL)
+                         method=self.method)
 
 
 # ---------------------------------------------------------------------------
 # Fredholm determinant
 
 ORDER_CAP = 80   # the most basis monomials per element the order selection picks
+_THETA = 0.7                # relative radius of the Cauchy-integral circles
+_TAIL_TARGET = 1e-12        # the determinant tail the order selection aims for
+_CONTAINMENT_MARGIN = 0.02  # a branch image reaches at most 1 - this of its target
 
 
 def folded_size(level: int, order: int) -> int:
@@ -300,7 +282,7 @@ class FredholmEvaluator:
     logarithm (element radii are capped so the argument stays off the
     cut), and matrix entries are Taylor coefficients of the image of each
     basis monomial, extracted by a 4M-node trapezoidal rule on circles of
-    relative radius theta.
+    relative radius _THETA.
 
     The determinant is taken at half the size, by the z -> -z symmetry of
     z^2 + c.  The branches are g_1 = -g_0 with equal weights, and the
@@ -314,20 +296,15 @@ class FredholmEvaluator:
     at 0, so there L = A (I + D) and F is the even-degree block of 2A.
     """
 
-    method = Method.FREDHOLM
+    method = "fredholm"
     conjugate_symmetric = True   # Real1D mode has a real parameter c
 
     def __init__(self, spec: MapSpec, level: int = 3, order: int | None = None,
-                 pad: float = 1.25, theta: float = 0.7,
-                 tail_target: float = 1e-12, order_cap: int = ORDER_CAP,
-                 containment_margin: float = 0.02):
+                 pad: float = 1.25):
         if spec.mode is not Mode.REAL_1D:
             raise CoverError("the Fredholm discretization supports Real1D mode only")
-        if not (0.0 < theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
         self.spec = spec
         self.level = level
-        self.theta = theta
         cover = backward_cover(spec, level)
         c = spec.c.real
         disks = []
@@ -360,23 +337,22 @@ class FredholmEvaluator:
             j = k >> 1   # the element of the word ("0" + w)[:level], w that of k
             img = disk.sqrt_shift(spec.c, 0)
             reach = (abs(img.center - disks[j].center) + img.radius) / disks[j].radius
-            if reach > 1.0 - containment_margin:
+            if reach > 1.0 - _CONTAINMENT_MARGIN:
                 raise CoverError(
                     f"branch 0 image of element {cover.words[k]!r} is not strictly "
                     f"inside element {cover.words[j]!r} (ratio {reach:.3f})")
             targets.append(j)
             rho_max = max(rho_max, img.radius / disks[j].radius)
 
-        self.truncation = TruncationModel(C=4.0 * len(disks), rate=rho_max,
-                                          law=Law.POWER_OF_L)
+        self.truncation = TruncationModel(C=4.0 * len(disks), rate=rho_max)
         self.order = order if order is not None else \
-            self.truncation.select_order(tail_target, cap=order_cap)
+            self.truncation.select_order(_TAIL_TARGET, cap=ORDER_CAP)
         m = self.order
         nodes = 4 * m
         omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
         alphas = np.arange(m)
-        # dft[alpha, t] = theta^{-alpha} omega^{-alpha t} / nodes
-        dft = (theta ** (-alphas))[:, None] * \
+        # dft[alpha, t] = _THETA^{-alpha} omega^{-alpha t} / nodes
+        dft = (_THETA ** (-alphas))[:, None] * \
             np.exp(-2j * np.pi * np.outer(alphas, np.arange(nodes)) / nodes) / nodes
 
         # one branch-0 block per row element k, its column element targets[k]:
@@ -385,7 +361,7 @@ class FredholmEvaluator:
         logw, basis = [], []
         for k, j in enumerate(targets):
             dk, dj = disks[k], disks[j]
-            z_nodes = dk.center + theta * dk.radius * omega
+            z_nodes = dk.center + _THETA * dk.radius * omega
             rel = (np.sqrt(z_nodes - c) - dj.center) / dj.radius
             basis.append(rel[None, :] ** alphas[:, None])
             logw.append(np.log(4.0 * (z_nodes - c)))
@@ -464,7 +440,7 @@ class FredholmEvaluator:
 
     def zeta_value(self, s: complex) -> ZetaValue:
         return ZetaValue(value=self(s), log_value=None,
-                         tail_bound=self.tail_bound(s), method=Method.FREDHOLM)
+                         tail_bound=self.tail_bound(s), method=self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -474,5 +450,5 @@ def export_grid(path: str, ss, values) -> None:
     """CSV of evaluations, one ZetaValue per point of ss:
     re_s,im_s,re_Z,im_Z,tail_bound,method."""
     rows = [(complex(s).real, complex(s).imag, zv.value.real, zv.value.imag,
-             zv.tail_bound, zv.method.value) for s, zv in zip(ss, values)]
+             zv.tail_bound, zv.method) for s, zv in zip(ss, values)]
     write_csv(path, "re_s,im_s,re_Z,im_Z,tail_bound,method", rows)

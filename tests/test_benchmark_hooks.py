@@ -39,3 +39,12 @@ def test_tracer_installs_and_uninstalls(perfbench):
 def test_workloads_set_up(perfbench, workload):
     _, workloads = perfbench
     workloads.set_up(workloads.make_plan(workload, 0))
+
+
+def test_loaded_catalog_passes_the_load_check(perfbench, tmp_path):
+    # the ledger's load step: the catalog an orbits job saved, loaded back
+    _, workloads = perfbench
+    from juliazeta.dynamics import MapSpec, build_orbit_catalog, load_catalog, save_catalog
+    path = tmp_path / "catalog.json"
+    save_catalog(build_orbit_catalog(MapSpec(c=-6.0), 8), str(path))
+    assert workloads.check_load(load_catalog(str(path)), str(tmp_path)) == []

@@ -189,11 +189,14 @@ def _with(cfg, **params):
      "system.n_cert"),
     (dict(_PAIRING, system={"kind": "affine", "ratios": [None, 4.0]}), "system.ratios[0]"),
     ({"task": "trace-check", "params": {"mu_values": 0.5}}, "params.mu_values"),
+    ([_ZEROS], "config root"),
+    (dict(_ZEROS, out=5), "config.out"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    assert main([cfg["task"], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    task = cfg[0]["task"] if isinstance(cfg, list) else cfg["task"]
+    assert main([task, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:") and where in err
     assert not (tmp_path / "o").exists()

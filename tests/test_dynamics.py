@@ -92,8 +92,8 @@ def test_complex_mode_certificate_for_real_parameter():
 
 
 def test_catalog_counts(cat12):
-    assert cat12.prime_count(1) == 2
-    assert cat12.prime_count(2) == 1
+    assert sum(o.n == 1 for o in cat12.orbits) == 2
+    assert sum(o.n == 2 for o in cat12.orbits) == 1
     for n in range(1, 13):
         assert sum(o.n for o in cat12.orbits if n % o.n == 0) == 2 ** n
 
@@ -105,7 +105,7 @@ def test_catalog_small_is_three_orbits():
 
 
 def test_catalog_points_real_and_conjugation_symmetric(cat12):
-    pts = cat12.all_points()
+    pts = [z for o in cat12.orbits for z in o.orbit]
     assert all(p.imag == 0.0 for p in pts)
     values = sorted(p.real for p in pts)
     mirrored = sorted(p.conjugate().real for p in pts)
@@ -113,7 +113,7 @@ def test_catalog_points_real_and_conjugation_symmetric(cat12):
 
 
 def test_length_bounds(cat12):
-    la, lb = cat12.log_a, cat12.log_b
+    la, lb = cat12.log_a, math.log(cat12.b)
     for o in cat12.orbits:
         assert o.n * la - 1e-9 <= o.length <= o.n * lb + 1e-9
 
@@ -249,6 +249,66 @@ def test_catalog_cache_rejects_tampered_multiplier(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="multiplier"):
         load_catalog(str(path))
+
+
+def _saved(tmp_path, n_max=6):
+    path = tmp_path / "catalog.json"
+    save_catalog(build_orbit_catalog(MapSpec(c=-6), n_max), str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_catalog_cache_rejects_tampered_point(tmp_path):
+    path, payload = _saved(tmp_path)
+    payload["orbits"][7]["re_z"] += 1e-9
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="not periodic"):
+        load_catalog(str(path))
+
+
+@pytest.mark.parametrize("tamper", ["swap", "drop", "extra"])
+def test_catalog_cache_rejects_other_words(tmp_path, tamper):
+    path, payload = _saved(tmp_path)
+    orbits = payload["orbits"]
+    if tamper == "swap":   # two records of period 5 trade their words
+        i = next(k for k, rec in enumerate(orbits) if len(rec["word"]) == 5)
+        orbits[i]["word"], orbits[i + 1]["word"] = orbits[i + 1]["word"], orbits[i]["word"]
+    elif tamper == "drop":
+        del orbits[4]
+    else:
+        orbits.append(dict(orbits[-1]))
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="words"):
+        load_catalog(str(path))
+
+
+def test_catalog_cache_rejects_wrong_expansion(tmp_path):
+    path, payload = _saved(tmp_path)
+    payload["expansion"]["b"] = math.nextafter(payload["expansion"]["b"], math.inf)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="expansion"):
+        load_catalog(str(path))
+
+
+def test_catalog_cache_loads_without_a_build(tmp_path, monkeypatch):
+    path, _payload = _saved(tmp_path, 8)
+    cat = build_orbit_catalog(MapSpec(c=-6), 8)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("load_catalog built a catalog")
+
+    monkeypatch.setattr(dynamics, "build_orbit_catalog", no_build)
+    loaded = load_catalog(str(path))
+    assert [(o.word, o.z, o.multiplier, o.length, o.prime) for o in loaded.orbits] == \
+        [(o.word, o.z, o.multiplier, o.length, o.prime) for o in cat.orbits]
+    for a, b in zip(cat.orbits, loaded.orbits):   # the pass's orbit points
+        assert all(abs(z - w) <= 100.0 * cat.tol_point for z, w in zip(a.orbit, b.orbit))
+
+
+def test_catalog_cache_resaves_byte_identical(tmp_path):
+    path, _payload = _saved(tmp_path, 8)
+    again = tmp_path / "again.json"
+    save_catalog(load_catalog(str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_prime_count_mismatch_raises(monkeypatch):

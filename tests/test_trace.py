@@ -9,7 +9,6 @@ from juliazeta.errors import DomainError, TraceError
 from juliazeta.tracecheck import (ContractionSpec, closed_form,
                                   comparison_table, order_for_tolerance,
                                   pullback_matrix_1d, pullback_trace,
-                                  symmetric_block_matrix,
                                   symmetric_block_trace)
 
 
@@ -64,6 +63,28 @@ def test_matrix_is_triangular_with_power_diagonal():
     mat = pullback_matrix_1d(spec, 12)
     assert np.allclose(np.tril(mat, -1), 0.0)
     assert np.allclose(np.diag(mat), [(0.4 + 0.2j) ** b for b in range(12)])
+
+
+def symmetric_block_matrix(a: float, b: float, degree: int) -> np.ndarray:
+    """Raw-coordinate degree-d block of the two-variable pullback: the
+    matrix of w^alpha -> (a w1 - b w2)^{alpha1} (b w1 + a w2)^{alpha2}
+    restricted to |alpha| = d.  The reference for the eigenvalue route;
+    the linear change of variables that diagonalizes the differential has
+    determinant one and preserves each block's trace exactly."""
+    size = degree + 1
+    mat = np.zeros((size, size), dtype=float)
+    for a1 in range(size):
+        a2 = degree - a1
+        # coefficients of (a w1 - b w2)^a1 convolved with (b w1 + a w2)^a2
+        p = np.zeros(a1 + 1)
+        for j in range(a1 + 1):
+            p[j] = math.comb(a1, j) * a ** j * (-b) ** (a1 - j)
+        q = np.zeros(a2 + 1)
+        for j in range(a2 + 1):
+            q[j] = math.comb(a2, j) * b ** j * a ** (a2 - j)
+        col = np.convolve(p, q)      # col[k] = coefficient of w1^k w2^(d-k)
+        mat[:, a1] = col
+    return mat
 
 
 @given(st.floats(min_value=-0.65, max_value=0.65),

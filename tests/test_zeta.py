@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from juliazeta.dynamics import Mode
 from juliazeta.errors import CatalogError, DivergenceRegionError
-from juliazeta.zeta import (CycleEvaluator, Law, ModelEvaluator,
+from juliazeta.zeta import (CycleEvaluator, ModelEvaluator,
                             TruncationModel, model_dimension,
                             zero_free_abscissa)
 
@@ -142,12 +142,9 @@ def test_derivative_real_on_real_axis(cat12):
 
 
 def test_truncation_model_tail_decreasing():
-    tm = TruncationModel(C=4.0, rate=0.3, law=Law.POWER_OF_L)
+    tm = TruncationModel(C=4.0, rate=0.3)
     tails = [tm.tail(m) for m in range(0, 30, 3)]
     assert tails == sorted(tails, reverse=True)
-    tm2 = TruncationModel(C=4.0, rate=0.3, law=Law.POWER_OF_SQRT_L)
-    tails2 = [tm2.tail(m) for m in range(1, 60, 6)]
-    assert tails2 == sorted(tails2, reverse=True)
     assert tm.select_order(1e-12) <= 80
 
 
