@@ -9,8 +9,7 @@ from .cover import (BoxFit, CoverStats, DiskCover, backward_cover,
                     fit_box_dimension)
 from .dynamics import (AffinePair, ExpansionBounds, MapSpec, Mode,
                        OrbitCatalog, PeriodicOrbitPoint, build_orbit_catalog,
-                       expansion_bounds, inverse_branch, load_catalog,
-                       locate_periodic_point, save_catalog)
+                       expansion_bounds, load_catalog, save_catalog)
 from .pairing import (LengthHistogram, PairingResult, TestFunction,
                       identity_residual, orbit_length_histogram,
                       orbit_side_pairing, zero_side_pairing)

@@ -38,6 +38,8 @@ TASKS = ("orbits", "cover", "zeta-eval", "zeros", "count", "growth",
 
 
 def _require(cfg: dict, key: str, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
     if key not in cfg:
         raise ConfigError(f"missing key {key!r} in {where}")
     return cfg[key]
@@ -78,13 +80,17 @@ def _as_positive(v, where: str) -> float:
     return x
 
 
-def _as_count(v, where: str, hi: int | None = None, lo: int = 1) -> int:
+# the largest count (grid size, number of scales, series depth) a config
+# may ask for
+COUNT_CAP = 10 ** 6
+
+
+def _as_count(v, where: str, hi: int = COUNT_CAP, lo: int = 1) -> int:
     """A JSON integer, at least `lo` (1 or 0) and at most `hi`."""
-    if type(v) is int and v >= lo and (hi is None or v <= hi):
+    if type(v) is int and lo <= v <= hi:
         return v
-    bound = f" at most {hi}" if hi is not None else ""
     sign = "positive" if lo == 1 else "non-negative"
-    raise ConfigError(f"{where} must be a {sign} integer{bound}")
+    raise ConfigError(f"{where} must be a {sign} integer at most {hi}")
 
 
 def _n_max(params: dict) -> int:

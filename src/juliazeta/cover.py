@@ -239,7 +239,6 @@ class BoxFit:
     delta_box: float
     r2: float
     k_max: float          # max of maxdiam / h over the fitted scales
-    n_scales: int
     reliable: bool        # r2 >= 0.95
 
 
@@ -261,8 +260,7 @@ def fit_box_dimension(stats: CoverStats, h_range: tuple[float, float]) -> BoxFit
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     k_max = max(d / h for h, _, d in rows)
-    return BoxFit(delta_box=float(slope), r2=r2, k_max=k_max,
-                  n_scales=len(rows), reliable=r2 >= 0.95)
+    return BoxFit(delta_box=float(slope), r2=r2, k_max=k_max, reliable=r2 >= 0.95)
 
 
 def box_dimension(system, h_max: float | None = None, n_scales: int = 25,

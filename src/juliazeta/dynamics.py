@@ -13,7 +13,6 @@ are reconstructed from prime orbits.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import json
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BranchPointError, ConvergenceError, DegeneracyError,
-                     DomainError, HyperbolicityError, WordLimitError)
+                     HyperbolicityError)
 from .intervals import DISK_SLACK, Disk, Interval
 from .words import Word, aperiodic_necklace_count
 from .words import enumerate_words  # noqa: F401  (module attribute perfbench/tracing.py wraps)
@@ -32,7 +31,6 @@ N_MAX_CAP = 20
 CATALOG_VERSION = 1
 _MAX_CONTRACTION_APPLICATIONS = 400
 _NEWTON_STEPS = 3
-_INDEX_BITS = 62   # itinerary indices are int64
 
 
 class Mode(enum.Enum):
@@ -93,26 +91,6 @@ class ExpansionBounds:
     b: float
 
 
-def inverse_branch(spec: MapSpec, branch: int, z: complex) -> complex:
-    """One inverse branch of f: w with w^2 + c = z.
-
-    Branch 0 is the principal square root of z - c (Re w > 0, or Re w = 0
-    with Im w >= 0); branch 1 is its negative.
-    """
-    if branch not in (0, 1):
-        raise ValueError("branch must be 0 or 1")
-    z = complex(z)
-    if z == spec.c:
-        raise BranchPointError(f"inverse branch evaluated at the branch point z = c = {spec.c}")
-    # generous overflow guard: far out in the escaping region the branch
-    # is useless and |z - c| risks overflow downstream
-    if abs(z) > 1e6 * max(1.0, spec.trap_radius):
-        raise DomainError(f"|z| = {abs(z)} lies far beyond the escape radius "
-                          f"{spec.trap_radius}")
-    w = cmath.sqrt(z - spec.c)
-    return w if branch == 0 else -w
-
-
 def backward_images(system, first: np.ndarray, second: np.ndarray):
     """Enclosures of both inverse-branch images of every element of a
     cover, branch 0 images first, then branch 1 images, each in element
@@ -170,8 +148,8 @@ def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
         lo, hi = np.array([trap.lo]), np.array([trap.hi])
         for _ in range(spec.n_cert):
             lo, hi = backward_images(spec, lo, hi)
-        # min and max of |x| over each interval (Interval.abs_bounds): a
-        # square-root image meets 0 only at an end that is 0
+        # min and max of |x| over each interval: a square-root image
+        # meets 0 only at an end that is 0
         size_lo, size_hi = np.abs(lo), np.abs(hi)
         low = float(np.minimum(size_lo, size_hi).min())
         high = float(np.maximum(size_lo, size_hi).max())
@@ -279,7 +257,7 @@ def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _orbit_points(spec: MapSpec, words: list[Word], pts: np.ndarray,
-                  residual: np.ndarray, prime: bool = True) -> list[PeriodicOrbitPoint]:
+                  residual: np.ndarray) -> list[PeriodicOrbitPoint]:
     """Orbit records from located points: row r of `pts` is the orbit of
     words[r], column k located from the word rotated left by k.
 
@@ -308,27 +286,8 @@ def _orbit_points(spec: MapSpec, words: list[Word], pts: np.ndarray,
             raise ConvergenceError(
                 f"length {length} for word {word} violates certified bounds [{lo}, {hi}]")
         out.append(PeriodicOrbitPoint(word=word, z=orbit[0], multiplier=lam, length=length,
-                                      prime=prime, residual=res, orbit=tuple(orbit)))
+                                      prime=True, residual=res, orbit=tuple(orbit)))
     return out
-
-
-def locate_periodic_point(spec: MapSpec, word: Word | str) -> PeriodicOrbitPoint:
-    """Fixed point of g_{w1} o ... o g_{wn} for the given itinerary.
-
-    The composed inverse branch is a uniform contraction once the spec is
-    certified, so the iteration converges from the trap center.  Every
-    orbit point is located from its own rotated word, by the same
-    locator as the catalog, so the result equals the catalog's entry.
-    """
-    if isinstance(word, str):
-        word = Word(word)
-    n = len(word)
-    if n > _INDEX_BITS:
-        raise WordLimitError(f"word length {n} exceeds the {_INDEX_BITS}-bit itinerary index")
-    certified_bounds(spec)   # raises HyperbolicityError before any iteration
-    idx = np.array([int(word.rotated(k).letters, 2) for k in range(n)])
-    z, residual = _locate(spec, n, idx)
-    return _orbit_points(spec, [word], z[None, :], residual[:1], word.aperiodic)[0]
 
 
 @dataclass(frozen=True)
@@ -547,10 +506,17 @@ def load_catalog(path: str) -> OrbitCatalog:
     relative.  Records keep the cached point and multiplier, with length
     log |multiplier|, so downstream results equal a fresh build's; their
     other orbit points are the pass's.  Raises ValueError when a check
-    fails.
+    fails or a field is missing or of the wrong type.
     """
     with open(path) as fh:
         payload = json.load(fh)
+    try:
+        return _checked_catalog(payload)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed catalog cache: {exc!r}") from exc
+
+
+def _checked_catalog(payload) -> OrbitCatalog:
     if payload.get("version") != CATALOG_VERSION:
         raise ValueError(f"unsupported catalog cache version: {payload.get('version')}")
     spec = MapSpec(c=complex(payload["c"][0], payload["c"][1]),

@@ -45,14 +45,6 @@ class Interval:
         return Interval(math.nextafter(math.sqrt(self.lo), -math.inf) if self.lo > 0 else 0.0,
                         math.nextafter(math.sqrt(self.hi), math.inf))
 
-    def abs_bounds(self) -> tuple[float, float]:
-        """(mignitude, magnitude): min and max of |x| over the interval."""
-        if self.lo <= 0.0 <= self.hi:
-            lo = 0.0
-        else:
-            lo = min(abs(self.lo), abs(self.hi))
-        return lo, max(abs(self.lo), abs(self.hi))
-
 
 @dataclass(frozen=True)
 class Disk:

@@ -219,7 +219,6 @@ class LengthHistogram:
     edges: tuple[float, ...]
     weights: tuple[float, ...]
     mean: float
-    variance: float
     n: int
 
     def to_csv(self, path: str) -> None:
@@ -231,9 +230,9 @@ class LengthHistogram:
 def orbit_length_histogram(catalog: OrbitCatalog, n: int, bins=24) -> LengthHistogram:
     """Distribution of L_n(z)/n over the 2^n fixed points of f^n.
 
-    The sample mean and variance are reported descriptively; the binomial
-    length model predicts concentration at (log A + log B)/2 but that is
-    not asserted here.
+    The sample mean is reported descriptively; the binomial length model
+    predicts concentration at (log A + log B)/2 but that is not asserted
+    here.
     """
     if n > catalog.n_max:
         raise ValueError(f"n = {n} exceeds catalog depth {catalog.n_max}")
@@ -244,8 +243,7 @@ def orbit_length_histogram(catalog: OrbitCatalog, n: int, bins=24) -> LengthHist
     values = np.array(values)
     weights = np.array(weights, dtype=float)
     mean = float(np.average(values, weights=weights))
-    var = float(np.average((values - mean) ** 2, weights=weights))
     hist, edges = np.histogram(values, bins=bins, weights=weights)
     return LengthHistogram(edges=tuple(float(e) for e in edges),
                            weights=tuple(float(w) for w in hist),
-                           mean=mean, variance=var, n=n)
+                           mean=mean, n=n)

@@ -14,12 +14,14 @@ boundary values the windings already evaluated.  For a
 conjugate-symmetric Z, a zero that converges onto the real axis is
 bracketed by a sign change of Re Z and shrunk to adjacent floats by
 Illinois regula falsi, so it comes out exactly real; the leading real
-zero, the dimension delta, is found that way from a grid.  Every zero is
-certified by a winding count on a small circle and a residual.  A scan
-or solve memoises Z in one `_CachedEvaluator`; for a conjugate-symmetric
-Z it serves every point below the axis as the conjugate of its mirror,
-so a circle about a real centre costs its upper half only.  Counting
-reports fit the growth exponents the theory bounds.
+zero, the dimension delta, is found that way from a grid.  A zero a scan
+finds is certified by its cell's verified winding of 1 and a residual
+against |Z'| times the certificate radius; any other zero by a winding
+count on a small circle and a residual against the median |Z| on it.  A
+scan or solve memoises Z in one `_CachedEvaluator`; for a
+conjugate-symmetric Z it serves every point below the axis as the
+conjugate of its mirror, so a circle about a real centre costs its upper
+half only.  Counting reports fit the growth exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -298,21 +300,13 @@ def _derivative(evaluator, s: complex, fd_scale: float) -> complex:
     return (evaluator(s + h) - evaluator(s - h)) / (2.0 * h)
 
 
-def refine_zero(evaluator, seed: complex, max_step: float = math.inf,
-                region: Rectangle | None = None) -> ZeroRecord:
-    """Newton-polish a zero from a seed and certify its multiplicity by a
-    surrounding winding count.
+def _newton(evaluator, seed: complex, max_step: float) -> tuple[complex, complex]:
+    """Newton's limit from a seed, and the derivative estimate dz of its
+    last step.
 
     Steps are clamped to `max_step` so a distant seed cannot fling the
-    iteration out of its basin.  An iterate that converges outside
-    `region` (up to 1e-12 of its diagonal) raises NoZeroError before the
-    certificate (`_certify_zero`) is paid for.  With a
-    `conjugate_symmetric` evaluator and a region that meets the real
-    axis, a limit within 1e-8 (1 + |s|) of the axis is solved on the axis
-    (`_axis_zero`) and certified at its exactly real point: a winding-1
-    circle about a real centre holds a real zero, since the zeros off the
-    axis come in conjugate pairs.
-    """
+    iteration out of its basin; an iteration that does not converge
+    raises ConvergenceError."""
     s = complex(seed)
     converged = False
     failure: Exception | None = None
@@ -347,23 +341,68 @@ def refine_zero(evaluator, seed: complex, max_step: float = math.inf,
         failure = ConvergenceError(f"Newton left the valid region from seed {seed}")
         failure.__cause__ = exc
     if not converged:
-        # distinguish a bad seed from a hard iteration failure
-        try:
-            if _circle(evaluator, complex(seed),
-                       max(_R_LOC, 1e-7 * (1.0 + abs(seed))))[0] == 0:
-                raise NoZeroError(f"winding 0 around seed {seed}")
-        except BoundaryZeroError:
-            pass
         raise failure if failure is not None else \
             ConvergenceError(f"Newton did not converge from seed {seed}")
-    if region is not None and not region.contains(s, slack=1e-12 * region.diag):
+    return s, dz
+
+
+def _placed(evaluator, s: complex, region: Rectangle) -> complex:
+    """A Newton limit checked to lie in `region` (up to 1e-12 of its
+    diagonal), else NoZeroError; with a `conjugate_symmetric` evaluator
+    and a region that meets the real axis, a limit within 1e-8 (1 + |s|)
+    of the axis is solved on the axis (`_axis_zero`)."""
+    if not region.contains(s, slack=1e-12 * region.diag):
         raise NoZeroError(f"Newton converged to {s}, outside {region}")
-    if region is not None and getattr(evaluator, "conjugate_symmetric", False) and \
+    if getattr(evaluator, "conjugate_symmetric", False) and \
             region.im_lo <= 0.0 <= region.im_hi and abs(s.imag) <= 1e-8 * (1.0 + abs(s)):
         x = _axis_zero(evaluator, s.real, region.re_lo, region.re_hi)
         if x is not None:
             s = complex(x)
+    return s
+
+
+def refine_zero(evaluator, seed: complex, max_step: float = math.inf,
+                region: Rectangle | None = None) -> ZeroRecord:
+    """Newton-polish a zero from a seed (`_newton`) and certify its
+    multiplicity by a surrounding winding count (`_certify_zero`).
+
+    A Newton iteration that does not converge raises NoZeroError when a
+    circle about the seed winds 0, and ConvergenceError otherwise.  With
+    a `region`, the limit is placed by `_placed` before the certificate
+    is paid for: one outside raises NoZeroError, and one near the real
+    axis is solved on it and certified at its exactly real point (a
+    winding-1 circle about a real centre holds a real zero, since the
+    zeros off the axis come in conjugate pairs).  Scans do not call this:
+    a cell's own winding certifies its zero (`_cell_zero`).
+    """
+    try:
+        s, _ = _newton(evaluator, seed, max_step)
+    except ConvergenceError:
+        # distinguish a bad seed from a hard iteration failure
+        try:
+            if _circle(evaluator, complex(seed), _r_loc(complex(seed)))[0] == 0:
+                raise NoZeroError(f"winding 0 around seed {seed}")
+        except BoundaryZeroError:
+            pass
+        raise
+    if region is not None:
+        s = _placed(evaluator, s, region)
     return _certify_zero(evaluator, s)
+
+
+def _r_loc(s: complex) -> float:
+    return max(_R_LOC, 1e-7 * (1.0 + abs(s)))
+
+
+def _checked(ev: _CachedEvaluator, s: complex, multiplicity: int,
+             scale: float) -> ZeroRecord:
+    """The record of s, once its residual |Z(s)| is at most
+    _RESIDUAL_FACTOR times the local scale of Z."""
+    residual = abs(ev(s))
+    if residual > _RESIDUAL_FACTOR * scale:
+        raise ConvergenceError(
+            f"residual {residual} exceeds {_RESIDUAL_FACTOR} * local scale {scale}")
+    return ZeroRecord(s=s, multiplicity=multiplicity, residual=residual, method=ev.method)
 
 
 def _certify_zero(evaluator, s: complex) -> ZeroRecord:
@@ -371,23 +410,31 @@ def _certify_zero(evaluator, s: complex) -> ZeroRecord:
 
     The multiplicity is the winding count of Z on the circle of radius
     _R_LOC (at least 1e-7 (1 + |s|)) about s and must be positive; the
-    residual |Z(s)| must be at most _RESIDUAL_FACTOR times the local
-    scale of Z, the median |Z| at the circle's 24 nodes.  An evaluator
-    that reports `conjugate_symmetric` pays for the upper half of a
-    circle about a real s only (see `_circle`).
+    local scale of the residual check is the median |Z| at the circle's
+    24 nodes.  An evaluator that reports `conjugate_symmetric` pays for
+    the upper half of a circle about a real s only (see `_circle`).
     """
     s = complex(s)
     ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
-    r_loc = max(_R_LOC, 1e-7 * (1.0 + abs(s)))
+    r_loc = _r_loc(s)
     mult, values = _circle(ev, s, r_loc)
     if mult == 0:
         raise NoZeroError(f"no zero within {r_loc} of refined seed {s}")
-    scale = float(np.median([abs(v) for v in values]))
-    residual = abs(ev(s))
-    if residual > _RESIDUAL_FACTOR * scale:
-        raise ConvergenceError(
-            f"residual {residual} exceeds {_RESIDUAL_FACTOR} * local scale {scale}")
-    return ZeroRecord(s=s, multiplicity=mult, residual=residual, method=ev.method)
+    return _checked(ev, s, mult, float(np.median([abs(v) for v in values])))
+
+
+def _cell_zero(ev: _CachedEvaluator, cell: Rectangle) -> ZeroRecord:
+    """The zero of a cell whose verified winding is 1: Newton from the
+    cell's moment seed, placed in the cell by `_placed`.
+
+    The winding certifies one simple zero, so no circle is evaluated.
+    The residual check's local scale is |dz| r_loc, with dz Newton's last
+    derivative estimate and r_loc the radius of `_certify_zero`'s circle:
+    about a simple zero, |Z| on that circle is |Z'| r_loc to first order.
+    """
+    s, dz = _newton(ev, _moment_seed(ev, cell), cell.diag)
+    s = _placed(ev, s, cell)
+    return _checked(ev, s, 1, abs(dz) * _r_loc(s))
 
 
 def _cached_walk(ev: _CachedEvaluator, p: complex, q: complex, out: list) -> None:
@@ -489,16 +536,18 @@ def _mirrored(rec: ZeroRecord) -> ZeroRecord:
 
 def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     """All zeros in the rectangle: recursive quadrisection until each
-    cell winds at most once, then Newton refinement.
+    cell winds at most once, then Newton refinement (`_cell_zero`).
 
     Newton starts from the cell's moment seed (`_moment_seed`), which
-    costs no evaluation; an iterate that converges outside its cell, or
-    does not converge, sends the cell on to quadrisection.  With a
-    `conjugate_symmetric` evaluator, a zero within 1e-8 (1 + |s|) of the
-    real axis in a cell that meets the axis is solved on the axis and
-    returned exactly real (see `refine_zero`).  Records are sorted by
-    Im s, then by decreasing Re s, so the real zeros come in a fixed
-    order with the leading one, delta, first.
+    costs no evaluation.  The cell's verified winding of 1 certifies the
+    zero as simple, so no circle is evaluated about it; its residual must
+    be at most _RESIDUAL_FACTOR |Z'| r_loc.  An iterate that converges
+    outside its cell, does not converge, or fails the residual sends the
+    cell on to quadrisection.  With a `conjugate_symmetric` evaluator, a
+    zero within 1e-8 (1 + |s|) of the real axis in a cell that meets the
+    axis is solved on the axis and returned exactly real (see `_placed`).
+    Records are sorted by Im s, then by decreasing Re s, so the real
+    zeros come in a fixed order with the leading one, delta, first.
 
     The returned multiplicities sum to the whole-rectangle winding; a
     cell still winding > 1 at the depth limit is returned unresolved with
@@ -544,11 +593,10 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
             return [], 0
         if w == 1:
             try:
-                return [refine_zero(ev, _moment_seed(ev, cell), max_step=cell.diag,
-                                    region=cell)], w
+                return [_cell_zero(ev, cell)], w
             except (ConvergenceError, NoZeroError, BoundaryZeroError):
                 pass
-            # Newton escaped the cell or stalled: keep subdividing
+            # Newton escaped the cell, stalled or missed the residual: keep subdividing
         if depth >= _DEPTH_LIMIT or cell.diag < 1e-8 * (1.0 + abs(cell.center)):
             warnings.warn(f"cell {cell} unresolved with winding {w}", ClusterWarning)
             rec = ZeroRecord(s=cell.center, multiplicity=w,

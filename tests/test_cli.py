@@ -4,6 +4,7 @@ import os
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juliazeta.cli import main, run_job
 from juliazeta.errors import ConfigError
@@ -191,6 +192,9 @@ def _with(cfg, **params):
     ({"task": "trace-check", "params": {"mu_values": 0.5}}, "params.mu_values"),
     ([_ZEROS], "config root"),
     (dict(_ZEROS, out=5), "config.out"),
+    (dict(_ZEROS, system=True), "system must be an object"),
+    (_with(_ZETA_EVAL, re=[1.0, 2.0, 10 ** 400]), "params.re[2]"),
+    (_with(_GROWTH, re_samples=10 ** 7), "params.re_samples"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
@@ -332,3 +336,68 @@ def test_cycle_jobs_release_their_catalogs(tmp_path, monkeypatch):
     gc.collect()
     assert len(built) == 2 and all(ref() is None for ref in built)
     assert passes == list(range(1, 9)) * 2
+
+
+# Config fuzz.  One mutation of a small valid job config: a value replaced
+# by a value of another type or range, a key deleted, or an unknown key
+# added.  Whatever the mutation, the CLI exits 0, 2 or 3; a failure prints
+# one stderr line and leaves no output directory behind.  The values stay
+# small in magnitude, so that every mutated job that runs is cheap.
+_FUZZ_BASES = [
+    {"task": "orbits", "system": {"kind": "quadratic", "c": -6.0}, "params": {"n_max": 3}},
+    _ZETA_EVAL, _ZEROS, _MODEL_EVAL, _COUNT, _GROWTH, _DIMENSION,
+    _with(_COVER, hs=[0.05, 0.02]),
+    {"task": "trace-check", "params": {"mu_values": [0.5], "tol": 1e-11}},
+]
+_FUZZ_VALUES = st.sampled_from([None, True, False, -1, 0, 1, 2, 10 ** 400, -0.5, 0.0, 0.5,
+                                2.5, float("nan"), float("inf"), "", "x", [], {}, [0.5]])
+
+
+def _fuzz_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _fuzz_paths(child, path + (key,))
+
+
+def _mutated(cfg, path, op, value):
+    cfg = json.loads(json.dumps(cfg))
+    if not path:
+        return value
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "add" and isinstance(parent[path[-1]], dict):
+        parent[path[-1]]["bogus"] = value
+    elif op == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_configs_keep_the_exit_contract(data):
+    import contextlib
+    import io
+    import tempfile
+    base = data.draw(st.sampled_from(_FUZZ_BASES))
+    path = data.draw(st.sampled_from(list(_fuzz_paths(base))))
+    cfg = _mutated(base, path, data.draw(st.sampled_from(["replace", "delete", "add"])),
+                   data.draw(_FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "job.json"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([base["task"], "--config", config, "--out", out])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert os.path.exists(os.path.join(out, "manifest.json"))
+        else:
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)

@@ -288,8 +288,10 @@ def test_sweeps_equal_the_pairwise_reference_on_random_sets(kind):
 def test_expansion_bounds_equal_the_per_element_reference(spec):
     _words, elements = _sorted_cover(spec, spec.n_cert)
     if spec.mode is Mode.REAL_1D:
-        lo = min(iv.abs_bounds()[0] for iv in elements)
-        hi = max(iv.abs_bounds()[1] for iv in elements)
+        # min and max of |x| over each interval, 0 where it straddles 0
+        lo = min(0.0 if iv.lo <= 0.0 <= iv.hi else min(abs(iv.lo), abs(iv.hi))
+                 for iv in elements)
+        hi = max(max(abs(iv.lo), abs(iv.hi)) for iv in elements)
     else:
         lo = min(max(abs(d.center) - d.radius, 0.0) for d in elements)
         hi = max(abs(d.center) + d.radius for d in elements)

@@ -10,48 +10,46 @@ from hypothesis import given, settings, strategies as st
 import juliazeta.dynamics as dynamics
 from juliazeta.dynamics import (AffinePair, MapSpec, Mode,
                                 build_orbit_catalog, expansion_bounds,
-                                inverse_branch, load_catalog,
-                                locate_periodic_point, save_catalog)
-from juliazeta.errors import (BranchPointError, DegeneracyError, DomainError,
-                              HyperbolicityError)
+                                load_catalog, save_catalog)
+from juliazeta.errors import BranchPointError, DegeneracyError, HyperbolicityError
+from juliazeta.intervals import Disk
 from juliazeta.words import Word, enumerate_words
 
 
 def test_inverse_branch_fixed_points():
-    spec = MapSpec(c=-6)
-    assert inverse_branch(spec, 0, 3.0) == pytest.approx(3.0)
-    assert inverse_branch(spec, 1, -2.0) == pytest.approx(-2.0)
-    assert inverse_branch(MapSpec(c=0, mode=Mode.COMPLEX_2D), 0, 4.0) == pytest.approx(2.0)
+    # the period-1 points are the fixed points of the two inverse branches
+    cat = build_orbit_catalog(MapSpec(c=-6), 1)
+    assert {o.word.letters: o.z for o in cat.orbits} == \
+        {"0": pytest.approx(3.0), "1": pytest.approx(-2.0)}
+    img = Disk(4.0 + 0.0j, 1e-9).sqrt_shift(0.0, 0)
+    assert img.center == pytest.approx(2.0)
 
 
 def test_inverse_branch_errors():
     spec = MapSpec(c=-6)
     with pytest.raises(BranchPointError):
-        inverse_branch(spec, 0, -6.0)
-    with pytest.raises(DomainError):
-        inverse_branch(spec, 0, 1e9)
-    with pytest.raises(ValueError):
-        inverse_branch(spec, 2, 1.0)
+        Disk(complex(spec.c), 1e-9).sqrt_shift(spec.c, 0)
+    # a Real1D interval below c leaves the square root's domain
+    with pytest.raises(HyperbolicityError, match="below zero"):
+        dynamics.backward_images(spec, np.array([-7.0]), np.array([-5.0]))
 
 
 def test_branch_zero_sign_convention():
     spec = MapSpec(c=-6 + 1j, mode=Mode.COMPLEX_2D)
     for z in (1.0, -1.0 + 2.0j, 2.5j):
-        w = inverse_branch(spec, 0, z)
+        w = Disk(complex(z), 1e-9).sqrt_shift(spec.c, 0).center
         assert w.real > 0.0 or (w.real == 0.0 and w.imag >= 0.0)
-        assert inverse_branch(spec, 1, z) == -w
+        assert Disk(complex(z), 1e-9).sqrt_shift(spec.c, 1).center == -w
         assert abs(w * w + spec.c - z) < 1e-12
 
 
 def test_locate_closed_forms():
-    spec = MapSpec(c=-6)
-    p0 = locate_periodic_point(spec, "0")
+    p0, p1, p01 = build_orbit_catalog(MapSpec(c=-6), 2).orbits
+    assert [p.word.letters for p in (p0, p1, p01)] == ["0", "1", "01"]
     assert p0.z == pytest.approx(3.0, abs=1e-12)
     assert p0.multiplier == pytest.approx(6.0, abs=1e-12)
-    p1 = locate_periodic_point(spec, "1")
     assert p1.z == pytest.approx(-2.0, abs=1e-12)
     assert p1.multiplier == pytest.approx(-4.0, abs=1e-12)
-    p01 = locate_periodic_point(spec, "01")
     assert p01.z.real == pytest.approx((-1.0 + math.sqrt(21.0)) / 2.0, abs=1e-12)
     assert p01.multiplier == pytest.approx(-20.0, abs=1e-10)
     assert p01.length == math.log(abs(p01.multiplier))
@@ -128,15 +126,18 @@ def test_orbit_points_follow_the_map(cat12):
 
 @given(st.integers(min_value=0, max_value=11))
 @settings(max_examples=12, deadline=None)
-def test_cyclic_invariance(k):
+def test_cyclic_invariance(cat12, k):
+    # the points of a rotated word, by the scalar reference locator, lie
+    # on the catalog's orbit of the word, with the same multiplier modulus
     spec = MapSpec(c=-6)
     word = Word("000101101101")
-    base = locate_periodic_point(spec, word)
-    rot = locate_periodic_point(spec, word.rotated(k))
-    assert abs(abs(rot.multiplier) - abs(base.multiplier)) <= 1e-10 * abs(base.multiplier)
+    base = next(o for o in cat12.orbits if o.word == word)
+    rotated = word.rotated(k)
+    points = [_scalar_locate(spec, rotated.rotated(j).letters) for j in range(len(word))]
+    rot, lam = points[0], math.prod(2.0 * p for p in points)
+    assert abs(abs(lam) - abs(base.multiplier)) <= 1e-10 * abs(base.multiplier)
     # rotated point lies on the same forward orbit
-    orbit = [locate_periodic_point(spec, word.rotated(j)).z for j in range(len(word))]
-    assert min(abs(rot.z - z) for z in orbit) < 1e-10
+    assert min(abs(rot - z) for z in base.orbit) < 1e-10
 
 
 def test_multiplier_chain_rule_vs_complex_step(cat12):
@@ -234,12 +235,6 @@ def test_catalog_cache_roundtrip(tmp_path):
         assert a.multiplier == b.multiplier
 
 
-def test_word_validation_in_locate():
-    spec = MapSpec(c=-6)
-    with pytest.raises(ValueError):
-        locate_periodic_point(spec, "02")
-
-
 def test_catalog_cache_rejects_tampered_multiplier(tmp_path):
     cat = build_orbit_catalog(MapSpec(c=-6), 6)
     path = tmp_path / "catalog.json"
@@ -289,6 +284,18 @@ def test_catalog_cache_rejects_wrong_expansion(tmp_path):
         load_catalog(str(path))
 
 
+@pytest.mark.parametrize("tamper", ["n_max_string", "no_expansion"])
+def test_catalog_cache_rejects_malformed_fields(tmp_path, tamper):
+    path, payload = _saved(tmp_path)
+    if tamper == "n_max_string":
+        payload["n_max"] = str(payload["n_max"])
+    else:
+        del payload["expansion"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed catalog cache"):
+        load_catalog(str(path))
+
+
 def test_catalog_cache_loads_without_a_build(tmp_path, monkeypatch):
     path, _payload = _saved(tmp_path, 8)
     cat = build_orbit_catalog(MapSpec(c=-6), 8)
@@ -333,14 +340,6 @@ def test_separation_guard_trips_at_depth_17():
     # out depth 17, whose closest fixed points of f^17 sit 1.58e-12 apart
     with pytest.raises(DegeneracyError, match=r"iterate 17 .* min separation 1\.58\d*e-12"):
         build_orbit_catalog(MapSpec(c=-6, tol_point=5e-13), 17)
-
-
-def test_locate_matches_catalog():
-    spec = MapSpec(c=-6)
-    for o in build_orbit_catalog(spec, 8).orbits:
-        p = locate_periodic_point(spec, o.word)
-        assert (p.z, p.orbit, p.multiplier, p.length, p.residual, p.prime) == \
-            (o.z, o.orbit, o.multiplier, o.length, o.residual, o.prime)
 
 
 def _scalar_locate(spec, letters):

@@ -25,12 +25,6 @@ def test_sqrt_encloses_true_values(a, b):
     assert iv.lo <= math.sqrt(lo) and math.sqrt(hi) <= iv.hi
 
 
-def test_abs_bounds_straddling_zero():
-    assert Interval(-2.0, 3.0).abs_bounds() == (0.0, 3.0)
-    assert Interval(1.0, 3.0).abs_bounds() == (1.0, 3.0)
-    assert Interval(-3.0, -1.0).abs_bounds() == (1.0, 3.0)
-
-
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         Interval(1.0, 0.0)

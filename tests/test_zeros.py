@@ -255,7 +255,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 1193   # the plain scan of this rectangle takes 1557
+    assert count == 999   # the plain scan of this rectangle takes 1173
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -269,13 +269,13 @@ def test_scan_without_symmetry_takes_the_plain_path():
     # the lambda hides the symmetry, so the scan's cache evaluates the
     # lower band's points too
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
-    assert count == 1557
+    assert count == 1173
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
 
 
 def test_asymmetric_rectangle_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -4.0, 5.0))
-    assert count == 1000
+    assert count == 710
     _assert_zeros(records, sorted(CENSUS_5[1:], key=lambda z: (z.imag, z.real)))
 
 
@@ -382,6 +382,61 @@ def test_iterate_converging_outside_its_cell_is_rejected(monkeypatch):
     assert abs(records[0].s - 0.3) < 1e-7
 
 
+# Cell certificate.  A cell's verified winding of 1 certifies its zero;
+# the residual check against |Z'| r_loc is what rejects a Newton limit
+# that is not a zero.
+
+@pytest.mark.parametrize("offset, kept", [(0.05, False), (2e-8 * 0.05, False),
+                                           (0.5e-8 * 0.05, True)])
+def test_cell_certificate_rejects_a_point_that_is_not_a_zero(monkeypatch, offset, kept):
+    # the first Newton run is mutated to return its limit, the zero 0.3,
+    # moved by i * offset, inside its cell.  |Z'| is 0.6 there, so the
+    # residual is 0.6 offset against the bound 1e-8 * 0.6 * r_loc, with
+    # r_loc = 0.05: only a point within the bound is kept.  Otherwise the
+    # cell is split, and the zero found in the child that holds it.  A
+    # plain function hides the symmetry: no strip, no axis solve, and the
+    # first cell is the whole rectangle
+    newton, limits = juliazeta.zeros._newton, []
+
+    def mutated(ev, seed, max_step):
+        s, dz = newton(ev, seed, max_step)
+        limits.append(s)
+        return (s + 1j * offset if len(limits) == 1 else s), dz
+
+    monkeypatch.setattr(juliazeta.zeros, "_newton", mutated)
+    cell = Rectangle(0.0, 0.6, -0.2, 0.3)
+    records = scan_region(lambda s: _Polynomial([0.3, 0.9])(s), cell)
+    assert abs(limits[0] - 0.3) < 1e-12 and cell.contains(limits[0] + 1j * offset)
+    assert [(r.multiplicity, r.resolved) for r in records] == [(1, True)]
+    if kept:
+        assert len(limits) == 1 and records[0].s == limits[0] + 1j * offset
+    else:
+        assert len(limits) > 1 and abs(records[0].s - 0.3) < 1e-12
+
+
+def test_cell_certificate_scale_is_the_circle_median(monkeypatch):
+    # |dz| r_loc, the local scale of a scan's residual check, is within 1%
+    # of the median |Z| on the certificate circle it replaces, for every
+    # record of the mirrored [-2, 1.4] x [-5, 5] scan
+    newton, limits = juliazeta.zeros._newton, []
+
+    def recorded(ev, seed, max_step):
+        limits.append(newton(ev, seed, max_step))
+        return limits[-1]
+
+    monkeypatch.setattr(juliazeta.zeros, "_newton", recorded)
+    ev = FredholmEvaluator(MapSpec(c=-6.0), level=2)
+    records = scan_region(ev, Rectangle(-2.0, 1.4, -5.0, 5.0))
+    assert len(records) == 8
+    for rec in records:
+        s = rec.s if rec.s.imag >= 0.0 else rec.s.conjugate()
+        limit, dz = min(limits, key=lambda t: abs(t[0] - s))
+        assert abs(limit - s) <= 1e-8
+        r_loc = juliazeta.zeros._r_loc(s)
+        median = float(np.median([abs(v) for v in _circle(ev, s, r_loc)[1]]))
+        assert abs(abs(dz) * r_loc / median - 1.0) <= 0.01
+
+
 def test_axis_zeros_are_solved_on_the_axis():
     roots = [complex(0.4, 0.0), complex(-0.3, 0.0), complex(0.5, 3.0), complex(0.5, -3.0)]
     records = scan_region(_Polynomial(roots), Rectangle(-1.0, 1.0, -10.0, 10.0))
@@ -396,7 +451,7 @@ def test_axis_zeros_are_solved_on_the_axis():
 def test_census_work_count():
     # the benchmark census: 40 zeros in [-2, 1.4] x [-20, 20]
     records, count = _counted_scan((-2.0, 1.4, -20.0, 20.0))
-    assert count == 3889
+    assert count == 2927
     assert len(records) == 40
     assert all(r.resolved and r.multiplicity == 1 for r in records)
     # the axis zeros are exactly real and run in decreasing Re, delta first
