@@ -27,9 +27,9 @@ from .errors import ConfigError, EngineError
 from .pairing import TestFunction, identity_residual, orbit_length_histogram
 from .tracecheck import comparison_table, export_table
 from .util import atomic_write_text
-from .zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
-                    counting_report, export_zeros, growth_exponent_probe,
-                    leading_real_zero, scan_region)
+from .zeros import (_BOUNDARY_STEP, LogFamily, PolyFamily, Rectangle,
+                    StripFamily, counting_report, export_zeros,
+                    growth_exponent_probe, leading_real_zero, scan_region)
 from .zeta import (ORDER_CAP, CycleEvaluator, FredholmEvaluator, ModelEvaluator,
                    export_grid, folded_size, model_dimension)
 
@@ -190,6 +190,10 @@ def _rectangle(params: dict) -> Rectangle:
                                   for k, v in enumerate(rect)]
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigError("params.rectangle must have re_lo < re_hi and im_lo < im_hi")
+    # the outer contour's winding samples it at least every _BOUNDARY_STEP
+    if 2.0 * ((re_hi - re_lo) + (im_hi - im_lo)) > COUNT_CAP * _BOUNDARY_STEP:
+        raise ConfigError(f"params.rectangle is too large: its contour needs more "
+                          f"than {COUNT_CAP} segments of {_BOUNDARY_STEP}")
     return Rectangle(re_lo, re_hi, im_lo, im_hi)
 
 

@@ -8,20 +8,22 @@ edge is sampled by recursive halving, and the verified phase of every
 dyadic sub-edge is memoised on the scan's evaluator cache, so a child of
 a 0.5 quadrisection reuses its parent's edge halves and two siblings
 share their common edge.  Regions are quadrisected until each cell winds
-at most once, then Newton polishes the zero from the ratio of the
-contour integrals of s/Z and 1/Z, taken by the trapezoid rule over the
-boundary values the windings already evaluated.  For a
-conjugate-symmetric Z, a zero that converges onto the real axis is
-bracketed by a sign change of Re Z and shrunk to adjacent floats by
-Illinois regula falsi, so it comes out exactly real; the leading real
-zero, the dimension delta, is found that way from a grid.  A zero a scan
-finds is certified by its cell's verified winding of 1 and a residual
-against |Z'| times the certificate radius; any other zero by a winding
-count on a small circle and a residual against the median |Z| on it.  A
-scan or solve memoises Z in one `_CachedEvaluator`; for a
-conjugate-symmetric Z it serves every point below the axis as the
-conjugate of its mirror, so a circle about a real centre costs its upper
-half only.  Counting reports fit the growth exponents the theory bounds.
+at most 3 times, then Newton polishes the cell's zeros from the roots of
+the polynomial that the Hankel system of the contour moments of 1/Z
+gives (for one zero, the ratio of the integrals of s/Z and 1/Z), taken
+by the trapezoid rule over the boundary values the windings already
+evaluated.  For a conjugate-symmetric Z, a zero that converges onto the
+real axis is bracketed by a sign change of Re Z and shrunk to adjacent
+floats by Illinois regula falsi, so it comes out exactly real; the
+leading real zero, the dimension delta, is found that way from a grid.
+A zero a scan finds is certified by its cell's verified winding, which
+assumes Z has no pole there, and a residual against |Z'| times the
+certificate radius; any other zero by a winding count on a small circle
+and a residual against the median |Z| on it.  A scan or solve memoises Z
+in one `_CachedEvaluator`; for a conjugate-symmetric Z it serves every
+point below the axis as the conjugate of its mirror, so a circle about a
+real centre costs its upper half only.  Counting reports fit the growth
+exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _R_LOC = 0.05             # a zero's certificate circle; the residual must be at
 _RESIDUAL_FACTOR = 1e-8   # most this times the median |Z| on it
 _DEPTH_LIMIT = 42         # a scan's quadrisection depth
 _JITTER_ATTEMPTS = 3      # a scan's retries of an outer contour that grazes a zero
+_MOMENT_WINDING = 3       # a scan's cells winding at most this often seed Newton
 
 
 @dataclass(frozen=True)
@@ -373,7 +376,7 @@ def refine_zero(evaluator, seed: complex, max_step: float = math.inf,
     axis is solved on it and certified at its exactly real point (a
     winding-1 circle about a real centre holds a real zero, since the
     zeros off the axis come in conjugate pairs).  Scans do not call this:
-    a cell's own winding certifies its zero (`_cell_zero`).
+    a cell's own winding certifies its zeros (`_cell_zeros`).
     """
     try:
         s, _ = _newton(evaluator, seed, max_step)
@@ -423,18 +426,23 @@ def _certify_zero(evaluator, s: complex) -> ZeroRecord:
     return _checked(ev, s, mult, float(np.median([abs(v) for v in values])))
 
 
-def _cell_zero(ev: _CachedEvaluator, cell: Rectangle) -> ZeroRecord:
-    """The zero of a cell whose verified winding is 1: Newton from the
-    cell's moment seed, placed in the cell by `_placed`.
-
-    The winding certifies one simple zero, so no circle is evaluated.
-    The residual check's local scale is |dz| r_loc, with dz Newton's last
-    derivative estimate and r_loc the radius of `_certify_zero`'s circle:
-    about a simple zero, |Z| on that circle is |Z'| r_loc to first order.
-    """
-    s, dz = _newton(ev, _moment_seed(ev, cell), cell.diag)
-    s = _placed(ev, s, cell)
-    return _checked(ev, s, 1, abs(dz) * _r_loc(s))
+def _cell_zeros(ev: _CachedEvaluator, cell: Rectangle, w: int) -> list[ZeroRecord]:
+    """The zeros of a cell whose verified winding is w: Newton from each
+    of its moment seeds ([] when it has none), placed in the cell by
+    `_placed`.  The winding certifies w distinct limits as simple zeros.
+    A limit within 1e-8 (1 + |s|) of an earlier one raises
+    ConvergenceError, as a failed Newton run does.  The residual check's
+    local scale is |dz| r_loc, with dz Newton's last derivative estimate
+    and r_loc the radius of `_certify_zero`'s circle: about a simple
+    zero, |Z| on that circle is |Z'| r_loc to first order."""
+    found: list[ZeroRecord] = []
+    for seed in _moment_seeds(ev, cell, w):
+        s, dz = _newton(ev, seed, cell.diag)
+        s = _placed(ev, s, cell)
+        if any(abs(s - r.s) <= 1e-8 * (1.0 + abs(s)) for r in found):
+            raise ConvergenceError(f"two seeds in {cell} reach the zero {s}")
+        found.append(_checked(ev, s, 1, abs(dz) * _r_loc(s)))
+    return found
 
 
 def _cached_walk(ev: _CachedEvaluator, p: complex, q: complex, out: list) -> None:
@@ -448,15 +456,18 @@ def _cached_walk(ev: _CachedEvaluator, p: complex, q: complex, out: list) -> Non
         out.append(p)
 
 
-def _moment_seed(ev: _CachedEvaluator, cell: Rectangle) -> complex:
-    """The zero of a cell that winds once, as the ratio of contour
-    integrals of s/Z and 1/Z (Delves & Lyness, Math. Comp. 21 (1967)
-    543-560): both have a simple pole there, with residues s0/Z'(s0) and
-    1/Z'(s0).  The trapezoid rule runs over the boundary nodes the
-    windings have evaluated, so the seed costs no determinant.  The cell
-    centre is returned when a corner was never evaluated, a node value is
-    0, the integral of 1/Z vanishes, or the estimate lies outside the
-    cell."""
+def _moment_seeds(ev: _CachedEvaluator, cell: Rectangle, w: int) -> list[complex]:
+    """Seeds for the w zeros z_j of a cell that winds w times, from the
+    moments mu_k of 1/Z, k < 2w, by the trapezoid rule over the boundary
+    nodes the windings evaluated, so at no cost (Delves & Lyness, Math.
+    Comp. 21 (1967) 543-560; Kravanja & Van Barel, LNM 1727 (2000)).  If
+    Z has no pole in the cell, mu_k = 2 pi i sum_j z_j^k / Z'(z_j), and
+    the z_j are the roots of the monic polynomial whose coefficients
+    solve the Hankel system of the mu_k.  For w = 1 the seed is mu_1 /
+    mu_0 in s itself, or the cell centre when a corner was never
+    evaluated, a node value is 0, mu_0 vanishes, or the seed lies outside
+    the cell; for w > 1, in u = (s - centre) / (diag / 2), [] is returned
+    in those cases, or when `_solve` refuses the system."""
     corners = cell.corners()
     nodes = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
@@ -469,14 +480,58 @@ def _moment_seed(ev: _CachedEvaluator, cell: Rectangle) -> complex:
         nodes += edge
     values = [ev.cache.get(s) for s in nodes]
     if None in values or 0 in values:
-        return cell.center
-    s = np.array(nodes)
+        return [cell.center] if w == 1 else []
+    half = 0.5 * cell.diag
+    u = np.array(nodes) if w == 1 else (np.array(nodes) - cell.center) / half
     with np.errstate(all="ignore"):
-        inv = 1.0 / np.array(values)
-        ds = np.roll(s, -1) - s
-        i0, i1 = (np.sum(0.5 * (f + np.roll(f, -1)) * ds) for f in (inv, s * inv))
-        seed = complex(i1 / i0) if i0 != 0 else cell.center
-    return seed if cell.contains(seed) else cell.center
+        f, du, mu = 1.0 / np.array(values), np.roll(u, -1) - u, []
+        for _ in range(2 * w):
+            mu.append(np.sum(0.5 * (f + np.roll(f, -1)) * du))
+            f = u * f
+        if w == 1:
+            seed = complex(mu[1] / mu[0]) if mu[0] != 0 else cell.center
+            return [seed if cell.contains(seed) else cell.center]
+    coef = _solve([[complex(m) for m in mu[i:i + w]] for i in range(w)],
+                  [-complex(m) for m in mu[w:]])
+    seeds = [cell.center + half * r for r in _roots(coef)] if coef else []
+    return seeds if all(cell.contains(s) for s in seeds) else []
+
+
+def _solve(a: list[list[complex]], b: list[complex]) -> list[complex] | None:
+    """x with a x = b, by elimination with partial pivoting; None when a
+    pivot is below 1e-10 of the largest entry of a, or that is not finite."""
+    n, big = len(b), max(abs(x) for row in a for x in row)
+    rows = [row + [y] for row, y in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        if not (math.isfinite(big) and abs(rows[k][k]) >= 1e-10 * big):
+            return None
+        for i in range(k + 1, n):
+            m = rows[i][k] / rows[k][k]
+            rows[i] = [x - m * y for x, y in zip(rows[i], rows[k])]
+    x = [0j] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def _roots(coef: list[complex]) -> list[complex]:
+    """The roots of u^n + coef[n-1] u^(n-1) + ... + coef[0], by the
+    Durand-Kerner iteration from the fixed start (0.4 + 0.9i)^k."""
+    n = len(coef)
+    z = [(0.4 + 0.9j) ** k for k in range(n)]
+    for _ in range(100):
+        moved = 0.0
+        for k in range(n):
+            p = z[k] ** n + sum(c * z[k] ** i for i, c in enumerate(coef))
+            d = math.prod(z[k] - z[j] for j in range(n) if j != k)
+            step = p / d if d else 0.0
+            z[k] -= step
+            moved = max(moved, abs(step))
+        if moved <= 1e-15:
+            break
+    return z
 
 
 def _axis_zero(ev, x0: float, lo: float, hi: float) -> float | None:
@@ -535,19 +590,22 @@ def _mirrored(rec: ZeroRecord) -> ZeroRecord:
 
 
 def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
-    """All zeros in the rectangle: recursive quadrisection until each
-    cell winds at most once, then Newton refinement (`_cell_zero`).
+    """All zeros in the rectangle: recursive quadrisection until a cell
+    winds w <= _MOMENT_WINDING times, then Newton refinement of its w
+    zeros from its moment seeds, which cost no evaluation (`_cell_zeros`).
 
-    Newton starts from the cell's moment seed (`_moment_seed`), which
-    costs no evaluation.  The cell's verified winding of 1 certifies the
-    zero as simple, so no circle is evaluated about it; its residual must
-    be at most _RESIDUAL_FACTOR |Z'| r_loc.  An iterate that converges
-    outside its cell, does not converge, or fails the residual sends the
-    cell on to quadrisection.  With a `conjugate_symmetric` evaluator, a
-    zero within 1e-8 (1 + |s|) of the real axis in a cell that meets the
-    axis is solved on the axis and returned exactly real (see `_placed`).
-    Records are sorted by Im s, then by decreasing Re s, so the real
-    zeros come in a fixed order with the leading one, delta, first.
+    The cell's verified winding certifies w distinct limits as simple
+    zeros, so no circle is evaluated about them; each residual must be at
+    most _RESIDUAL_FACTOR |Z'| r_loc.  The certificate assumes Z has no
+    pole in the cell, which holds on every route.  A cell with no seeds,
+    or whose iterates converge outside it, do not converge, fail the
+    residual or find a zero twice, goes on to quadrisection; after such
+    failed runs at w > 1, its children of winding w run none.  With a
+    `conjugate_symmetric` evaluator, a zero within 1e-8 (1 + |s|) of the
+    real axis in a cell that meets the axis is solved on the axis and
+    returned exactly real (see `_placed`).  Records are sorted by Im s,
+    then by decreasing Re s, so the real zeros come in a fixed order with
+    the leading one, delta, first.
 
     The returned multiplicities sum to the whole-rectangle winding; a
     cell still winding > 1 at the depth limit is returned unresolved with
@@ -585,18 +643,23 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
         raise CompletenessError(
             f"children of {cell} wind {total}, parent winds {w}")
 
-    def handle(cell: Rectangle, w: int, depth: int):
+    def handle(cell: Rectangle, w: int, depth: int, failed: int = 0):
         """Returns (records, verified winding) for the cell.  A
         BoundaryZeroError from a descendant bubbles up to the level whose
-        split line grazed the zero, which then re-splits elsewhere."""
+        split line grazed the zero, which then re-splits elsewhere.
+        `failed` is the winding w > 1 of the parents whose Newton runs
+        failed; a cell of the same winding does not run them again."""
         if w == 0:
             return [], 0
-        if w == 1:
+        if 0 < w <= _MOMENT_WINDING and w != failed:
             try:
-                return [_cell_zero(ev, cell)], w
+                found = _cell_zeros(ev, cell, w)
+                if found:
+                    return found, w
             except (ConvergenceError, NoZeroError, BoundaryZeroError):
-                pass
-            # Newton escaped the cell, stalled or missed the residual: keep subdividing
+                failed = w if w > 1 else 0
+            # no seeds, or Newton escaped the cell, stalled, missed the
+            # residual or found a zero twice: keep subdividing
         if depth >= _DEPTH_LIMIT or cell.diag < 1e-8 * (1.0 + abs(cell.center)):
             warnings.warn(f"cell {cell} unresolved with winding {w}", ClusterWarning)
             rec = ZeroRecord(s=cell.center, multiplicity=w,
@@ -611,7 +674,7 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
                 ws, w2 = windings_consistently(cell, w, children, (1, 1, 1, 1))
                 out = []
                 for child, cw in zip(children, ws):
-                    sub, _ = handle(child, cw, depth + 1)
+                    sub, _ = handle(child, cw, depth + 1, failed)
                     out.extend(sub)
                 return out, w2
             except BoundaryZeroError as exc:

@@ -195,6 +195,10 @@ def _with(cfg, **params):
     (dict(_ZEROS, system=True), "system must be an object"),
     (_with(_ZETA_EVAL, re=[1.0, 2.0, 10 ** 400]), "params.re[2]"),
     (_with(_GROWTH, re_samples=10 ** 7), "params.re_samples"),
+    (dict(_with(_ZEROS, rectangle=[-1.0, 1e30, -1.0, 1.0]), system=_MODEL),
+     "params.rectangle is too large"),
+    (dict(_with(_ZEROS, rectangle=[-1.0, 1e300, -1.0, 1.0]), system=_MODEL),
+     "params.rectangle is too large"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
