@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Resonance census for one quadratic parameter: scan the strip, export
 the zeros, fit strip/poly counting exponents, and probe the growth bound
-in the same strip."""
+in the same strip.  The summary also counts the determinants (assembled
+Fredholm matrices) that the leading real zero and the scan took."""
 
 import argparse
 import json
@@ -31,12 +32,21 @@ def main():
 
     spec = MapSpec(c=args.c)
     ev = FredholmEvaluator(spec, level=args.level)
+    matrix, determinants = ev.matrix, [0]
+
+    def counted(s):
+        determinants[0] += 1
+        return matrix(s)
+
+    ev.matrix = counted
     delta = leading_real_zero(ev, (0.02, 0.98)).s.real
+    leading = determinants[0]
     print(f"leading real zero delta = {delta:.8f}")
 
     rect = Rectangle(args.re_min, delta + 1.0, -args.height, args.height)
     t0 = time.monotonic()
     zeros = scan_region(ev, rect)
+    scan = determinants[0] - leading
     print(f"{len(zeros)} zeros in {rect} [{time.monotonic() - t0:.0f}s]")
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -46,7 +56,9 @@ def main():
     strip = counting_report(zeros, StripFamily(-args.re_min), rs)
     strip.to_csv(os.path.join(args.out_dir, "strip_counts.csv"))
     summary = {"delta": delta, "strip": strip.summary(),
-               "conjectured_strip_exponent": 1.0 + delta}
+               "conjectured_strip_exponent": 1.0 + delta,
+               "determinants": {"leading_real_zero": leading, "scan": scan,
+                                "per_zero": scan / len(zeros) if zeros else None}}
     for alpha in (0.0, 0.5, 1.0):
         rep = counting_report(zeros, PolyFamily(alpha), rs)
         summary[f"poly_alpha_{alpha}"] = rep.summary()

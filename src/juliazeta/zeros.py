@@ -3,27 +3,26 @@
 Winding numbers are computed by adaptive phase tracking along contours:
 every accepted segment keeps its phase increment below pi/2 and is
 verified against its own midpoint, so branch aliasing is detected and
-refined away.  A rectangle's winding is the sum of four edge phases.  An
+refined away.  A contour's winding is the sum of its edge phases.  An
 edge is sampled by recursive halving, and the verified phase of every
 dyadic sub-edge is memoised on the scan's evaluator cache, so a child of
 a 0.5 quadrisection reuses its parent's edge halves and two siblings
 share their common edge.  Regions are quadrisected until each cell winds
-at most 3 times, then Newton polishes the cell's zeros from the roots of
-the polynomial that the Hankel system of the contour moments of 1/Z
-gives (for one zero, the ratio of the integrals of s/Z and 1/Z), taken
-by the trapezoid rule over the boundary values the windings already
-evaluated.  For a conjugate-symmetric Z, a zero that converges onto the
-real axis is bracketed by a sign change of Re Z and shrunk to adjacent
-floats by Illinois regula falsi, so it comes out exactly real; the
-leading real zero, the dimension delta, is found that way from a grid.
-A zero a scan finds is certified by its cell's verified winding, which
-assumes Z has no pole there, and a residual against |Z'| times the
-certificate radius; any other zero by a winding count on a small circle
-and a residual against the median |Z| on it.  A scan or solve memoises Z
-in one `_CachedEvaluator`; for a conjugate-symmetric Z it serves every
-point below the axis as the conjugate of its mirror, so a circle about a
-real centre costs its upper half only.  Counting reports fit the growth
-exponents the theory bounds.
+at most 5 times; then Newton, with secant slopes at one evaluation a
+step, polishes the cell's zeros from the roots of the polynomial that
+the Hankel system of the trapezoid moments of 1/Z over the cell's
+cached boundary values gives.  For a conjugate-symmetric Z, a zero that
+converges onto the real axis is bracketed by a sign change of Re Z and
+shrunk to adjacent floats by Illinois regula falsi, so it comes out
+exactly real; the leading real zero, the dimension delta, is found that
+way from a grid.  A zero a scan finds is certified by its cell's
+verified winding, which assumes Z has no pole there, and a residual
+against |Z'| times the certificate radius; any other zero by a winding
+count on a small circle and a residual against the median |Z| on it.  A
+scan or solve memoises Z in one `_CachedEvaluator`; for a
+conjugate-symmetric Z it serves every point below the axis as the
+conjugate of its mirror, so a circle about a real centre costs its upper
+half only.  Counting reports fit the growth exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ _R_LOC = 0.05             # a zero's certificate circle; the residual must be at
 _RESIDUAL_FACTOR = 1e-8   # most this times the median |Z| on it
 _DEPTH_LIMIT = 42         # a scan's quadrisection depth
 _JITTER_ATTEMPTS = 3      # a scan's retries of an outer contour that grazes a zero
-_MOMENT_WINDING = 3       # a scan's cells winding at most this often seed Newton
+_MOMENT_WINDING = 5       # a scan's cells winding at most this often seed Newton
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,27 @@ def _edge_phase(ev: _CachedEvaluator, p: complex, q: complex, step: float,
     return phase
 
 
+def _winding(ev: _CachedEvaluator, paths: list, step: float, where: Rectangle) -> int:
+    """Winding of Z about the contour made of the polylines `paths`, from
+    their edge phases (see `winding_number`); the Rectangle `where` names
+    the contour, and its diagonal scales the refinement floor."""
+    edges = []
+    nodes: dict[complex, None] = {}
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            n = max(_NODES_PER_EDGE, math.ceil(abs(b - a) / step))
+            depth = (n - 1).bit_length()
+            edges.append((a, b, depth))
+            lo, hi = (b, a) if _reversed(a, b) else (a, b)
+            _edge_nodes(ev, lo, hi, step, depth, nodes)
+    ev.prefetch(nodes)
+    w = sum(_edge_phase(ev, a, b, step, depth, where.diag)
+            for a, b, depth in edges) / (2.0 * math.pi)
+    if abs(w - round(w)) > 0.01:
+        raise ConvergenceError(f"non-integer winding {w} on {where}")
+    return int(round(w))
+
+
 def winding_number(evaluator, rect: Rectangle,
                    boundary_step: float = _BOUNDARY_STEP) -> int:
     """Argument-principle count of zeros (with multiplicity) inside the
@@ -237,21 +257,7 @@ def winding_number(evaluator, rect: Rectangle,
     """
     ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
     corners = rect.corners()
-    edges = []
-    nodes: dict[complex, None] = {}
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(_NODES_PER_EDGE, math.ceil(abs(b - a) / boundary_step))
-        depth = (n - 1).bit_length()
-        edges.append((a, b, depth))
-        lo, hi = (b, a) if _reversed(a, b) else (a, b)
-        _edge_nodes(ev, lo, hi, boundary_step, depth, nodes)
-    ev.prefetch(nodes)
-    total = sum(_edge_phase(ev, a, b, boundary_step, depth, rect.diag)
-                for a, b, depth in edges)
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.01:
-        raise ConvergenceError(f"non-integer winding {w} on {rect}")
-    return int(round(w))
+    return _winding(ev, [corners + corners[:1]], boundary_step, rect)
 
 
 def _circle(ev, center: complex, radius: float,
@@ -293,31 +299,23 @@ class ZeroRecord:
     resolved: bool = True
 
 
-def _derivative(evaluator, s: complex, fd_scale: float) -> complex:
-    if hasattr(evaluator, "dlog"):
-        try:
-            return evaluator(s) * evaluator.dlog(s)
-        except ZeroDivisionError:
-            pass  # landed exactly on a zero; the stencil below is fine there
-    h = fd_scale * (1.0 + abs(s))
-    return (evaluator(s + h) - evaluator(s - h)) / (2.0 * h)
-
-
 def _newton(evaluator, seed: complex, max_step: float) -> tuple[complex, complex]:
-    """Newton's limit from a seed, and the derivative estimate dz of its
-    last step.
+    """Newton's limit from a seed, and the slope dz of its last step.
 
-    Steps are clamped to `max_step` so a distant seed cannot fling the
-    iteration out of its basin; an iteration that does not converge
-    raises ConvergenceError."""
+    The first slope is a forward difference with step h = 1e-7 (1 + |s|),
+    at one extra evaluation; each later one is the secant through the
+    last two iterates, so a step costs one evaluation, that of its
+    iterate.  When those are closer than h, the last slope is kept: their
+    difference quotient would be rounding noise.  Steps are clamped to
+    `max_step` so a distant seed cannot fling the iteration out of its
+    basin; an iteration that does not converge raises ConvergenceError."""
     s = complex(seed)
-    converged = False
-    failure: Exception | None = None
     best_step, best_s, stale = math.inf, s, 0
     try:
+        z = complex(evaluator(s))
+        h = 1e-7 * (1.0 + abs(s))
+        dz = (complex(evaluator(s + h)) - z) / h
         for _ in range(_MAX_NEWTON):
-            z = complex(evaluator(s))
-            dz = _derivative(evaluator, s, 1e-7)
             if dz == 0:
                 break
             step = z / dz
@@ -329,24 +327,19 @@ def _newton(evaluator, seed: complex, max_step: float) -> tuple[complex, complex
             else:
                 stale += 1
             if abs(step) <= _STEP_TOL * (1.0 + abs(s)):
-                converged = True
-                break
+                return s, dz
             # chattering at the evaluator noise floor: accept the best iterate
             if stale >= 4 and best_step <= 1e-8 * (1.0 + abs(s)):
-                s = best_s
-                converged = True
-                break
+                return best_s, dz
+            z, z_last = complex(evaluator(s)), z
+            if abs(step) >= 1e-7 * (1.0 + abs(s)):
+                dz = (z_last - z) / step
     except OverflowError as exc:
-        failure = ConvergenceError(f"Newton overflowed from seed {seed}")
-        failure.__cause__ = exc
+        raise ConvergenceError(f"Newton overflowed from seed {seed}") from exc
     except Exception as exc:
         # the iteration wandered out of the evaluator's validity region
-        failure = ConvergenceError(f"Newton left the valid region from seed {seed}")
-        failure.__cause__ = exc
-    if not converged:
-        raise failure if failure is not None else \
-            ConvergenceError(f"Newton did not converge from seed {seed}")
-    return s, dz
+        raise ConvergenceError(f"Newton left the valid region from seed {seed}") from exc
+    raise ConvergenceError(f"Newton did not converge from seed {seed}")
 
 
 def _placed(evaluator, s: complex, region: Rectangle) -> complex:
@@ -432,7 +425,7 @@ def _cell_zeros(ev: _CachedEvaluator, cell: Rectangle, w: int) -> list[ZeroRecor
     `_placed`.  The winding certifies w distinct limits as simple zeros.
     A limit within 1e-8 (1 + |s|) of an earlier one raises
     ConvergenceError, as a failed Newton run does.  The residual check's
-    local scale is |dz| r_loc, with dz Newton's last derivative estimate
+    local scale is |dz| r_loc, with dz the slope of Newton's last step
     and r_loc the radius of `_certify_zero`'s circle: about a simple
     zero, |Z| on that circle is |Z'| r_loc to first order."""
     found: list[ZeroRecord] = []
@@ -595,33 +588,34 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     zeros from its moment seeds, which cost no evaluation (`_cell_zeros`).
 
     The cell's verified winding certifies w distinct limits as simple
-    zeros, so no circle is evaluated about them; each residual must be at
-    most _RESIDUAL_FACTOR |Z'| r_loc.  The certificate assumes Z has no
-    pole in the cell, which holds on every route.  A cell with no seeds,
-    or whose iterates converge outside it, do not converge, fail the
-    residual or find a zero twice, goes on to quadrisection; after such
-    failed runs at w > 1, its children of winding w run none.  With a
-    `conjugate_symmetric` evaluator, a zero within 1e-8 (1 + |s|) of the
-    real axis in a cell that meets the axis is solved on the axis and
-    returned exactly real (see `_placed`).  Records are sorted by Im s,
-    then by decreasing Re s, so the real zeros come in a fixed order with
-    the leading one, delta, first.
+    zeros; each residual must be at most _RESIDUAL_FACTOR |Z'| r_loc.
+    The certificate assumes Z has no pole in the cell, which holds on
+    every route.  A cell with no seeds, or whose iterates converge outside
+    it, do not converge, fail the residual or find a zero twice, goes on
+    to quadrisection; after such failed runs at w > 1, its children of
+    winding w run none.  With a `conjugate_symmetric` evaluator, a zero
+    within 1e-8 (1 + |s|) of the real axis in a cell that meets the axis
+    is solved on the axis and returned exactly real (see `_placed`).
+    Records are sorted by Im s, then by decreasing Re s, so the real
+    zeros come in a fixed order with the leading one, delta, first.
 
-    The returned multiplicities sum to the whole-rectangle winding; a
-    cell still winding > 1 at the depth limit is returned unresolved with
-    a ClusterWarning.  A boundary grazing a zero is retried with the
-    split point (or, for the outer contour, the rectangle) jittered.
-    Parent/child winding sums are cross-checked, re-sampled more densely
-    on mismatch, and a surviving mismatch is a completeness error.
+    The multiplicities sum to the whole-rectangle winding; a cell still
+    winding > 1 at the depth limit is returned unresolved with a
+    ClusterWarning.  A boundary grazing a zero is retried with the split
+    point (or, for the outer contour, the rectangle) jittered.  Children's
+    windings are checked to add up to their parent's, re-sampled more
+    densely on mismatch, and a surviving mismatch is a completeness error.
 
     Mirrored scan: when the rectangle is symmetric about the real axis
     (im_lo == -im_hi) and the evaluator reports `conjugate_symmetric`
     (Z(conj s) = conj Z(s)), only a thin axis strip |Im s| <= eta and the
     upper band [eta, im_hi] are scanned; the lower band's records are the
-    upper band's exact conjugates.  The band windings are cross-checked
-    against the whole rectangle (w = w(strip) + 2 w(upper)).  eta is the
-    first of _STRIP_FRACTIONS times im_hi whose strip scans without
-    grazing a zero; if none does, the plain scan runs.
+    upper band's exact conjugates.  The outer winding w runs through the
+    corners of the first strip, so the band's winding then evaluates
+    nothing and the strip's only its line Im s = eta, which the check w =
+    w(strip) + 2 w(upper) tests.  eta is the first of _STRIP_FRACTIONS
+    times im_hi whose strip scans without grazing a zero; if none does,
+    the plain scan runs.
     """
     ev = _CachedEvaluator(evaluator)
     split_fracs = (0.5, 0.5231, 0.4593, 0.5417, 0.4381, 0.5639)
@@ -662,11 +656,8 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
             # residual or found a zero twice: keep subdividing
         if depth >= _DEPTH_LIMIT or cell.diag < 1e-8 * (1.0 + abs(cell.center)):
             warnings.warn(f"cell {cell} unresolved with winding {w}", ClusterWarning)
-            rec = ZeroRecord(s=cell.center, multiplicity=w,
-                             residual=abs(complex(ev(cell.center))),
-                             method=ev.method,
-                             resolved=False)
-            return [rec], w
+            return [ZeroRecord(s=cell.center, multiplicity=w, residual=abs(ev(cell.center)),
+                               method=ev.method, resolved=False)], w
         last: BaseException | None = None
         for frac in split_fracs:
             try:
@@ -685,13 +676,18 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     def mirrored_scan():
         """(records, winding) of the rectangle from its axis strip and
         upper band, or None when every strip height grazes a zero."""
-        w = winding_number(ev, rect)
+        # the outer contour through the first strip's corners; its lower
+        # half mirrors the band's sides and top, so it has their phase
+        x0, x1, top = rect.re_lo, rect.re_hi, rect.im_hi
+        eta = _STRIP_FRACTIONS[0] * top
+        path = [complex(x1, -eta), complex(x1, eta), complex(x1, top),
+                complex(x0, top), complex(x0, eta), complex(x0, -eta)]
+        w = _winding(ev, [path, path[1:5]], _BOUNDARY_STEP, rect)
         if w == 0:
             return [], 0
         for frac in _STRIP_FRACTIONS:
-            eta = frac * rect.im_hi
-            strip = Rectangle(rect.re_lo, rect.re_hi, -eta, eta)
-            upper = Rectangle(rect.re_lo, rect.re_hi, eta, rect.im_hi)
+            eta = frac * top
+            strip, upper = Rectangle(x0, x1, -eta, eta), Rectangle(x0, x1, eta, top)
             try:
                 (w_strip, w_upper), w_rect = windings_consistently(
                     rect, w, (strip, upper), (1, 2))
@@ -715,8 +711,6 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     if found is not None:
         records, w_total = found
     else:
-        records = []
-        w_total = 0
         outer = rect
         for attempt in range(_JITTER_ATTEMPTS + 1):
             try:

@@ -291,7 +291,9 @@ class FredholmEvaluator:
     D = diag((-1)^beta), and L = A Q: A holds the branch-0 blocks, whose
     columns all lie on 0-words, and Q = [I | D] maps the pair (0u, 1u) to
     0u.  Sylvester's identity gives det(I - A Q) = det(I - Q A), and
-    F = Q A adds the rows of 1u, times D, to the rows of 0u.  F has the
+    F = Q A adds the rows of 1u, times D, to the rows of 0u: `matrix`
+    takes the blocks of the 0u rows and the 1u rows against the stack of
+    the quadrature weights and D times them, in one product.  F has the
     trace and nonzero spectrum of L.  The one level-0 element is centred
     at 0, so there L = A (I + D) and F is the even-degree block of 2A.
     """
@@ -370,35 +372,39 @@ class FredholmEvaluator:
             dft, self._basis = 2.0 * dft[::2], np.array(basis)[:, ::2]
         else:
             self._basis = np.array(basis)
-        self._dft = dft
+        # [dft, D dft], D = diag((-1)^beta), for the 0u and the 1u rows: their
+        # products with the rows' terms are F's blocks, signs included
+        self._dft = np.stack((dft, (-1.0) ** np.arange(len(dft))[:, None] * dft))[:, None]
         # Re dft and -Im dft interleaved, to meet the (re, im) pairs of a
         # complex row viewed as floats: Re (dft @ x) = dft_ri @ x.view(float)
-        self._dft_ri = np.stack((dft.real, -dft.imag), axis=2).reshape(len(dft), -1)
+        self._dft_ri = np.stack((self._dft.real, -self._dft.imag), axis=4).reshape(2, len(dft), -1)
         # F's block grid: row k mod half, column targets[k]; the 1u rows
-        # (k >= half) are multiplied by D and added onto the 0u rows
+        # (k >= half) are added onto the 0u rows
         self._half = max(half, 1)
         self._rows = np.arange(len(disks)) % self._half
         self._cols = np.array(targets)
-        self._sign = (-1.0) ** np.arange(len(dft))[:, None]
         self.size = folded_size(level, m)
 
     def matrix(self, s: complex) -> np.ndarray:
         """The folded matrix F(s), with det(I - F) = det(I - L)."""
         s = complex(s)
-        h, mb = self._half, len(self._dft)
+        h, mb = self._half, self._dft.shape[2]
         weights = np.exp(-(s / 2.0) * self._logw)
-        terms = weights[:, None, :] * self._basis
+        # the terms of the 0u rows and of the 1u rows, one stack each; the
+        # one level-0 element has no 1u rows
+        n = min(len(weights), 2)
+        terms = (weights[:, None, :] * self._basis).reshape(n, -1, mb, weights.shape[1])
         if s.imag == 0.0:
             # F is real on the real axis.  Its real part is summed by
             # numpy's own loops, not by BLAS, and its imaginary part, which
             # is rounding noise there, is left at zero: Z comes out exactly
             # real, and its bits, whose signs the axis solvers read down to
             # adjacent floats, do not depend on the BLAS kernel's assembly
-            blocks = np.einsum("at,kbt->kab", self._dft_ri, terms.view(float),
+            blocks = np.einsum("xat,xkbt->xkab", self._dft_ri[:n], terms.view(float),
                                optimize=False)
         else:
-            blocks = self._dft @ terms.transpose(0, 2, 1)
-        blocks[h:] *= self._sign
+            blocks = self._dft[:n] @ terms.transpose(0, 1, 3, 2)
+        blocks = blocks.reshape(-1, mb, mb)
         out = np.zeros((h, mb, h, mb), dtype=complex)
         rows, cols = self._rows, self._cols
         out[rows[:h], :, cols[:h], :] = blocks[:h]

@@ -8,7 +8,7 @@ import juliazeta.zeta
 from juliazeta.cover import backward_cover
 from juliazeta.dynamics import MapSpec, Mode
 from juliazeta.errors import CoverError, RadiusCapError
-from juliazeta.zeros import Rectangle, _derivative, scan_region
+from juliazeta.zeros import Rectangle, scan_region
 from juliazeta.zeta import CycleEvaluator, FredholmEvaluator, folded_size
 
 
@@ -168,11 +168,12 @@ def test_zeta_value_wraps_the_determinant(fredholm6):
 
 
 def test_log_derivative_richardson(fredholm6, cat12):
-    # the central difference Newton takes on the Fredholm route, against
-    # the cycle route's analytic d/ds log Z
+    # a central difference of the Fredholm route, against the cycle
+    # route's analytic d/ds log Z
     cyc = CycleEvaluator(cat12)
     for s in (1.3, 1.8 + 2.0j):
-        dn = _derivative(fredholm6, complex(s), 1e-7) / fredholm6(complex(s))
+        s, h = complex(s), 1e-7 * (1.0 + abs(s))
+        dn = (fredholm6(s + h) - fredholm6(s - h)) / (2.0 * h) / fredholm6(s)
         da = cyc.dlog(complex(s))
         assert abs(dn - da) < 1e-6
 
@@ -200,6 +201,35 @@ def _full_matrix(ev, s):
             out[k * m:(k + 1) * m, j * m:(j + 1) * m] += \
                 dft @ (weights[:, None] * rel[:, None] ** alphas[None, :])
     return out
+
+
+def _sign_pass_matrix(ev, s):
+    """F(s) assembled as before the signed product: every block against
+    the plain quadrature weights dft, then the 1u rows' blocks times D."""
+    dft, h = ev._dft[0, 0], ev._half
+    mb = len(dft)
+    terms = np.exp(-(s / 2.0) * ev._logw)[:, None, :] * ev._basis
+    if s.imag == 0.0:
+        dft_ri = np.stack((dft.real, -dft.imag), axis=2).reshape(mb, -1)
+        blocks = np.einsum("at,kbt->kab", dft_ri, terms.view(float), optimize=False)
+    else:
+        blocks = dft @ terms.transpose(0, 2, 1)
+    blocks[h:] *= (-1.0) ** np.arange(mb)[:, None]
+    out = np.zeros((h, mb, h, mb), dtype=complex)
+    out[ev._rows[:h], :, ev._cols[:h], :] = blocks[:h]
+    out[ev._rows[h:], :, ev._cols[h:], :] += blocks[h:]
+    return out.reshape(ev.size, ev.size)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_signed_product_keeps_the_bits(level):
+    # the 1u rows' blocks against D dft are the sign pass's, bit for bit
+    ev = FredholmEvaluator(MapSpec(c=-6.0), level=level)
+    rng = np.random.default_rng(11)
+    points = list(rng.uniform(-2.0, 1.4, 30) + 1j * rng.uniform(-40.0, 40.0, 30))
+    points += list(rng.uniform(-2.0, 1.4, 10) + 0j)
+    for s in map(complex, points):
+        assert ev.matrix(s).tobytes() == _sign_pass_matrix(ev, s).tobytes()
 
 
 # the (c, level) pairs with a valid cover: c = -3 needs level 2, c = -6

@@ -96,9 +96,9 @@ def test_unconverged_transform_raises():
 # catalog loop wrote them
 PAIRING_SHA256 = {
     "length_histogram.csv": "3170de4b2720aa5f5e8f2c7ac6550cf3dbca22bdc0650e71fa59390dd297b820",
-    "pairing_0.json": "7b1fb5642f2862e3fa81df9d515bf5365100594dce184df30bdd18279a0c5d74",
-    "pairing_1.json": "a58a4f70b4616dac42064aaa88820b3e5584def1c531bc2f2e09519ab5b81a46",
-    "pairing_2.json": "53a7ee268d17de2e7d7b4b066008899c16d13f43ba05b4e6345cabf59a936cb8",
+    "pairing_0.json": "f2b28d8b68ae6cf4c2290afc5f4fe4ba60a9cd3bef2f9762ba305e7ef8ae6b66",
+    "pairing_1.json": "3e838535463cbb6147b93f26d2e84242230167c994ad94336afa64d635c148cd",
+    "pairing_2.json": "681f4bc1f1be1e8790d028e55b85d462bec95e6ac445410c6e67ceb2fadf6c8b",
 }
 
 

@@ -47,3 +47,7 @@ def test_zero_census(tmp_path):
     with open(census / "census_summary.json") as fh:
         summary = json.load(fh)
     assert {"delta", "strip", "growth"} <= set(summary)
+    # the determinants of the leading real zero and of the scan, apart
+    counts = summary["determinants"]
+    assert counts["leading_real_zero"] > 0 and counts["scan"] > 0
+    assert counts["per_zero"] == counts["scan"] / len(zeros)

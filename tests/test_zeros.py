@@ -238,6 +238,26 @@ def _counted_evaluator(c, level):
     return ev, count
 
 
+def test_every_determinant_assembles_one_matrix(monkeypatch):
+    # the count pins below, and the benchmark's determinant count, read the
+    # calls of FredholmEvaluator.matrix as determinants
+    calls = {"matrix": 0, "det": 0}
+    matrix, det = FredholmEvaluator.matrix, np.linalg.det
+
+    def counted_matrix(self, s):
+        calls["matrix"] += 1
+        return matrix(self, s)
+
+    def counted_det(a):
+        calls["det"] += 1
+        return det(a)
+
+    monkeypatch.setattr(FredholmEvaluator, "matrix", counted_matrix)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    scan_region(FredholmEvaluator(MapSpec(c=-6.0), level=2), Rectangle(-2.0, 1.4, -5.0, 5.0))
+    assert calls["matrix"] == calls["det"] > 0
+
+
 def _counted_scan(rect, symmetric=True):
     ev, count = _counted_evaluator(-6.0, 2)
     # a plain function has no conjugate_symmetric property
@@ -255,7 +275,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 635   # the plain scan of this rectangle takes 1110
+    assert count == 480   # the plain scan of this rectangle takes 1005
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -269,13 +289,13 @@ def test_scan_without_symmetry_takes_the_plain_path():
     # the lambda hides the symmetry, so the scan's cache evaluates the
     # lower band's points too
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
-    assert count == 1110
+    assert count == 1005
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
 
 
 def test_asymmetric_rectangle_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -4.0, 5.0))
-    assert count == 791
+    assert count == 694
     _assert_zeros(records, sorted(CENSUS_5[1:], key=lambda z: (z.imag, z.real)))
 
 
@@ -317,6 +337,29 @@ def test_mirrored_scan_falls_back_when_every_strip_edge_grazes_a_zero(monkeypatc
     roots += [z.conjugate() for z in roots if z.imag]
     _records, mirrored = _polynomial_scan(monkeypatch, roots)
     assert mirrored == 0
+
+
+def test_mirrored_outer_winding_serves_the_band_and_the_strip_sides(monkeypatch):
+    # the outer contour runs through the first strip's corners, so the
+    # upper band's winding finds every node cached, and the strip's
+    # evaluates its line Im s = eta only (its lower line is the mirror)
+    recorded = _Symmetric(_Polynomial([complex(0.4, 0.0), complex(0.5, 3.0),
+                                       complex(0.5, -3.0)]))
+    winding, paid = juliazeta.zeros.winding_number, []
+
+    def counted(ev, rect, **kw):
+        n = len(recorded.points)
+        w = winding(ev, rect, **kw)
+        paid.append((rect, recorded.points[n:]))
+        return w
+
+    monkeypatch.setattr(juliazeta.zeros, "winding_number", counted)
+    assert len(scan_region(recorded, Rectangle(-1.0, 1.0, -10.0, 10.0))) == 3
+    eta = 0.025 * 10.0
+    (strip, on_strip), (band, on_band) = paid[:2]
+    assert (strip, band) == (Rectangle(-1.0, 1.0, -eta, eta), Rectangle(-1.0, 1.0, eta, 10.0))
+    assert on_band == []
+    assert on_strip and all(s.imag == eta and -1.0 < s.real < 1.0 for s in on_strip)
 
 
 def test_mirrored_scan_of_a_polynomial(monkeypatch):
@@ -437,7 +480,7 @@ def test_cell_certificate_scale_is_the_circle_median(monkeypatch):
         assert abs(abs(dz) * r_loc / median - 1.0) <= 0.01
 
 
-# Moment seeds for a cell that winds 2 or 3 times.  Its moments mu_k of
+# Moment seeds for a cell that winds 2 to 5 times.  Its moments mu_k of
 # 1/Z, k < 2w, seed Newton to each of its zeros; a plain function hides
 # the symmetry, so the first cell is the whole square.
 
@@ -461,7 +504,8 @@ def _assert_simple(records, roots, tol):
 
 
 @pytest.mark.parametrize("roots", [[0.1 + 0.2j, -0.5 + 0.3j],
-                                   [0.5, -0.4 + 0.3j, 0.2 - 0.6j]])
+                                   [0.5, -0.4 + 0.3j, 0.2 - 0.6j],
+                                   [0.5, -0.4 + 0.3j, 0.2 - 0.6j, -0.6 - 0.2j, 0.1 + 0.7j]])
 def test_a_cell_resolves_its_zeros_in_one_winding(monkeypatch, roots):
     cells = _counted_windings(monkeypatch)
     records = scan_region(lambda s: _Polynomial(roots)(s), _SQUARE)
@@ -512,6 +556,22 @@ def test_a_repeated_limit_sends_the_cell_on_to_quadrisection(monkeypatch):
     _assert_simple(records, roots, 1e-12)
 
 
+def test_newton_pays_one_evaluation_per_step():
+    # the seed and its forward-difference neighbour, then one point per
+    # step, the step's iterate: each later slope is a secant
+    roots = [0.3 + 0.2j, -0.5, 0.7 - 0.4j]
+    recorded = _Recorded(_Polynomial(roots))
+    seed = 0.38 + 0.27j
+    s, dz = juliazeta.zeros._newton(recorded, seed, math.inf)
+    assert abs(s - roots[0]) <= 1e-12
+    assert abs(dz - (roots[0] - roots[1]) * (roots[0] - roots[2])) <= 1e-6
+    points = recorded.points
+    assert points[:2] == [seed, seed + 1e-7 * (1.0 + abs(seed))]
+    errors = [abs(p - roots[0]) for p in points[:1] + points[2:]]
+    assert len(errors) >= 5
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
 def test_moment_seeds_of_a_cell_that_winds_twice(monkeypatch):
     roots = [0.1 + 0.2j, -0.5 + 0.3j]
     recorded = _Recorded(_Polynomial(roots))
@@ -555,7 +615,7 @@ def test_axis_zeros_are_solved_on_the_axis():
 def test_census_work_count():
     # the benchmark census: 40 zeros in [-2, 1.4] x [-20, 20]
     records, count = _counted_scan((-2.0, 1.4, -20.0, 20.0))
-    assert count == 1795
+    assert count == 1257
     assert len(records) == 40
     assert all(r.resolved and r.multiplicity == 1 for r in records)
     # the axis zeros are exactly real and run in decreasing Re, delta first
@@ -571,21 +631,21 @@ def test_census_work_count():
 def test_acceptance_census_work_count():
     # the acceptance ledger's census: 98 simple zeros in [-2, 1.4] x [-40, 40]
     records, count = _counted_scan((-2.0, 1.4, -40.0, 40.0))
-    assert count == 6604
+    assert count == 5053
     assert len(records) == 98
     assert all(r.resolved and r.multiplicity == 1 for r in records)
 
 
 # the records of the mirrored [-2, 1.4] x [-5, 5] scan: Newton runs from
 # each cell's moment seed, and the two axis zeros are solved on the axis
-EXACT_5 = [(0.27454835566341673, -4.18734875483785, 1.290235240387237e-15),
-           (-0.34524276371768253, -3.09906329483436, 5.273361036585863e-14),
-           (-1.760260082330728, -2.643732923089891, 1.827178746486972e-08),
+EXACT_5 = [(0.2745483556634171, -4.18734875483785, 1.5611390069062839e-15),
+           (-0.3452427637177002, -3.0990632948343615, 1.5815980098799644e-14),
+           (-1.7602600823137033, -2.64373292309001, 9.620329920839307e-09),
            (0.4518375001817091, 0.0, 1.2425257540084052e-16),
-           (-1.0358586031976242, 0.0, 6.0206741931429955e-12),
-           (-1.760260082330728, 2.643732923089891, 1.827178746486972e-08),
-           (-0.34524276371768253, 3.09906329483436, 5.273361036585863e-14),
-           (0.27454835566341673, 4.18734875483785, 1.290235240387237e-15)]
+           (-1.0358586031978456, 0.0, 3.9144934683197865e-12),
+           (-1.7602600823137033, 2.64373292309001, 9.620329920839307e-09),
+           (-0.3452427637177002, 3.0990632948343615, 1.5815980098799644e-14),
+           (0.2745483556634171, 4.18734875483785, 1.5611390069062839e-15)]
 
 
 def test_mirrored_scan_records_are_exact():
