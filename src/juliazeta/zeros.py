@@ -14,15 +14,16 @@ the Hankel system of the trapezoid moments of 1/Z over the cell's
 cached boundary values gives.  For a conjugate-symmetric Z, a zero that
 converges onto the real axis is bracketed by a sign change of Re Z and
 shrunk to adjacent floats by Illinois regula falsi, so it comes out
-exactly real; the leading real zero, the dimension delta, is found that
-way from a grid.  A zero a scan finds is certified by its cell's
-verified winding, which assumes Z has no pole there, and a residual
-against |Z'| times the certificate radius; any other zero by a winding
-count on a small circle and a residual against the median |Z| on it.  A
-scan or solve memoises Z in one `_CachedEvaluator`; for a
-conjugate-symmetric Z it serves every point below the axis as the
-conjugate of its mirror, so a circle about a real centre costs its upper
-half only.  Counting reports fit the growth exponents the theory bounds.
+exactly real; delta, the leading real zero, is found so from a grid.
+
+Each zero has one certificate: the argument-principle count of a region
+that holds it, and a residual |Z(s)| <= _RESIDUAL_FACTOR |Z'| r_loc.  A
+scan's region is the cell whose verified winding seeded the zero (which
+assumes Z has no pole there); delta's is the adjacent-float bracket of
+its sign change, as Z is real and continuous on the axis.  A scan or
+solve memoises Z in one `_CachedEvaluator`; for a conjugate-symmetric Z
+it serves every point below the axis as the conjugate of its mirror.
+Counting reports fit the growth exponents the theory bounds.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ _NODES_PER_EDGE = 16      # a contour edge has at least this many segments,
 _BOUNDARY_STEP = 0.5      # at most this far apart
 _MAX_NEWTON = 60          # Newton steps, which stop at a step of
 _STEP_TOL = 5e-13         # at most _STEP_TOL (1 + |s|)
-_R_LOC = 0.05             # a zero's certificate circle; the residual must be at
-_RESIDUAL_FACTOR = 1e-8   # most this times the median |Z| on it
+_R_LOC = 0.05             # a zero's local radius r_loc; the residual must be at
+_RESIDUAL_FACTOR = 1e-8   # most this times |Z'| r_loc, |Z| at that distance
 _DEPTH_LIMIT = 42         # a scan's quadrisection depth
 _JITTER_ATTEMPTS = 3      # a scan's retries of an outer contour that grazes a zero
 _MOMENT_WINDING = 5       # a scan's cells winding at most this often seed Newton
@@ -260,36 +261,6 @@ def winding_number(evaluator, rect: Rectangle,
     return _winding(ev, [corners + corners[:1]], boundary_step, rect)
 
 
-def _circle(ev, center: complex, radius: float,
-            nodes: int = 24) -> tuple[int, list[complex]]:
-    """Winding number of Z around the circle through `nodes` equally
-    spaced nodes, and the values of Z at those nodes; `ev` is wrapped in
-    a fresh cache unless it is one.
-
-    About a real centre, with an even node count, the two nodes on the
-    real axis are put exactly there and the lower half's nodes are the
-    exact conjugates of the upper half's; so are the midpoints that
-    verify its segments.  A conjugate-symmetric `ev` then serves the
-    lower half from its cache: only the closed upper half is evaluated."""
-    ev = ev if isinstance(ev, _CachedEvaluator) else _CachedEvaluator(ev)
-    points = [center + radius * cmath.exp(2j * math.pi * k / nodes)
-              for k in range(nodes)]
-    if center.imag == 0.0 and nodes % 2 == 0:
-        half = nodes // 2
-        points[0] = complex(center.real + radius, 0.0)
-        points[half] = complex(center.real - radius, 0.0)
-        points[half + 1:] = [p.conjugate() for p in points[half - 1:0:-1]]
-    points.append(points[0])
-    values = [ev(p) for p in points]
-    total = sum(_segment_phase(ev, points[k], points[k + 1], values[k], values[k + 1], radius)
-                for k in range(nodes))
-    values.pop()
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.01:
-        raise ConvergenceError(f"non-integer circle winding {w} at {center}")
-    return int(round(w)), values
-
-
 @dataclass(frozen=True)
 class ZeroRecord:
     s: complex
@@ -357,33 +328,39 @@ def _placed(evaluator, s: complex, region: Rectangle) -> complex:
     return s
 
 
+# no library path calls this; it is kept because the benchmark's tracer patches it
 def refine_zero(evaluator, seed: complex, max_step: float = math.inf,
                 region: Rectangle | None = None) -> ZeroRecord:
-    """Newton-polish a zero from a seed (`_newton`) and certify its
-    multiplicity by a surrounding winding count (`_certify_zero`).
-
-    A Newton iteration that does not converge raises NoZeroError when a
-    circle about the seed winds 0, and ConvergenceError otherwise.  With
-    a `region`, the limit is placed by `_placed` before the certificate
-    is paid for: one outside raises NoZeroError, and one near the real
-    axis is solved on it and certified at its exactly real point (a
-    winding-1 circle about a real centre holds a real zero, since the
-    zeros off the axis come in conjugate pairs).  Scans do not call this:
-    a cell's own winding certifies its zeros (`_cell_zeros`).
+    """Newton-polish a zero from a seed (`_newton`) and certify it as a
+    scan does, with the square of half-side r_loc about it as its cell:
+    the square's winding is its multiplicity, and |dz| of Newton's last
+    step stands for |Z'|.  A Newton iteration that does not converge
+    raises NoZeroError when the square about the seed winds 0, and
+    ConvergenceError otherwise.  With a `region`, the limit is placed by
+    `_placed` before the certificate is paid for.
     """
+    ev = _CachedEvaluator(evaluator)
+
+    def winding_about(s: complex) -> int:
+        r = _r_loc(s)
+        return winding_number(ev, Rectangle(-r, r, -r, r).shifted(s))
+
     try:
-        s, _ = _newton(evaluator, seed, max_step)
+        s, dz = _newton(ev, seed, max_step)
     except ConvergenceError:
         # distinguish a bad seed from a hard iteration failure
         try:
-            if _circle(evaluator, complex(seed), _r_loc(complex(seed)))[0] == 0:
+            if winding_about(complex(seed)) == 0:
                 raise NoZeroError(f"winding 0 around seed {seed}")
         except BoundaryZeroError:
             pass
         raise
     if region is not None:
-        s = _placed(evaluator, s, region)
-    return _certify_zero(evaluator, s)
+        s = _placed(ev, s, region)
+    w = winding_about(s)
+    if w == 0:
+        raise NoZeroError(f"no zero within {_r_loc(s)} of refined seed {s}")
+    return _checked(ev, s, w, abs(dz) * _r_loc(s))
 
 
 def _r_loc(s: complex) -> float:
@@ -401,33 +378,12 @@ def _checked(ev: _CachedEvaluator, s: complex, multiplicity: int,
     return ZeroRecord(s=s, multiplicity=multiplicity, residual=residual, method=ev.method)
 
 
-def _certify_zero(evaluator, s: complex) -> ZeroRecord:
-    """Multiplicity and residual certificate of an approximate zero s.
-
-    The multiplicity is the winding count of Z on the circle of radius
-    _R_LOC (at least 1e-7 (1 + |s|)) about s and must be positive; the
-    local scale of the residual check is the median |Z| at the circle's
-    24 nodes.  An evaluator that reports `conjugate_symmetric` pays for
-    the upper half of a circle about a real s only (see `_circle`).
-    """
-    s = complex(s)
-    ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
-    r_loc = _r_loc(s)
-    mult, values = _circle(ev, s, r_loc)
-    if mult == 0:
-        raise NoZeroError(f"no zero within {r_loc} of refined seed {s}")
-    return _checked(ev, s, mult, float(np.median([abs(v) for v in values])))
-
-
 def _cell_zeros(ev: _CachedEvaluator, cell: Rectangle, w: int) -> list[ZeroRecord]:
     """The zeros of a cell whose verified winding is w: Newton from each
     of its moment seeds ([] when it has none), placed in the cell by
-    `_placed`.  The winding certifies w distinct limits as simple zeros.
-    A limit within 1e-8 (1 + |s|) of an earlier one raises
-    ConvergenceError, as a failed Newton run does.  The residual check's
-    local scale is |dz| r_loc, with dz the slope of Newton's last step
-    and r_loc the radius of `_certify_zero`'s circle: about a simple
-    zero, |Z| on that circle is |Z'| r_loc to first order."""
+    `_placed`, with |dz| of Newton's last step as |Z'|.  A limit within
+    1e-8 (1 + |s|) of an earlier one raises ConvergenceError, as a failed
+    Newton run does."""
     found: list[ZeroRecord] = []
     for seed in _moment_seeds(ev, cell, w):
         s, dz = _newton(ev, seed, cell.diag)
@@ -558,26 +514,6 @@ def _axis_zero(ev, x0: float, lo: float, hi: float) -> float | None:
 _STRIP_FRACTIONS = (0.025, 0.05, 0.065)
 
 
-def _verify_multiplicities(ev, records: list[ZeroRecord],
-                           others: list[ZeroRecord]) -> list[ZeroRecord]:
-    """Re-verify multiplicities of tightly-paired zeros on circles that
-    exclude every other record in `others` (half the nearest-record
-    distance)."""
-    out = list(records)
-    if len(others) < 2:
-        return out
-    for i, rec in enumerate(out):
-        if not rec.resolved:
-            continue
-        nearest = min(abs(rec.s - q.s) for q in others if q is not rec)
-        if nearest < 0.1:
-            r = max(min(0.05, 0.45 * nearest), 1e-7 * (1.0 + abs(rec.s)))
-            mult = _circle(ev, rec.s, r)[0]
-            if mult != rec.multiplicity:
-                out[i] = replace(rec, multiplicity=mult)
-    return out
-
-
 def _mirrored(rec: ZeroRecord) -> ZeroRecord:
     return replace(rec, s=rec.s.conjugate())
 
@@ -585,26 +521,25 @@ def _mirrored(rec: ZeroRecord) -> ZeroRecord:
 def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     """All zeros in the rectangle: recursive quadrisection until a cell
     winds w <= _MOMENT_WINDING times, then Newton refinement of its w
-    zeros from its moment seeds, which cost no evaluation (`_cell_zeros`).
-
-    The cell's verified winding certifies w distinct limits as simple
-    zeros; each residual must be at most _RESIDUAL_FACTOR |Z'| r_loc.
-    The certificate assumes Z has no pole in the cell, which holds on
-    every route.  A cell with no seeds, or whose iterates converge outside
-    it, do not converge, fail the residual or find a zero twice, goes on
-    to quadrisection; after such failed runs at w > 1, its children of
+    zeros from its moment seeds, which cost no evaluation (`_cell_zeros`),
+    certified by the cell's winding (no route's Z has a pole in a cell).
+    A cell with no seeds, or whose iterates converge outside it, do not
+    converge, fail the residual or find a zero twice, goes on to
+    quadrisection; after such failed runs at w > 1, its children of
     winding w run none.  With a `conjugate_symmetric` evaluator, a zero
     within 1e-8 (1 + |s|) of the real axis in a cell that meets the axis
     is solved on the axis and returned exactly real (see `_placed`).
     Records are sorted by Im s, then by decreasing Re s, so the real
     zeros come in a fixed order with the leading one, delta, first.
 
-    The multiplicities sum to the whole-rectangle winding; a cell still
-    winding > 1 at the depth limit is returned unresolved with a
-    ClusterWarning.  A boundary grazing a zero is retried with the split
-    point (or, for the outer contour, the rectangle) jittered.  Children's
-    windings are checked to add up to their parent's, re-sampled more
-    densely on mismatch, and a surviving mismatch is a completeness error.
+    The multiplicities sum to the whole-rectangle winding, and no two
+    resolved records lie within 1e-8 (1 + |s|), as one zero that two cells
+    report would; a cell still winding > 1 at the depth limit is returned
+    unresolved with a ClusterWarning.  A boundary grazing a zero is
+    retried with the split point (or, for the outer contour, the
+    rectangle) jittered.  Children's windings are checked to add up to
+    their parent's, re-sampled more densely on mismatch.  Each failed
+    check is a completeness error.
 
     Mirrored scan: when the rectangle is symmetric about the real axis
     (im_lo == -im_hi) and the evaluator reports `conjugate_symmetric`
@@ -691,15 +626,11 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
             try:
                 (w_strip, w_upper), w_rect = windings_consistently(
                     rect, w, (strip, upper), (1, 2))
-                half, _ = handle(strip, w_strip, 1)
-                upper_records, _ = handle(upper, w_upper, 1)
+                on_strip, _ = handle(strip, w_strip, 1)
+                on_upper, _ = handle(upper, w_upper, 1)
             except BoundaryZeroError:
                 continue
-            n_strip = len(half)
-            half += upper_records
-            half = _verify_multiplicities(
-                ev, half, half + [_mirrored(r) for r in upper_records])
-            return half + [_mirrored(r) for r in half[n_strip:]], w_rect
+            return on_strip + on_upper + [_mirrored(r) for r in on_upper], w_rect
         return None
 
     found = None
@@ -727,8 +658,13 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
             f"found multiplicities sum {sum(r.multiplicity for r in records)}, "
             f"rectangle winds {w_total}")
     records.sort(key=lambda r: (r.s.imag, -r.s.real))
-    if found is None:
-        records = _verify_multiplicities(ev, records, records)
+    for i, a in enumerate(records):
+        tol = 1e-8 * (1.0 + abs(a.s))
+        for b in records[i + 1:]:
+            if b.s.imag - a.s.imag > tol:
+                break
+            if a.resolved and b.resolved and abs(b.s - a.s) <= tol:
+                raise CompletenessError(f"two cells report the zero {a.s} ({b.s})")
     return records
 
 
@@ -744,9 +680,10 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
     Re Z is evaluated on a 64-point grid over the bracket from the right,
     stopping at the first sign change, so no grid point left of that cell
     is evaluated.  `_sign_change` shrinks the cell to adjacent floats and
-    returns an exactly real zero, which `_certify_zero` certifies: its
-    winding count on a circle of radius 0.05 and its residual.  The grid,
-    the regula falsi and the certificate share one cache.
+    returns an exactly real zero, certified by that sign change with the
+    grid cell's secant as |Z'|; delta is simple, since the pressure
+    P(-s log|f'|) is strictly decreasing.  Grid and regula falsi share
+    one cache.
     """
     ev = _CachedEvaluator(evaluator)
 
@@ -767,7 +704,8 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
         right = v
     else:
         raise NoZeroError(f"no sign change of Z on [{lo}, {hi}]")
-    return _certify_zero(ev, complex(root))
+    slope = (right - v) / (xs[k + 1] - xs[k])
+    return _checked(ev, complex(root), 1, abs(slope) * _r_loc(complex(root)))
 
 
 def _sign_change(f, a: float, b: float, fa: float, fb: float) -> float:
