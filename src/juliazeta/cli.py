@@ -355,13 +355,12 @@ def _task_pairing(system, params):
     region = _rectangle(params)
     level, _order = _fredholm_params(params)
     if isinstance(system, AffinePair):
-        ev = ModelEvaluator(*system.ratios, _k_max(params))
         catalog = system.orbit_catalog(n_max)
     elif isinstance(system, MapSpec):
         catalog = build_orbit_catalog(system, n_max)
-        ev = FredholmEvaluator(system, level=level)
     else:
         raise ConfigError("pairing task requires an affine or quadratic system")
+    ev = _evaluator(system, params, need_left_of_delta=True)
     delta = params.get("delta")
     if delta is None:
         delta = _system_delta(system, level)

@@ -21,8 +21,9 @@ that holds it, and a residual |Z(s)| <= _RESIDUAL_FACTOR |Z'| r_loc.  A
 scan's region is the cell whose verified winding seeded the zero (which
 assumes Z has no pole there); delta's is the adjacent-float bracket of
 its sign change, as Z is real and continuous on the axis.  A scan or
-solve memoises Z in one `_CachedEvaluator`; for a conjugate-symmetric Z
-it serves every point below the axis as the conjugate of its mirror.
+solve memoises Z in one `_CachedEvaluator`, which calls Z at a point
+when first asked for it, and for a conjugate-symmetric Z serves every
+point below the axis as the conjugate of its mirror.
 Counting reports fit the growth exponents the theory bounds.
 """
 
@@ -101,13 +102,12 @@ class Rectangle:
 
 
 class _CachedEvaluator:
-    """The memo of Z for one scan or solve.
-
-    For an evaluator that reports `conjugate_symmetric` (Z(conj s) =
-    conj Z(s)), a point below the real axis is served as the exact
-    conjugate of the value at its mirror, which is evaluated at most
-    once; the requested point is stored too, since edge walks and moment
-    seeds look points up in `cache` by key."""
+    """The memo of Z for one scan or solve: a point is evaluated by the
+    evaluator's call when first asked for.  For an evaluator that reports
+    `conjugate_symmetric` (Z(conj s) = conj Z(s)), a point below the real
+    axis is served as the exact conjugate of the value at its mirror; the
+    requested point is stored too, since moment seeds look points up in
+    `cache` by key."""
 
     def __init__(self, ev):
         self.ev = ev
@@ -118,30 +118,16 @@ class _CachedEvaluator:
         # keyed by (low end, high end, boundary step)
         self.edges: dict[tuple[complex, complex, float], float] = {}
 
-    def _upper(self, s: complex) -> complex:
-        """The point whose evaluation serves s: s itself, or its mirror."""
-        return s.conjugate() if self.conjugate_symmetric and s.imag < 0.0 else s
-
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         v = self.cache.get(s)
         if v is None:
-            up = self._upper(s)
-            v = complex(self.ev(s)) if up is s else self(up).conjugate()
+            if self.conjugate_symmetric and s.imag < 0.0:
+                v = self(s.conjugate()).conjugate()
+            else:
+                v = complex(self.ev(s))
             self.cache[s] = v
         return v
-
-    def prefetch(self, ss) -> None:
-        """Evaluates the points of ss not yet cached in one batch, each
-        point below the axis at its mirror."""
-        ss = [complex(s) for s in ss if complex(s) not in self.cache]
-        todo = [m for m in dict.fromkeys(map(self._upper, ss)) if m not in self.cache]
-        if todo:
-            vals = self.ev.batch(np.array(todo)) if hasattr(self.ev, "batch") \
-                else map(self.ev, todo)
-            self.cache.update(zip(todo, map(complex, vals)))
-        for s in ss:
-            self(s)   # a point below the axis: the conjugate of its mirror
 
 
 def _segment_phase(ev: _CachedEvaluator, pa: complex, pb: complex,
@@ -184,20 +170,6 @@ def _reversed(p: complex, q: complex) -> bool:
     return (q.real, q.imag) < (p.real, p.imag)
 
 
-def _edge_nodes(ev: _CachedEvaluator, p: complex, q: complex, step: float,
-                depth: int, out: dict) -> None:
-    """Collects into `out` the ends of the leaf segments of the canonical
-    edge [p, q] that no memoised sub-edge covers."""
-    if (p, q, step) in ev.edges:
-        return
-    if depth == 0:
-        out[p] = out[q] = None
-        return
-    m = _halve(p, q)
-    _edge_nodes(ev, p, m, step, depth - 1, out)
-    _edge_nodes(ev, m, q, step, depth - 1, out)
-
-
 def _edge_phase(ev: _CachedEvaluator, p: complex, q: complex, step: float,
                 depth: int, scale: float) -> float:
     """Verified phase increment of Z from p to q over 2**depth leaf
@@ -225,18 +197,12 @@ def _winding(ev: _CachedEvaluator, paths: list, step: float, where: Rectangle) -
     """Winding of Z about the contour made of the polylines `paths`, from
     their edge phases (see `winding_number`); the Rectangle `where` names
     the contour, and its diagonal scales the refinement floor."""
-    edges = []
-    nodes: dict[complex, None] = {}
+    phase = 0.0
     for path in paths:
         for a, b in zip(path, path[1:]):
             n = max(_NODES_PER_EDGE, math.ceil(abs(b - a) / step))
-            depth = (n - 1).bit_length()
-            edges.append((a, b, depth))
-            lo, hi = (b, a) if _reversed(a, b) else (a, b)
-            _edge_nodes(ev, lo, hi, step, depth, nodes)
-    ev.prefetch(nodes)
-    w = sum(_edge_phase(ev, a, b, step, depth, where.diag)
-            for a, b, depth in edges) / (2.0 * math.pi)
+            phase += _edge_phase(ev, a, b, step, (n - 1).bit_length(), where.diag)
+    w = phase / (2.0 * math.pi)
     if abs(w - round(w)) > 0.01:
         raise ConvergenceError(f"non-integer winding {w} on {where}")
     return int(round(w))
@@ -254,7 +220,9 @@ def winding_number(evaluator, rect: Rectangle,
     phase of every halving sub-edge is memoised on the evaluator cache
     per `boundary_step`, so the windings of a scan reuse each other's
     edges: a 0.5 quadrisection's children get their outer edges from the
-    parent, and two siblings compute their common edge once.
+    parent, and two siblings compute their common edge once.  A node is
+    evaluated when the walk reaches it, so a winding that stops at a
+    zero on its boundary evaluates no node beyond it.
     """
     ev = evaluator if isinstance(evaluator, _CachedEvaluator) else _CachedEvaluator(evaluator)
     corners = rect.corners()
@@ -529,8 +497,10 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
     winding w run none.  With a `conjugate_symmetric` evaluator, a zero
     within 1e-8 (1 + |s|) of the real axis in a cell that meets the axis
     is solved on the axis and returned exactly real (see `_placed`).
-    Records are sorted by Im s, then by decreasing Re s, so the real
-    zeros come in a fixed order with the leading one, delta, first.
+    Records are sorted by Im s, and each run of records whose Im lies
+    within 1e-8 (1 + |s|) of the run's first by decreasing Re s: zeros
+    of one height, whose Im parts differ by rounding, so come in a fixed
+    order, and the real zeros come with the leading one, delta, first.
 
     The multiplicities sum to the whole-rectangle winding, and no two
     resolved records lie within 1e-8 (1 + |s|), as one zero that two cells
@@ -665,7 +635,13 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
                 break
             if a.resolved and b.resolved and abs(b.s - a.s) <= tol:
                 raise CompletenessError(f"two cells report the zero {a.s} ({b.s})")
-    return records
+    rows: list[list[ZeroRecord]] = []
+    for r in records:
+        if rows and r.s.imag - rows[-1][0].s.imag <= 1e-8 * (1.0 + abs(rows[-1][0].s)):
+            rows[-1].append(r)
+        else:
+            rows.append([r])
+    return [r for row in rows for r in sorted(row, key=lambda r: -r.s.real)]
 
 
 def export_zeros(path: str, records) -> None:

@@ -17,9 +17,11 @@
   length-model zeta; exact for two-branch affine systems.
 
 Each route is one evaluator class with the same protocol: Z(s) by a
-call, an array of values by `batch`, and a `ZetaValue` by `zeta_value`,
-whose tail_bound is a truncation-error estimate on the value scale.
-The cycle and model routes also give d/ds log Z by `dlog`.  Every route
+call, and a `ZetaValue` by `zeta_value`, whose tail_bound is a
+truncation-error estimate on the value scale.  The shared `batch` of
+`_Route` evaluates an array point by point through the call, so every
+route has one arithmetic and batch(ss)[k] == Z(ss[k]) to the bit.  The
+cycle and model routes also give d/ds log Z by `dlog`.  Every route
 reports `conjugate_symmetric`, true for all three: their coefficients
 are real, so Z(conj s) = conj Z(s).  An evaluator holds no per-point
 state; a zero scan memoises its values (`zeros._CachedEvaluator`), and
@@ -80,6 +82,14 @@ class TruncationModel:
         return m
 
 
+class _Route:
+    """The protocol every route's class shares."""
+
+    def batch(self, ss) -> np.ndarray:
+        """Z at each point of ss, by the call, one point at a time."""
+        return np.array([self(s) for s in np.ravel(ss).tolist()], dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # cycle expansion
 
@@ -127,7 +137,7 @@ def zero_free_abscissa(catalog: OrbitCatalog) -> float:
     return math.log(2.0 / q) / catalog.log_a
 
 
-class CycleEvaluator:
+class CycleEvaluator(_Route):
     """Truncated cycle expansion of Z(s) over the catalog.
 
     Valid for Re s above the certified convergence abscissa; refuses to
@@ -164,13 +174,6 @@ class CycleEvaluator:
     def __call__(self, s: complex) -> complex:
         return cmath.exp(self.log(s))
 
-    def batch(self, ss) -> np.ndarray:
-        lengths, dens, weights = self._arrays
-        ss = np.asarray(ss, dtype=complex)
-        if np.any(ss.real <= self.min_re):
-            raise DivergenceRegionError("batch contains points left of the convergence abscissa")
-        return np.exp(-(np.exp(-np.outer(ss, lengths)) * (weights / dens)).sum(axis=1))
-
     def zeta_value(self, s: complex) -> ZetaValue:
         """Z(s) and log Z(s); tail_bound is the closed-form geometric tail
         transported to the value scale."""
@@ -203,7 +206,7 @@ def model_dimension(a: float, b: float) -> float:
     return 0.5 * (lo + hi)
 
 
-class ModelEvaluator:
+class ModelEvaluator(_Route):
     """The finite model product prod_{k=0..K} (1 - a^{-(s+k)} - b^{-(s+k)}):
     entire, with an analytic derivative everywhere."""
 
@@ -223,13 +226,6 @@ class ModelEvaluator:
         for k in range(self.k_max + 1):
             value *= 1.0 - self.a ** (-(s + k)) - self.b ** (-(s + k))
         return value
-
-    def batch(self, ss) -> np.ndarray:
-        ss = np.asarray(ss, dtype=complex)
-        out = np.ones_like(ss)
-        for k in range(self.k_max + 1):
-            out = out * (1.0 - self.a ** (-(ss + k)) - self.b ** (-(ss + k)))
-        return out
 
     def dlog(self, s: complex) -> complex:
         s = complex(s)
@@ -274,7 +270,7 @@ def folded_size(level: int, order: int) -> int:
     return (order + 1) // 2 if level == 0 else 2 ** (level - 1) * order
 
 
-class FredholmEvaluator:
+class FredholmEvaluator(_Route):
     """det(I - L_M(s)) over a disk cover of the real Cantor set.
 
     One complex variable: cover intervals are padded to disks, the branch
@@ -424,9 +420,6 @@ class FredholmEvaluator:
         np.negative(a, out=a)
         a.flat[::self.size + 1] += 1.0
         return complex(np.linalg.det(a))
-
-    def batch(self, ss) -> np.ndarray:
-        return np.array([self(complex(s)) for s in np.asarray(ss).ravel()])
 
     def tail_bound(self, s: complex) -> float:
         """Determinant truncation estimate: predicted discarded singular

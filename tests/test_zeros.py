@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -202,9 +203,9 @@ def test_complex_c_cycle_scan_is_mirrored(monkeypatch):
     # a rectangle symmetric about the axis: the evaluator sees no point
     # below it, and every lower value is the exact conjugate of its mirror
     ev = CycleEvaluator(build_orbit_catalog(MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), 8))
-    seen, batch = [], CycleEvaluator.batch
-    monkeypatch.setattr(CycleEvaluator, "batch",
-                        lambda self, ss: seen.extend(ss) or batch(self, ss))
+    seen, call = [], CycleEvaluator.__call__
+    monkeypatch.setattr(CycleEvaluator, "__call__",
+                        lambda self, s: seen.append(complex(s)) or call(self, s))
     caches, init = [], _CachedEvaluator.__init__
     monkeypatch.setattr(_CachedEvaluator, "__init__",
                         lambda self, f: caches.append(self) or init(self, f))
@@ -276,7 +277,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 480   # the plain scan of this rectangle takes 1005
+    assert count == 480   # the plain scan of this rectangle takes 1000
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -288,9 +289,10 @@ def test_symmetric_scan_mirrors_the_upper_band():
 
 def test_scan_without_symmetry_takes_the_plain_path():
     # the lambda hides the symmetry, so the scan's cache evaluates the
-    # lower band's points too
+    # lower band's points too; the first winding on the split line Im s = 0
+    # stops at the real zero -1.0359 before it evaluates the nodes beyond
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0), symmetric=False)
-    assert count == 1005
+    assert count == 1000
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
 
 
@@ -678,6 +680,59 @@ def test_mirrored_scan_records_are_exact():
                                   method="fredholm") for re, im, res in EXACT_5]
 
 
+def test_scans_evaluate_point_by_point(monkeypatch, cat12):
+    # a scan asks each route for Z through its call, never its batch
+    def refused(self, ss):
+        raise AssertionError("a scan called batch")
+
+    for cls in (CycleEvaluator, FredholmEvaluator, ModelEvaluator):
+        monkeypatch.setattr(cls, "batch", refused)
+    records, _ = _counted_scan((-2.0, 1.4, -5.0, 5.0))
+    assert records == [ZeroRecord(s=complex(re, im), multiplicity=1, residual=res,
+                                  method="fredholm") for re, im, res in EXACT_5]
+    model = scan_region(ModelEvaluator(2.0, 4.0, 0), Rectangle(-1.0, 1.0, -20.0, 20.0))
+    ledger = model_ledger(20.0)
+    assert [r.multiplicity for r in model] == [1] * len(ledger)
+    got = sorted((r.s for r in model), key=lambda z: (z.imag, z.real))
+    assert all(abs(s - z) <= 1e-15 * (1.0 + abs(z)) for s, z in zip(got, ledger))
+    ev = CycleEvaluator(cat12)
+    assert scan_region(ev, Rectangle(ev.min_re + 0.2, ev.min_re + 2.0, -5.0, 5.0)) == []
+
+
+def test_cycle_scan_memory_does_not_grow_with_the_catalog(cat16):
+    # the catalog holds 8,923 orbit entries; a scan evaluates one point at
+    # a time, so it allocates no array of contour nodes times entries
+    ev = CycleEvaluator(cat16)
+    x = ev.min_re
+    tracemalloc.start()
+    try:
+        assert scan_region(ev, Rectangle(x + 0.3, x + 2.5, -20.0, 20.0)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+def test_pairing_scan_rows_do_not_follow_rounding(monkeypatch):
+    # the pairing job's model scan: its 94 zeros lie at 27 heights, 3 or 4
+    # to a height, and Newton leaves their Im parts ulps apart; each
+    # height's rows come by decreasing Re whatever those ulps are
+    calls, call = [0], ModelEvaluator.__call__
+
+    def counted(self, s):
+        calls[0] += 1
+        return call(self, s)
+
+    monkeypatch.setattr(ModelEvaluator, "__call__", counted)
+    records = scan_region(ModelEvaluator(2.0, 4.0, 40), Rectangle(-3.0, 1.0, -60.0, 60.0))
+    assert len(records) == 94
+    assert calls[0] <= 3797
+    same_height = [(a, b) for a, b in zip(records, records[1:])
+                   if b.s.imag - a.s.imag <= 1e-8 * (1.0 + abs(a.s))]
+    assert len(same_height) == 94 - 27
+    assert all(b.s.real < a.s.real for a, b in same_height)
+
+
 # The axis rows of the mirrored [-2, 1.4] x [-5, 5] scan, as (Re, Im) in
 # row order, printed by a child process so that OpenBLAS can be given
 # another kernel
@@ -733,8 +788,8 @@ def test_axis_rows_hold_on_other_blas_kernels():
         assert abs(rows[1][0] - default[1][0]) <= 1e-12
 
 
-# Edge-phase memo.  A counting evaluator with no `batch` records every
-# point at which Z is evaluated.
+# Edge-phase memo.  A recording evaluator records every point at which Z
+# is evaluated.
 
 class _Recorded:
     def __init__(self, f):

@@ -151,6 +151,10 @@ def test_truncation_model_tail_decreasing():
 def test_cycle_batch_matches_scalar(cat12):
     ev = CycleEvaluator(cat12)
     ss = np.array([1.1 + 0.5j, 2.0 - 3.0j, 3.3 + 9.0j])
-    batch = ev.batch(ss)
-    for s, v in zip(ss, batch):
-        assert abs(v - ev(s)) <= 1e-13 * max(1.0, abs(v))
+    assert list(ev.batch(ss)) == [ev(s) for s in ss]
+
+
+def test_model_batch_matches_scalar():
+    ev = ModelEvaluator(2.0, 4.0, 40)
+    ss = np.array([1.1 + 0.5j, -2.3 - 3.0j, 0.4 + 19.0j, -0.7])
+    assert list(ev.batch(ss)) == [ev(s) for s in ss]
