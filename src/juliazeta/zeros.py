@@ -7,14 +7,18 @@ refined away.  A contour's winding is the sum of its edge phases.  An
 edge is sampled by recursive halving, and the verified phase of every
 dyadic sub-edge is memoised on the scan's evaluator cache, so a child of
 a 0.5 quadrisection reuses its parent's edge halves and two siblings
-share their common edge.  Regions are quadrisected until each cell winds
-at most 5 times; then Newton, with secant slopes at one evaluation a
-step, polishes the cell's zeros from the roots of the polynomial that
-the Hankel system of the trapezoid moments of 1/Z over the cell's
-cached boundary values gives.  For a conjugate-symmetric Z, a zero that
-converges onto the real axis is bracketed by a sign change of Re Z and
-shrunk to adjacent floats by Illinois regula falsi, so it comes out
-exactly real; delta, the leading real zero, is found so from a grid.
+share their common edge.  Regions are split until each cell winds at
+most 5 times: quadrisected, or, for a conjugate-symmetric Z and a cell
+symmetric about the real axis, cut into its axis strip and the band
+above it (whose mirror is not scanned) or into two such cells in Re, so
+that no split runs along the axis.  Then Newton, with secant slopes at
+one evaluation a step, polishes the cell's zeros from the roots of the
+polynomial that the Hankel system of the trapezoid moments of 1/Z over
+the cell's cached boundary values gives.  For a conjugate-symmetric Z,
+a zero that converges onto the real axis is bracketed by a sign change
+of Re Z and shrunk to adjacent floats by Illinois regula falsi, so it
+comes out exactly real; delta, the leading real zero, is so found from
+a grid.
 
 Each zero has one certificate: the argument-principle count of a region
 that holds it, and a residual |Z(s)| <= _RESIDUAL_FACTOR |Z'| r_loc.  A
@@ -48,7 +52,7 @@ _MAX_NEWTON = 60          # Newton steps, which stop at a step of
 _STEP_TOL = 5e-13         # at most _STEP_TOL (1 + |s|)
 _R_LOC = 0.05             # a zero's local radius r_loc; the residual must be at
 _RESIDUAL_FACTOR = 1e-8   # most this times |Z'| r_loc, |Z| at that distance
-_DEPTH_LIMIT = 42         # a scan's quadrisection depth
+_DEPTH_LIMIT = 42         # a scan's split depth
 _JITTER_ATTEMPTS = 3      # a scan's retries of an outer contour that grazes a zero
 _MOMENT_WINDING = 5       # a scan's cells winding at most this often seed Newton
 
@@ -477,8 +481,9 @@ def _axis_zero(ev, x0: float, lo: float, hi: float) -> float | None:
         h *= 16.0
 
 
-# strip half-heights for mirrored scans, as fractions of im_hi; the next
-# is tried when a band edge or a split line grazes a zero
+# split fractions of a cell, tried in turn when a split line grazes a zero
+_SPLIT_FRACTIONS = (0.5, 0.5231, 0.4593, 0.5417, 0.4381, 0.5639)
+# strip half-heights of a tall axis cell, as fractions of im_hi, likewise
 _STRIP_FRACTIONS = (0.025, 0.05, 0.065)
 
 
@@ -487,43 +492,70 @@ def _mirrored(rec: ZeroRecord) -> ZeroRecord:
 
 
 def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
-    """All zeros in the rectangle: recursive quadrisection until a cell
+    """All zeros in the rectangle: recursive subdivision until a cell
     winds w <= _MOMENT_WINDING times, then Newton refinement of its w
     zeros from its moment seeds, which cost no evaluation (`_cell_zeros`),
     certified by the cell's winding (no route's Z has a pole in a cell).
     A cell with no seeds, or whose iterates converge outside it, do not
-    converge, fail the residual or find a zero twice, goes on to
-    quadrisection; after such failed runs at w > 1, its children of
-    winding w run none.  With a `conjugate_symmetric` evaluator, a zero
-    within 1e-8 (1 + |s|) of the real axis in a cell that meets the axis
-    is solved on the axis and returned exactly real (see `_placed`).
-    Records are sorted by Im s, and each run of records whose Im lies
-    within 1e-8 (1 + |s|) of the run's first by decreasing Re s: zeros
-    of one height, whose Im parts differ by rounding, so come in a fixed
-    order, and the real zeros come with the leading one, delta, first.
+    converge, fail the residual or find a zero twice, is split; after
+    such failed runs at w > 1, its children of winding w run none.  With
+    a `conjugate_symmetric` evaluator, a zero within 1e-8 (1 + |s|) of
+    the real axis in a cell that meets the axis is solved on the axis and
+    returned exactly real (see `_placed`).  Records are sorted by Im s,
+    and each run of records whose Im lies within 1e-8 (1 + |s|) of the
+    run's first by decreasing Re s: zeros of one height, whose Im parts
+    differ by rounding, so come in a fixed order, and the real zeros come
+    with the leading one, delta, first.
+
+    A cell is split one of three ways, tried at the next fraction when a
+    split line grazes a zero; no split runs along the real axis.  An axis
+    cell is symmetric about the axis (im_lo == -im_hi), with a
+    `conjugate_symmetric` Z (Z(conj s) = conj Z(s)).  One taller than
+    wide is cut into its strip |Im s| <= eta, eta in _STRIP_FRACTIONS
+    times im_hi, and the band above it, which counts twice in the winding
+    and whose records are mirrored for the band below; any other axis
+    cell is cut in Re into two axis cells, and any other cell
+    quadrisected, at _SPLIT_FRACTIONS.  A tall axis rectangle's outer
+    winding runs through its first strip's corners, so the band's winding
+    then evaluates nothing and the strip's only its line Im s = eta,
+    which the check w = w(strip) + 2 w(band) tests.
 
     The multiplicities sum to the whole-rectangle winding, and no two
     resolved records lie within 1e-8 (1 + |s|), as one zero that two cells
     report would; a cell still winding > 1 at the depth limit is returned
-    unresolved with a ClusterWarning.  A boundary grazing a zero is
-    retried with the split point (or, for the outer contour, the
-    rectangle) jittered.  Children's windings are checked to add up to
-    their parent's, re-sampled more densely on mismatch.  Each failed
-    check is a completeness error.
-
-    Mirrored scan: when the rectangle is symmetric about the real axis
-    (im_lo == -im_hi) and the evaluator reports `conjugate_symmetric`
-    (Z(conj s) = conj Z(s)), only a thin axis strip |Im s| <= eta and the
-    upper band [eta, im_hi] are scanned; the lower band's records are the
-    upper band's exact conjugates.  The outer winding w runs through the
-    corners of the first strip, so the band's winding then evaluates
-    nothing and the strip's only its line Im s = eta, which the check w =
-    w(strip) + 2 w(upper) tests.  eta is the first of _STRIP_FRACTIONS
-    times im_hi whose strip scans without grazing a zero; if none does,
-    the plain scan runs.
+    unresolved with a ClusterWarning.  When the outer contour, or every
+    split of a cell up to the root, grazes a zero, the rectangle is
+    jittered and scanned again.  Children's windings are checked to add
+    up to their parent's, re-sampled more densely on mismatch.  Each
+    failed check is a completeness error.
     """
     ev = _CachedEvaluator(evaluator)
-    split_fracs = (0.5, 0.5231, 0.4593, 0.5417, 0.4381, 0.5639)
+
+    def on_axis(cell: Rectangle) -> bool:
+        return ev.conjugate_symmetric and cell.im_lo == -cell.im_hi
+
+    def splits(cell: Rectangle):
+        """(children, copies) per split, in the order tried; child k counts copies[k] times."""
+        x0, x1, top = cell.re_lo, cell.re_hi, cell.im_hi
+        if not on_axis(cell):
+            for frac in _SPLIT_FRACTIONS:
+                yield cell.split(frac, frac), (1, 1, 1, 1)
+        elif cell.height > cell.width:
+            for eta in (frac * top for frac in _STRIP_FRACTIONS):
+                yield [Rectangle(x0, x1, -eta, eta), Rectangle(x0, x1, eta, top)], (1, 2)
+        else:
+            for mr in (x0 + frac * cell.width for frac in _SPLIT_FRACTIONS):
+                yield [Rectangle(x0, mr, -top, top), Rectangle(mr, x1, -top, top)], (1, 1)
+
+    def outer_winding(cell: Rectangle) -> int:
+        if not (on_axis(cell) and cell.height > cell.width):
+            return winding_number(ev, cell)
+        # the contour through the first strip's corners; its lower half
+        # mirrors the band's sides and top, so it has their phase
+        x0, x1, top, eta = cell.re_lo, cell.re_hi, cell.im_hi, _STRIP_FRACTIONS[0] * cell.im_hi
+        path = [complex(x1, -eta), complex(x1, eta), complex(x1, top),
+                complex(x0, top), complex(x0, eta), complex(x0, -eta)]
+        return _winding(ev, [path, path[1:5]], _BOUNDARY_STEP, cell)
 
     def windings_consistently(cell: Rectangle, w: int, children, copies):
         """Windings of the children, verified to add up (child k counted
@@ -564,65 +596,28 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
             return [ZeroRecord(s=cell.center, multiplicity=w, residual=abs(ev(cell.center)),
                                method=ev.method, resolved=False)], w
         last: BaseException | None = None
-        for frac in split_fracs:
+        for children, copies in splits(cell):
             try:
-                children = cell.split(frac, frac)
-                ws, w2 = windings_consistently(cell, w, children, (1, 1, 1, 1))
+                ws, w2 = windings_consistently(cell, w, children, copies)
                 out = []
-                for child, cw in zip(children, ws):
+                for child, cw, k in zip(children, ws, copies):
                     sub, _ = handle(child, cw, depth + 1, failed)
-                    out.extend(sub)
+                    out += sub if k == 1 else sub + [_mirrored(r) for r in sub]
                 return out, w2
             except BoundaryZeroError as exc:
                 last = exc
-                continue
         raise last if last is not None else AssertionError("unreachable")
 
-    def mirrored_scan():
-        """(records, winding) of the rectangle from its axis strip and
-        upper band, or None when every strip height grazes a zero."""
-        # the outer contour through the first strip's corners; its lower
-        # half mirrors the band's sides and top, so it has their phase
-        x0, x1, top = rect.re_lo, rect.re_hi, rect.im_hi
-        eta = _STRIP_FRACTIONS[0] * top
-        path = [complex(x1, -eta), complex(x1, eta), complex(x1, top),
-                complex(x0, top), complex(x0, eta), complex(x0, -eta)]
-        w = _winding(ev, [path, path[1:5]], _BOUNDARY_STEP, rect)
-        if w == 0:
-            return [], 0
-        for frac in _STRIP_FRACTIONS:
-            eta = frac * top
-            strip, upper = Rectangle(x0, x1, -eta, eta), Rectangle(x0, x1, eta, top)
-            try:
-                (w_strip, w_upper), w_rect = windings_consistently(
-                    rect, w, (strip, upper), (1, 2))
-                on_strip, _ = handle(strip, w_strip, 1)
-                on_upper, _ = handle(upper, w_upper, 1)
-            except BoundaryZeroError:
-                continue
-            return on_strip + on_upper + [_mirrored(r) for r in on_upper], w_rect
-        return None
-
-    found = None
-    if rect.im_lo == -rect.im_hi and getattr(evaluator, "conjugate_symmetric", False):
+    outer = rect
+    for attempt in range(_JITTER_ATTEMPTS + 1):
         try:
-            found = mirrored_scan()
+            records, w_total = handle(outer, outer_winding(outer), 0)
+            break
         except BoundaryZeroError:
-            pass  # the outer contour grazes a zero: the plain scan jitters it
-    if found is not None:
-        records, w_total = found
-    else:
-        outer = rect
-        for attempt in range(_JITTER_ATTEMPTS + 1):
-            try:
-                w_total = winding_number(ev, outer)
-                records, w_total = handle(outer, w_total, 0)
-                break
-            except BoundaryZeroError:
-                if attempt == _JITTER_ATTEMPTS:
-                    raise
-                outer = rect.shifted(complex(1e-6 * rect.width * (attempt + 1),
-                                             1.3e-6 * rect.height * (attempt + 1)))
+            if attempt == _JITTER_ATTEMPTS:
+                raise
+            outer = rect.shifted(complex(1e-6 * rect.width * (attempt + 1),
+                                         1.3e-6 * rect.height * (attempt + 1)))
     if sum(r.multiplicity for r in records) != w_total:
         raise CompletenessError(
             f"found multiplicities sum {sum(r.multiplicity for r in records)}, "

@@ -334,7 +334,9 @@ def _polynomial_scan(monkeypatch, roots):
 
 
 def test_mirrored_scan_falls_back_when_every_strip_edge_grazes_a_zero(monkeypatch):
-    # zeros on Im s = +-eta for each strip half-height eta = 0.25, 0.5, 0.65
+    # zeros on Im s = +-eta for each strip half-height eta = 0.25, 0.5, 0.65:
+    # every split of the root grazes a zero, so the rectangle is jittered
+    # off the axis and quadrisected, and nothing is mirrored
     roots = [complex(0.1, 0.25), complex(0.2, 0.5), complex(0.3, 0.65),
              complex(0.4, 0.0), complex(0.5, 3.0)]
     roots += [z.conjugate() for z in roots if z.imag]
@@ -620,22 +622,52 @@ def test_axis_zeros_are_solved_on_the_axis():
 @pytest.mark.parametrize("symmetric", [True, False], ids=["mirrored", "plain"])
 @pytest.mark.parametrize("roots", [[0.3] * 2, [0.37] * 3], ids=["double", "triple"])
 def test_a_real_multiple_zero_is_not_reported_twice(roots, symmetric):
-    # the first split of the square, or of the mirrored scan's strip, runs
-    # along the axis and through the zero, so each half winds and reaches
-    # the zero.  The scan may raise, or report each zero once, with the
-    # multiplicities summing to the winding; the plain path once returned
-    # (s - 0.3)^2 as two records of multiplicity 2
+    # no split of a conjugate-symmetric scan runs along the axis, so the
+    # cells about the zero stay symmetric about it and it comes out as one
+    # unresolved record on the axis, as an off-axis multiple zero does
     f = _Polynomial(roots)
+    if symmetric:
+        with pytest.warns(ClusterWarning):
+            records = scan_region(f, _SQUARE)
+        assert [(r.s.imag, r.multiplicity, r.resolved) for r in records] == \
+            [(0.0, len(roots), False)]
+        assert abs(records[0].s - roots[0]) < 1e-7
+        return
+    # the plain path's first split runs along the axis and through the
+    # zero, so each half winds and reaches it.  The scan may raise, or
+    # report each zero once, with the multiplicities summing to the
+    # winding; it once returned (s - 0.3)^2 as two records of multiplicity 2
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClusterWarning)
-            records = scan_region(f if symmetric else (lambda s: f(s)), _SQUARE)
+            records = scan_region(lambda s: f(s), _SQUARE)
     except CompletenessError:
         return
     assert sum(r.multiplicity for r in records) == len(roots)
     resolved = [r.s for r in records if r.resolved]
     assert all(abs(a - b) > 1e-8 * (1.0 + abs(a))
                for i, a in enumerate(resolved) for b in resolved[i + 1:])
+
+
+_SIX_REAL = [0.3, 0.31, -0.5, 0.7, -0.8, 0.9]
+
+
+def test_six_real_zeros_near_each_other_come_out_exactly_real():
+    # the quadrisection on the axis once lost a zero here (sum 5, winds 6)
+    records = scan_region(_Polynomial(_SIX_REAL), _SQUARE)
+    assert [(r.s.imag, r.multiplicity, r.resolved) for r in records] == [(0.0, 1, True)] * 6
+    assert max(abs(r.s - z) for r, z in zip(records, sorted(_SIX_REAL, reverse=True))) < 1e-12
+
+
+@pytest.mark.parametrize("roots", [_SIX_REAL, [0.3] * 2, [0.37] * 3],
+                         ids=["six", "double", "triple"])
+def test_no_symmetric_scan_contour_runs_along_the_axis(monkeypatch, roots):
+    cells = _counted_windings(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClusterWarning)
+        scan_region(_Polynomial(roots), _SQUARE)
+    assert cells
+    assert all(0.0 not in (c.im_lo, c.im_hi) for c in cells)
 
 
 def test_census_work_count():
@@ -726,7 +758,7 @@ def test_pairing_scan_rows_do_not_follow_rounding(monkeypatch):
     monkeypatch.setattr(ModelEvaluator, "__call__", counted)
     records = scan_region(ModelEvaluator(2.0, 4.0, 40), Rectangle(-3.0, 1.0, -60.0, 60.0))
     assert len(records) == 94
-    assert calls[0] <= 3797
+    assert calls[0] == 3401
     same_height = [(a, b) for a, b in zip(records, records[1:])
                    if b.s.imag - a.s.imag <= 1e-8 * (1.0 + abs(a.s))]
     assert len(same_height) == 94 - 27
