@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -26,7 +25,7 @@ from .dynamics import (N_MAX_CAP, AffinePair, MapSpec, Mode,
 from .errors import ConfigError, EngineError
 from .pairing import TestFunction, identity_residual, orbit_length_histogram
 from .tracecheck import comparison_table, export_table
-from .util import atomic_write_text
+from .util import atomic_write_text, is_real
 from .zeros import (_BOUNDARY_STEP, LogFamily, PolyFamily, Rectangle,
                     StripFamily, counting_report, export_zeros,
                     growth_exponent_probe, leading_real_zero, scan_region)
@@ -51,24 +50,15 @@ def _check_keys(cfg: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
-def _is_real(x) -> bool:
-    """A finite JSON number.  type(), not isinstance(): JSON true is a
-    bool, not the number 1."""
-    try:
-        return type(x) in (int, float) and math.isfinite(x)
-    except OverflowError:
-        return False  # an integer too large for a float
-
-
 def _as_complex(v, where: str) -> complex:
     parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-    if all(_is_real(x) for x in parts):
+    if all(is_real(x) for x in parts):
         return complex(parts[0], parts[1])
     raise ConfigError(f"{where} must be a finite number or [re, im] pair")
 
 
 def _as_real(v, where: str) -> float:
-    if _is_real(v):
+    if is_real(v):
         return float(v)
     raise ConfigError(f"{where} must be a finite number")
 

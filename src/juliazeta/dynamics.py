@@ -7,8 +7,8 @@ polished by Newton on f^n(z) - z.  One vectorised locator does this for
 all 2^n itineraries of period n at once: a word's letters are the bits of
 its index, a prime orbit is an index strictly smaller than its other bit
 rotations, and its points are the located points at those rotations.  The
-catalog stores one entry per prime orbit; fixed points of every iterate
-are reconstructed from prime orbits.
+catalog holds each period's prime orbits as arrays, one row per orbit;
+fixed points of every iterate are reconstructed from prime orbits.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (BranchPointError, ConvergenceError, DegeneracyError,
                      HyperbolicityError)
 from .intervals import DISK_SLACK, Disk, Interval
+from .util import is_real
 from .words import Word, aperiodic_necklace_count
 from .words import enumerate_words  # noqa: F401  (module attribute perfbench/tracing.py wraps)
 
@@ -219,19 +220,26 @@ def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     real = spec.mode is Mode.REAL_1D
     c = spec.c.real if real else spec.c
+    signs = np.empty((n, idx.size), np.int8)   # row j: -1 where letter n-1-j is 1, else 1
+    for j in range(n):
+        signs[j] = 1 - 2 * ((idx >> j) & 1)
     z = np.zeros(idx.shape, float if real else complex)
     prev = np.full(idx.shape, math.inf)
     live = np.arange(idx.size)
     for _ in range(_MAX_CONTRACTION_APPLICATIONS):
-        zl, il = z[live], idx[live]
-        w = zl
-        for j in range(n):   # the last letter's branch is applied first
+        # a slice while every element is live: views, not copies
+        at = live if live.size < idx.size else slice(None)
+        zl = w = z[at]
+        for sign in signs[:, at]:   # the last letter's branch is applied first
             w = np.sqrt(w - c)
-            np.negative(w, out=w, where=(il >> j) & 1 == 1)
+            if real:
+                np.copysign(w, sign, out=w)   # the real root is >= 0: this negates it
+            else:
+                np.negative(w, out=w, where=sign < 0)
         step = np.abs(w - zl)
-        z[live] = w
-        done = (step <= 1e-14 * (1.0 + np.abs(w))) | ((step >= prev[live]) & (step < 1e-10))
-        prev[live] = step
+        z[at] = w
+        done = (step <= 1e-14 * (1.0 + np.abs(w))) | ((step >= prev[at]) & (step < 1e-10))
+        prev[at] = step
         live = live[~done]
         if not live.size:
             break
@@ -256,14 +264,12 @@ def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, np.abs(x - z) / np.maximum(1.0, np.abs(lam - 1.0))
 
 
-def _orbit_points(spec: MapSpec, words: list[Word], pts: np.ndarray,
-                  residual: np.ndarray) -> list[PeriodicOrbitPoint]:
-    """Orbit records from located points: row r of `pts` is the orbit of
-    words[r], column k located from the word rotated left by k.
-
-    The multiplier is the chain product of f' over the located points, in
-    rotation order: a forward orbit iterated from one point loses
-    ~|Lambda| * eps of accuracy, while the located points keep the
+def _checked_orbits(spec: MapSpec, words: np.ndarray, pts: np.ndarray,
+                    residual: np.ndarray) -> tuple:
+    """One period's `OrbitCatalog` arrays; row r of `pts` is the orbit of
+    words[r].  The multiplier is the chain product of f' over the located
+    points, in rotation order: a forward orbit iterated from one point
+    loses ~|Lambda| * eps of accuracy, while the located points keep the
     product exact to ~n ulps and identical across rotations.
     """
     n = pts.shape[1]
@@ -272,52 +278,62 @@ def _orbit_points(spec: MapSpec, words: list[Word], pts: np.ndarray,
     lams = np.ones(len(pts), pts.dtype)
     for k in range(n):
         lams = lams * (2.0 * pts[:, k])
-    out = []
-    for word, orbit, lam, res in zip(words, pts.astype(complex).tolist(),
-                                     lams.astype(complex).tolist(), residual.tolist()):
-        if not res <= spec.tol_point:
-            raise ConvergenceError(
-                f"periodic point for word {word} has residual {res} > {spec.tol_point}")
-        if not abs(lam) > 1.0:
-            raise ConvergenceError(
-                f"located point for word {word} is not repelling (|multiplier| = {abs(lam)})")
-        length = math.log(abs(lam))
-        if not (lo - 1e-9 <= length <= hi + 1e-9):
-            raise ConvergenceError(
-                f"length {length} for word {word} violates certified bounds [{lo}, {hi}]")
-        out.append(PeriodicOrbitPoint(word=word, z=orbit[0], multiplier=lam, length=length,
-                                      prime=True, residual=res, orbit=tuple(orbit)))
-    return out
+    lams = lams.astype(complex)
+    sizes = np.array([abs(lam) for lam in lams.tolist()])
+    bad = ~(residual <= spec.tol_point) | ~(sizes > 1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        word = format(int(words[k]), f"0{n}b")
+        if not residual[k] <= spec.tol_point:
+            raise ConvergenceError(f"periodic point for word {word} has residual "
+                                   f"{residual[k]} > {spec.tol_point}")
+        raise ConvergenceError(f"located point for word {word} is not repelling "
+                               f"(|multiplier| = {sizes[k]})")
+    lengths = np.array([math.log(size) for size in sizes.tolist()])
+    bad = ~((lo - 1e-9 <= lengths) & (lengths <= hi + 1e-9))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConvergenceError(f"length {lengths[k]} for word {format(int(words[k]), f'0{n}b')} "
+                               f"violates certified bounds [{lo}, {hi}]")
+    return words, pts.astype(complex), lams, lengths, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitCatalog:
-    """Deduplicated prime orbits up to period n_max, plus the certified
-    expansion bounds used for tail estimates."""
+    """The prime orbits up to period n_max, plus the certified expansion
+    bounds used for tail estimates.  The orbit fields hold an array per
+    period n (at index n - 1), a row per prime orbit in word order: the
+    word's index (its n bits), points (column k located from the word
+    rotated left by k), multiplier, length log |multiplier| and residual."""
 
     n_max: int
     tol_point: float
     mode: Mode
     a: float
     b: float
-    orbits: tuple[PeriodicOrbitPoint, ...]
-    meta: dict = field(default_factory=dict, compare=False)
-    # derived per-truncation arrays of the cycle expansion (zeta._cycle_arrays)
-    cycle_arrays: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    words: tuple[np.ndarray, ...]
+    points: tuple[np.ndarray, ...]
+    multipliers: tuple[np.ndarray, ...]
+    lengths: tuple[np.ndarray, ...]
+    residuals: tuple[np.ndarray, ...]
+    meta: dict = field(default_factory=dict)
 
     @property
     def log_a(self) -> float:
         return math.log(self.a)
 
-    def fixed_point_data(self, n: int):
-        """Data for the 2^n fixed points of f^n, grouped by prime orbit:
-        yields (length L_n, multiplier of f^n, point count p) triples."""
-        for o in self.orbits:
-            p = o.n
-            if n % p == 0:
-                k = n // p
-                yield (k * o.length, o.multiplier ** k, p)
+    @functools.cached_property
+    def orbits(self) -> tuple[PeriodicOrbitPoint, ...]:
+        """One record per prime orbit, by period, then word; made from the
+        arrays on the first read."""
+        out = []
+        for n, (words, pts, lams, lengths, res) in enumerate(zip(
+                self.words, self.points, self.multipliers, self.lengths, self.residuals), 1):
+            out += [PeriodicOrbitPoint(word=Word(w), z=o[0], multiplier=m, length=length,
+                                       prime=True, residual=r, orbit=tuple(o))
+                    for w, o, m, length, r in zip(_letters(words, n), pts.tolist(), lams.tolist(),
+                                                  lengths.tolist(), res.tolist())]
+        return tuple(out)
 
 
 def _prime_rotations(n: int) -> np.ndarray:
@@ -332,10 +348,9 @@ def _prime_rotations(n: int) -> np.ndarray:
     return np.stack([(words << k | words >> (n - k)) & top for k in range(n)], axis=1)
 
 
-def _row_words(rows: np.ndarray) -> list[Word]:
-    """The prime words of `_prime_rotations` rows (column 0, n letters)."""
-    n = rows.shape[1]
-    return [Word(format(i, f"0{n}b")) for i in rows[:, 0].tolist()]
+def _letters(words: np.ndarray, n: int) -> list[str]:
+    """The n letters of each word index."""
+    return [format(i, f"0{n}b") for i in words.tolist()]
 
 
 def _min_separation(points: np.ndarray) -> float:
@@ -353,11 +368,11 @@ def _min_separation(points: np.ndarray) -> float:
 
 
 def _quadratic_catalog(spec: MapSpec, n_max: int, bounds: ExpansionBounds,
-                       orbits: list) -> OrbitCatalog:
+                       periods: list) -> OrbitCatalog:
     meta = {"system": "quadratic", "c": spec.c, "mode": spec.mode.value,
             "n_cert": spec.n_cert}
-    return OrbitCatalog(n_max=n_max, tol_point=spec.tol_point, mode=spec.mode,
-                        a=bounds.a, b=bounds.b, orbits=tuple(orbits), meta=meta)
+    return OrbitCatalog(n_max, spec.tol_point, spec.mode, bounds.a, bounds.b,
+                        *zip(*periods), meta=meta)
 
 
 def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
@@ -371,7 +386,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     if not (1 <= n_max <= N_MAX_CAP):
         raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}")
     bounds = certified_bounds(spec)
-    orbits, points = [], {}
+    periods, points = [], {}
     for n in range(1, n_max + 1):
         rows = _prime_rotations(n)
         if len(rows) != aperiodic_necklace_count(n):
@@ -392,10 +407,9 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
         if best <= 10.0 * spec.tol_point:
             raise DegeneracyError(f"fixed points of iterate {n} collide: min separation "
                                   f"{best} <= guard {10.0 * spec.tol_point}")
-        del sharing   # freed before this period's orbit records are made
-        orbits += _orbit_points(spec, _row_words(rows), points[n], residual[rows[:, 0]])
-
-    return _quadratic_catalog(spec, n_max, bounds, orbits)
+        del sharing   # freed before this period's orbit arrays are made
+        periods.append(_checked_orbits(spec, rows[:, 0], points[n], residual[rows[:, 0]]))
+    return _quadratic_catalog(spec, n_max, bounds, periods)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +460,7 @@ class AffinePair:
         if not (1 <= n_max <= N_MAX_CAP):
             raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}")
         a, b = self.ratios
-        orbits = []
+        periods = []
         for n in range(1, n_max + 1):
             rows = _prime_rotations(n)
             slope, off = np.ones(rows.shape), np.zeros(rows.shape)
@@ -458,25 +472,28 @@ class AffinePair:
             lams = np.ones(len(rows))
             for j in reversed(range(n)):
                 lams = lams * np.where((rows[:, 0] >> j) & 1 == 1, b, a)
-            for word, orbit, lam in zip(_row_words(rows), pts.astype(complex).tolist(),
-                                        lams.tolist()):
-                orbits.append(PeriodicOrbitPoint(
-                    word=word, z=orbit[0], multiplier=complex(lam),
-                    length=math.log(lam), prime=True, residual=0.0,
-                    orbit=tuple(orbit)))
+            lengths = np.array([math.log(lam) for lam in lams.tolist()])
+            periods.append((rows[:, 0], pts.astype(complex), lams.astype(complex), lengths,
+                            np.zeros(len(rows))))
         meta = {"system": "affine", "ratios": list(self.ratios)}
-        return OrbitCatalog(n_max=n_max, tol_point=1e-15, mode=Mode.REAL_1D,
-                            a=min(a, b), b=max(a, b), orbits=tuple(orbits), meta=meta)
+        return OrbitCatalog(n_max, 1e-15, Mode.REAL_1D, min(a, b), max(a, b),
+                            *zip(*periods), meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # catalog cache file
 
+# an orbit record as json.dumps(..., indent=1) writes it (finite floats as %r)
+_RECORD = ('  {\n   "word": "%s",\n   "re_z": %r,\n   "im_z": %r,\n'
+           '   "re_multiplier": %r,\n   "im_multiplier": %r\n  }')
+
+
 def save_catalog(catalog: OrbitCatalog, path: str) -> None:
-    """Versioned JSON cache of a quadratic catalog."""
+    """Versioned JSON cache of a quadratic catalog: the bytes of
+    json.dumps(payload, indent=1), its records written from the arrays."""
     if catalog.meta.get("system") != "quadratic":
         raise ValueError("only quadratic catalogs are cached")
-    payload = {
+    header = json.dumps({
         "version": CATALOG_VERSION,
         "c": [catalog.meta["c"].real, catalog.meta["c"].imag],
         "mode": catalog.meta["mode"],
@@ -484,14 +501,16 @@ def save_catalog(catalog: OrbitCatalog, path: str) -> None:
         "tol_point": catalog.tol_point,
         "n_cert": catalog.meta["n_cert"],
         "expansion": {"a": catalog.a, "b": catalog.b},
-        "orbits": [{"word": o.word.letters,
-                    "re_z": o.z.real, "im_z": o.z.imag,
-                    "re_multiplier": o.multiplier.real,
-                    "im_multiplier": o.multiplier.imag}
-                   for o in catalog.orbits],
-    }
+    }, indent=1)
+    records = []
+    for n, (words, pts, lam) in enumerate(zip(catalog.words, catalog.points,
+                                              catalog.multipliers), 1):
+        records += map(_RECORD.__mod__, zip(_letters(words, n), pts[:, 0].real.tolist(),
+                                            pts[:, 0].imag.tolist(), lam.real.tolist(),
+                                            lam.imag.tolist()))
     from .util import atomic_write_text
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    atomic_write_text(path, header[:-2] + ',\n "orbits": [\n' + ",\n".join(records)
+                      + "\n ]\n}\n")
 
 
 def load_catalog(path: str) -> OrbitCatalog:
@@ -503,41 +522,51 @@ def load_catalog(path: str) -> OrbitCatalog:
     point back to itself within 100 * tol_point, which checks its
     periodicity and its itinerary, and the chain product of f' over the
     pass must match the cached multiplier within 100 * tol_point
-    relative.  Records keep the cached point and multiplier, with length
-    log |multiplier|, so downstream results equal a fresh build's; their
-    other orbit points are the pass's.  Raises ValueError when a check
-    fails or a field is missing or of the wrong type.
+    relative.  The catalog keeps the cached point and multiplier, with
+    length log |multiplier|, so downstream results equal a fresh build's;
+    its other orbit points are the pass's.  Raises ValueError when a check
+    fails or a field is missing or of the wrong type (n_max and n_cert are
+    integers, other numbers finite; JSON true and false are not numbers).
     """
     with open(path) as fh:
         payload = json.load(fh)
     try:
         return _checked_catalog(payload)
-    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed catalog cache: {exc!r}") from exc
 
 
 def _checked_catalog(payload) -> OrbitCatalog:
-    if payload.get("version") != CATALOG_VERSION:
-        raise ValueError(f"unsupported catalog cache version: {payload.get('version')}")
-    spec = MapSpec(c=complex(payload["c"][0], payload["c"][1]),
-                   mode=Mode(payload["mode"]),
-                   tol_point=payload["tol_point"],
-                   n_cert=payload["n_cert"])
-    n_max, records = payload["n_max"], payload["orbits"]
-    bounds = certified_bounds(spec)
+    version = payload.get("version")
+    if type(version) is not int or version != CATALOG_VERSION:
+        raise ValueError(f"unsupported catalog cache version: {version}")
+    c, expansion, n_max = payload["c"], payload["expansion"], payload["n_max"]
+    if not (all(map(is_real, (c[0], c[1], payload["tol_point"], *expansion.values())))
+            and type(n_max) is int and type(payload["n_cert"]) is int):
+        raise ValueError("malformed catalog cache: c, tol_point and the expansion bounds "
+                         "must be finite numbers, n_max and n_cert integers")
+    spec = MapSpec(c=complex(c[0], c[1]), mode=Mode(payload["mode"]),
+                   tol_point=payload["tol_point"], n_cert=payload["n_cert"])
+    records, bounds = payload["orbits"], certified_bounds(spec)
     if not (1 <= n_max <= N_MAX_CAP):
         raise ValueError(f"catalog cache n_max {n_max} is outside 1..{N_MAX_CAP}")
-    if payload["expansion"] != {"a": bounds.a, "b": bounds.b}:
+    if expansion != {"a": bounds.a, "b": bounds.b}:
         raise ValueError("catalog cache expansion bounds differ from the certificate")
-    tol, orbits = 100.0 * spec.tol_point, []
+    tol, periods, start = 100.0 * spec.tol_point, [], 0
     for n in range(1, n_max + 1):
         rows = _prime_rotations(n)
-        words = _row_words(rows)
-        batch = records[len(orbits):len(orbits) + len(rows)]
-        if [rec["word"] for rec in batch] != [w.letters for w in words]:
+        words = _letters(rows[:, 0], n)
+        batch = records[start:start + len(rows)]
+        start += len(rows)
+        if [rec["word"] for rec in batch] != words:
             raise ValueError(f"catalog cache words of period {n} differ from a build's")
-        z = np.array([complex(rec["re_z"], rec["im_z"]) for rec in batch])
-        lam = np.array([complex(rec["re_multiplier"], rec["im_multiplier"]) for rec in batch])
+        values = [rec[key] for rec in batch
+                  for key in ("re_z", "im_z", "re_multiplier", "im_multiplier")]
+        if not ({type(v) for v in values} <= {int, float}
+                and np.isfinite(parts := np.array(values, float)).all()):
+            raise ValueError(f"malformed catalog cache: a record of period {n} holds other "
+                             f"than four finite numbers")
+        z, lam = np.ascontiguousarray(parts.view(complex).reshape(-1, 2).T)
         w, pts = z, []
         for j in range(n):   # the pass of _locate, keeping every point
             w = np.sqrt(w - spec.c)
@@ -552,12 +581,9 @@ def _checked_catalog(payload) -> OrbitCatalog:
         if not np.all(good):
             raise ValueError(f"cached multiplier for word {words[np.argmin(good)]} "
                              f"disagrees with its orbit")
+        lengths = np.array([math.log(abs(m)) for m in lam.tolist()])
         # orbit[k] = f^k(z): the pass visits f^(n-1)(z), ..., f(z), then z
-        forward = np.stack([z] + pts[-2::-1], axis=1).tolist()
-        orbits += [PeriodicOrbitPoint(word=word, z=orbit[0], multiplier=m,
-                                      length=math.log(abs(m)), prime=True, residual=r,
-                                      orbit=tuple(orbit))
-                   for word, orbit, m, r in zip(words, forward, lam.tolist(), back.tolist())]
-    if len(orbits) != len(records):
+        periods.append((rows[:, 0], np.stack([z] + pts[-2::-1], axis=1), lam, lengths, back))
+    if start != len(records):
         raise ValueError(f"catalog cache lists words beyond period {n_max}")
-    return _quadratic_catalog(spec, n_max, bounds, orbits)
+    return _quadratic_catalog(spec, n_max, bounds, periods)

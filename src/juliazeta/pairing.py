@@ -237,11 +237,11 @@ def orbit_length_histogram(catalog: OrbitCatalog, n: int, bins=24) -> LengthHist
     if n > catalog.n_max:
         raise ValueError(f"n = {n} exceeds catalog depth {catalog.n_max}")
     values, weights = [], []
-    for length, _lam, p in catalog.fixed_point_data(n):
-        values.append(length / n)
-        weights.append(p)
-    values = np.array(values)
-    weights = np.array(weights, dtype=float)
+    for p in range(1, n + 1):
+        if n % p == 0:   # each prime orbit of period p stands for p fixed points
+            values.append((n // p) * catalog.lengths[p - 1] / n)
+            weights.append(np.full(len(values[-1]), float(p)))
+    values, weights = np.concatenate(values), np.concatenate(weights)
     mean = float(np.average(values, weights=weights))
     hist, edges = np.histogram(values, bins=bins, weights=weights)
     return LengthHistogram(edges=tuple(float(e) for e in edges),

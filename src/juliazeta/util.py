@@ -1,8 +1,9 @@
-"""Small shared helpers: atomic artifact writes and shortest round-trip
-float formatting."""
+"""Small shared helpers: the JSON number check, atomic artifact writes and
+shortest round-trip float formatting."""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -12,6 +13,15 @@ def fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def is_real(x) -> bool:
+    """A finite JSON number.  type(), not isinstance(): JSON true is a
+    bool, not the number 1."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False  # an integer too large for a float
 
 
 def atomic_write_text(path: str, text: str) -> None:

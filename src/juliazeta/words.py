@@ -25,7 +25,7 @@ class Word:
     letters: str
 
     def __post_init__(self):
-        if not self.letters or any(ch not in "01" for ch in self.letters):
+        if not self.letters or self.letters.strip("01"):
             raise ValueError(f"word must be a nonempty string over 0/1: {self.letters!r}")
 
     def __len__(self) -> int:

@@ -95,21 +95,23 @@ class _Route:
 
 def _cycle_arrays(catalog: OrbitCatalog, n_trunc: int, mode: Mode):
     """(lengths, denominators, weights) of the 2^n fixed points of f^n for
-    n <= n_trunc, kept on the catalog so they live exactly as long as it."""
-    key = (n_trunc, mode)
-    hit = catalog.cycle_arrays.get(key)
-    if hit is not None:
-        return hit
+    n <= n_trunc, by n, then prime period p | n, then word.  A prime orbit
+    stands for its p points, with length k L and multiplier Lambda^k for
+    k = n / p, and weight p / n.  The denominators are formed per point in
+    Python's complex arithmetic, as numpy's complex division and power may
+    round differently."""
+    multipliers = [lam.tolist() for lam in catalog.multipliers[:n_trunc]]
     lengths, dens, weights = [], [], []
     for n in range(1, n_trunc + 1):
-        for length, lam, p in catalog.fixed_point_data(n):
-            base = abs(1.0 - 1.0 / lam)
-            lengths.append(length)
-            dens.append(base if mode is Mode.REAL_1D else base * base)
-            weights.append(p / n)
-    arrays = (np.array(lengths), np.array(dens), np.array(weights))
-    catalog.cycle_arrays[key] = arrays
-    return arrays
+        for p in range(1, n + 1):
+            if n % p == 0:
+                k = n // p
+                lengths.append(k * catalog.lengths[p - 1])
+                dens.append([abs(1.0 - 1.0 / lam ** k) for lam in multipliers[p - 1]])
+                weights.append(np.full(len(dens[-1]), p / n))
+    dens = np.concatenate(dens)
+    return (np.concatenate(lengths), dens if mode is Mode.REAL_1D else dens * dens,
+            np.concatenate(weights))
 
 
 def cycle_convergence_abscissa(catalog: OrbitCatalog) -> float:

@@ -313,25 +313,25 @@ def test_stdout_lists_only_artifact_paths(tmp_path, capsys, name):
 
 
 def test_cycle_jobs_release_their_catalogs(tmp_path, monkeypatch):
-    # the cycle arrays live on the catalog: built once per job (n_max
-    # fixed-point passes, not one per grid point) and freed with it
+    # the cycle arrays are formed once per job (one call to n_max, not one
+    # per grid point), and each job's catalog is freed with the job
     import juliazeta.cli
-    from juliazeta.dynamics import OrbitCatalog
+    import juliazeta.zeta
     built, passes = [], []
     build = juliazeta.cli.build_orbit_catalog
-    fixed_point_data = OrbitCatalog.fixed_point_data
+    cycle_arrays = juliazeta.zeta._cycle_arrays
 
     def tracked(*args, **kwargs):
         catalog = build(*args, **kwargs)
         built.append(weakref.ref(catalog))
         return catalog
 
-    def counted(self, n):
-        passes.append(n)
-        return fixed_point_data(self, n)
+    def counted(catalog, n_trunc, mode):
+        passes.append(n_trunc)
+        return cycle_arrays(catalog, n_trunc, mode)
 
     monkeypatch.setattr(juliazeta.cli, "build_orbit_catalog", tracked)
-    monkeypatch.setattr(OrbitCatalog, "fixed_point_data", counted)
+    monkeypatch.setattr(juliazeta.zeta, "_cycle_arrays", counted)
     for k, c in enumerate((-6.0, -5.5)):
         run_job({"task": "zeta-eval", "system": {"kind": "quadratic", "c": c},
                  "params": {"method": "cycle", "n_max": 8,
@@ -339,7 +339,25 @@ def test_cycle_jobs_release_their_catalogs(tmp_path, monkeypatch):
                 str(tmp_path / str(k)))
     gc.collect()
     assert len(built) == 2 and all(ref() is None for ref in built)
-    assert passes == list(range(1, 9)) * 2
+    assert passes == [8, 8]
+
+
+def test_job_paths_make_no_orbit_records(tmp_path, monkeypatch):
+    # the catalog's per-orbit records are made only when `orbits` is read,
+    # and no job, save or load reads it
+    import juliazeta.dynamics
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a PeriodicOrbitPoint was made")
+
+    monkeypatch.setattr(juliazeta.dynamics, "PeriodicOrbitPoint", no_record)
+    run_job({"task": "orbits", "system": {"kind": "quadratic", "c": -6.0},
+             "params": {"n_max": 10}}, str(tmp_path / "orbits"))
+    assert juliazeta.dynamics.load_catalog(str(tmp_path / "orbits" / "catalog.json")).n_max == 10
+    run_job(_ZETA_EVAL, str(tmp_path / "zeta"))
+    run_job(_with(_PAIRING, histogram_n=6), str(tmp_path / "pairing"))
+    assert sorted(os.listdir(tmp_path / "pairing")) == \
+        ["length_histogram.csv", "manifest.json", "pairing_0.json"]
 
 
 # Config fuzz.  One mutation of a small valid job config: a value replaced

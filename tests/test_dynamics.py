@@ -284,16 +284,55 @@ def test_catalog_cache_rejects_wrong_expansion(tmp_path):
         load_catalog(str(path))
 
 
-@pytest.mark.parametrize("tamper", ["n_max_string", "no_expansion"])
+@pytest.mark.parametrize("tamper", ["n_max_string", "no_expansion", "n_max_bool",
+                                    "tol_point_bool", "n_cert_bool", "re_z_string"])
 def test_catalog_cache_rejects_malformed_fields(tmp_path, tamper):
     path, payload = _saved(tmp_path)
     if tamper == "n_max_string":
         payload["n_max"] = str(payload["n_max"])
-    else:
+    elif tamper == "no_expansion":
         del payload["expansion"]
+    elif tamper == "n_max_bool":   # true == 1: with the two period-1 records it read as n_max 1
+        payload["n_max"], payload["orbits"] = True, payload["orbits"][:2]
+    elif tamper == "re_z_string":
+        payload["orbits"][3]["re_z"] = str(payload["orbits"][3]["re_z"])
+    else:   # true == 1: a tolerance of 100 * true, or a certificate at depth true
+        payload[tamper[:-5]] = True
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed catalog cache"):
         load_catalog(str(path))
+
+
+# Cache fuzz.  One header field, or one field of one record, of a small
+# valid cache replaced by a JSON value of another type; every such file
+# must be refused with ValueError.
+_CACHE_FIELDS = [("version",), ("c",), ("c", 0), ("c", 1), ("mode",), ("n_max",),
+                 ("tol_point",), ("n_cert",), ("expansion",), ("expansion", "a"),
+                 ("expansion", "b"), ("orbits",)] + \
+    [("orbits", k, key) for k in (0, 2, 4)
+     for key in ("word", "re_z", "im_z", "re_multiplier", "im_multiplier")]
+_CACHE_VALUES = st.sampled_from([None, True, False, "", "x", "3.0", [], [True], [0.5],
+                                 {}, {"a": 1.0}])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(field=st.sampled_from(_CACHE_FIELDS), value=_CACHE_VALUES)
+def test_catalog_cache_fuzz_refuses_other_types(field, value):
+    import tempfile
+    cat = build_orbit_catalog(MapSpec(c=-6), 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/catalog.json"
+        save_catalog(cat, path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        parent = payload
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError):
+            load_catalog(path)
 
 
 def test_catalog_cache_loads_without_a_build(tmp_path, monkeypatch):
@@ -316,6 +355,28 @@ def test_catalog_cache_resaves_byte_identical(tmp_path):
     again = tmp_path / "again.json"
     save_catalog(load_catalog(str(path)), str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_ledger_catalog_memory(tmp_path):
+    # the n = 16 catalog as arrays: at most 4 MiB held once built, and at
+    # most 6 MiB more while it is saved (per-orbit records took 8.4 and 11.7)
+    import gc
+    import tracemalloc
+    spec = MapSpec(c=-6, tol_point=5e-13)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cat = build_orbit_catalog(spec, 16)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        save_catalog(cat, str(tmp_path / "catalog.json"))
+        saving = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert held <= 4 * 2 ** 20
+    assert saving <= 6 * 2 ** 20
 
 
 def test_prime_count_mismatch_raises(monkeypatch):

@@ -235,8 +235,9 @@ def test_histogram_affine_binomial(affine24_cat):
     assert hist.mean == pytest.approx(want_mean, rel=1e-12)
     # exact binomial multiplicities: L_n = k l1 + (n-k) l2 carries C(n,k)
     counts = {}
-    for length, _lam, p in affine24_cat.fixed_point_data(n):
-        counts[round(length, 9)] = counts.get(round(length, 9), 0) + p
+    for p in (d for d in range(1, n + 1) if n % d == 0):
+        for length in ((n // p) * affine24_cat.lengths[p - 1]).tolist():
+            counts[round(length, 9)] = counts.get(round(length, 9), 0) + p
     want = {round(k * la + (n - k) * lb, 9): math.comb(n, k) for k in range(n + 1)}
     assert counts == want
 

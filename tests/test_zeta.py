@@ -75,6 +75,33 @@ def test_cycle_telescopes_to_model_product(affine24_cat):
         assert abs(got - want) < 1e-9
 
 
+def _reference_cycle_arrays(catalog, n_trunc, mode):
+    """Reference loop over the orbit records: for each n, each prime orbit
+    whose period p divides n stands for p fixed points of f^n, with length
+    k L and multiplier Lambda^k (k = n / p), in Python's arithmetic."""
+    lengths, dens, weights = [], [], []
+    for n in range(1, n_trunc + 1):
+        for o in catalog.orbits:   # by period, then word
+            if n % o.n == 0:
+                k = n // o.n
+                base = abs(1.0 - 1.0 / o.multiplier ** k)
+                lengths.append(k * o.length)
+                dens.append(base if mode is Mode.REAL_1D else base * base)
+                weights.append(o.n / n)
+    return np.array(lengths), np.array(dens), np.array(weights)
+
+
+@pytest.mark.parametrize("name, n_trunc, mode", [("cat12", 12, Mode.REAL_1D),
+                                                 ("affine24_cat", 14, Mode.REAL_1D),
+                                                 ("affine24_cat", 14, Mode.COMPLEX_2D)])
+def test_cycle_arrays_keep_the_reference_arithmetic(request, name, n_trunc, mode):
+    from juliazeta.zeta import _cycle_arrays
+    catalog = request.getfixturevalue(name)
+    got = _cycle_arrays(catalog, n_trunc, mode)
+    want = _reference_cycle_arrays(catalog, n_trunc, mode)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_cycle_denominator_modes_differ(affine24_cat):
     # contracting branch derivatives make 1 - 1/Lambda < 1, so squaring
     # the denominator enlarges every term
