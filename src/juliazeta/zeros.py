@@ -55,6 +55,7 @@ _RESIDUAL_FACTOR = 1e-8   # most this times |Z'| r_loc, |Z| at that distance
 _DEPTH_LIMIT = 42         # a scan's split depth
 _JITTER_ATTEMPTS = 3      # a scan's retries of an outer contour that grazes a zero
 _MOMENT_WINDING = 5       # a scan's cells winding at most this often seed Newton
+_COARSE_STRIDE = 8        # grid cells per coarse cell of the leading real zero's walk
 
 
 @dataclass(frozen=True)
@@ -648,34 +649,47 @@ def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
     """The zero of largest real part on the real axis within the bracket
     (Z is real there for real parameters).
 
-    Re Z is evaluated on a 64-point grid over the bracket from the right,
-    stopping at the first sign change, so no grid point left of that cell
-    is evaluated.  `_sign_change` shrinks the cell to adjacent floats and
-    returns an exactly real zero, certified by that sign change with the
-    grid cell's secant as |Z'|; delta is simple, since the pressure
-    P(-s log|f'|) is strictly decreasing.  Grid and regula falsi share
-    one cache.
+    Re Z is read on a 64-point grid over the bracket from the right, coarse
+    to fine: first at every _COARSE_STRIDE-th node (and the left end),
+    stopping at the first coarse cell whose left node is 0 or changes
+    sign, then at that cell's nodes, stopping at the first sign change.
+    That is the grid cell the walk over every node finds, so the record
+    is the same to the bit, as long as no coarse cell right of the zero
+    holds two: for the transfer operator Z > 0 for real s > delta.  No
+    point left of the coarse cell that holds the zero is evaluated.
+    `_sign_change` shrinks the grid cell to adjacent
+    floats and returns an exactly real zero, certified by that sign change
+    with the grid cell's secant as |Z'|; delta is simple, since the
+    pressure P(-s log|f'|) is strictly decreasing.  Both walks and the
+    regula falsi share one cache.
     """
     ev = _CachedEvaluator(evaluator)
 
     def re_z(x: float) -> float:
         return ev(complex(x)).real
 
+    def walk(ks) -> tuple[int, int] | None:
+        """(k, j) of the first j after ks[0] in the descending grid
+        indices ks whose value is 0 or has the sign opposite to that at
+        k, its predecessor in ks."""
+        right = re_z(xs[ks[0]])
+        for k, j in zip(ks, ks[1:]):
+            v = re_z(xs[j])
+            if v == 0.0 or v * right < 0.0:
+                return k, j
+            right = v
+        return None
+
     lo, hi = bracket
     xs = np.linspace(lo, hi, 64)
-    right = re_z(xs[-1])
-    for k in range(len(xs) - 2, -1, -1):
-        v = re_z(xs[k])
-        if v == 0.0:
-            root = float(xs[k])
-            break
-        if v * right < 0.0:
-            root = _sign_change(re_z, float(xs[k]), float(xs[k + 1]), v, right)
-            break
-        right = v
-    else:
+    coarse = walk(list(range(len(xs) - 1, 0, -_COARSE_STRIDE)) + [0])
+    fine = coarse and walk(range(coarse[0], coarse[1] - 1, -1))
+    if not fine:
         raise NoZeroError(f"no sign change of Z on [{lo}, {hi}]")
-    slope = (right - v) / (xs[k + 1] - xs[k])
+    k, j = fine
+    right, v = re_z(xs[k]), re_z(xs[j])
+    root = float(xs[j]) if v == 0.0 else _sign_change(re_z, float(xs[j]), float(xs[k]), v, right)
+    slope = (right - v) / (xs[k] - xs[j])
     return _checked(ev, complex(root), 1, abs(slope) * _r_loc(complex(root)))
 
 

@@ -366,6 +366,10 @@ class FredholmEvaluator(_Route):
             basis.append(rel[None, :] ** alphas[:, None])
             logw.append(np.log(4.0 * (z_nodes - c)))
         self._logw = np.array(logw)
+        # the range of Re log w and the largest |Im log w| bound the weight
+        # exponent Re(-(s/2) log w) at O(1) cost (`_check_weights`)
+        self._logw_re = (float(self._logw.real.min()), float(self._logw.real.max()))
+        self._logw_im = float(np.abs(self._logw.imag).max())
         if level == 0:
             dft, self._basis = 2.0 * dft[::2], np.array(basis)[:, ::2]
         else:
@@ -376,6 +380,11 @@ class FredholmEvaluator(_Route):
         # Re dft and -Im dft interleaved, to meet the (re, im) pairs of a
         # complex row viewed as floats: Re (dft @ x) = dft_ri @ x.view(float)
         self._dft_ri = np.stack((self._dft.real, -self._dft.imag), axis=4).reshape(2, len(dft), -1)
+        # a weight exponent at most this keeps F's entries finite: an entry
+        # is at most 2 e^exponent times a row sum of |dft|, and the two
+        # products of a complex multiplication add
+        self._exponent_cap = math.log(np.finfo(float).max) - \
+            math.log(4.0 * float(np.abs(self._dft).sum(axis=-1).max()))
         # F's block grid: row k mod half, column targets[k]; the 1u rows
         # (k >= half) are added onto the 0u rows
         self._half = max(half, 1)
@@ -383,9 +392,21 @@ class FredholmEvaluator(_Route):
         self._cols = np.array(targets)
         self.size = folded_size(level, m)
 
+    def _check_weights(self, s: complex) -> None:
+        """TruncationError when a branch weight exp(-(s/2) log w) at s may
+        overflow, decided from the bound on its exponent before any array
+        is formed."""
+        lo, hi = self._logw_re
+        top = max(-0.5 * s.real * lo, -0.5 * s.real * hi) + 0.5 * abs(s.imag) * self._logw_im
+        if not top <= self._exponent_cap:
+            raise TruncationError(
+                f"branch weights at s = {s} overflow (weight exponent up to "
+                f"{top:.3g}, above {self._exponent_cap:.3g})")
+
     def matrix(self, s: complex) -> np.ndarray:
         """The folded matrix F(s), with det(I - F) = det(I - L)."""
         s = complex(s)
+        self._check_weights(s)
         h, mb = self._half, self._dft.shape[2]
         weights = np.exp(-(s / 2.0) * self._logw)
         # the terms of the 0u rows and of the 1u rows, one stack each; the
@@ -421,11 +442,15 @@ class FredholmEvaluator(_Route):
         a = self.matrix(s)
         np.negative(a, out=a)
         a.flat[::self.size + 1] += 1.0
-        return complex(np.linalg.det(a))
+        z = complex(np.linalg.det(a))
+        if not cmath.isfinite(z):
+            raise TruncationError(f"determinant at s = {s} is not finite ({z})")
+        return z
 
     def tail_bound(self, s: complex) -> float:
         """Determinant truncation estimate: predicted discarded singular
         values, scaled by the weight sup and a det perturbation factor."""
+        self._check_weights(complex(s))
         wsup = float(np.max(np.abs(np.exp(-(complex(s) / 2.0) * self._logw))))
         nu_tail = wsup * self.truncation.tail(self.order)
         nu_all = wsup * self.truncation.tail(0)

@@ -228,6 +228,39 @@ def test_engine_failures_exit_3_with_one_line(tmp_path, capsys, cfg, error):
     assert not (tmp_path / "o").exists()
 
 
+_FREDHOLM = {"kind": "quadratic", "c": -6.0}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"task": "zeta-eval", "system": _FREDHOLM,
+     "params": {"method": "fredholm", "level": 2, "re": [-800.0, -800.0, 1],
+                "im": [1.0, 1.0, 1]}},
+    {"task": "zeta-eval", "system": _FREDHOLM,
+     "params": {"method": "fredholm", "level": 2, "re": [0.5, 0.5, 1],
+                "im": [1e300, 1e300, 1]}},
+    # evaluated NaN determinants, then blamed a zero on the contour
+    {"task": "zeros", "system": _FREDHOLM,
+     "params": {"method": "fredholm", "level": 2, "rectangle": [-800.0, -799.0, 0.5, 1.0]}},
+])
+def test_overflowing_branch_weights_fail_in_one_line(tmp_path, cfg):
+    # in a child process, whose stderr holds numpy's warnings too, which
+    # capsys does not see
+    import subprocess
+    import sys
+
+    import juliazeta
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(juliazeta.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "juliazeta", cfg["task"], "--config",
+                           str(path), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("TruncationError: branch weights at s = ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_task_mismatch(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"task": "orbits",

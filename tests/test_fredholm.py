@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import juliazeta.zeta
 from juliazeta.cover import backward_cover
 from juliazeta.dynamics import MapSpec, Mode
-from juliazeta.errors import CoverError, RadiusCapError
+from juliazeta.errors import CoverError, RadiusCapError, TruncationError
 from juliazeta.zeros import Rectangle, scan_region
 from juliazeta.zeta import CycleEvaluator, FredholmEvaluator, folded_size
 
@@ -311,3 +312,24 @@ def test_order_and_tail_bound_keep_their_bits(key):
     order, tails = _TAIL_PINS[key]
     assert ev.order == order
     assert tuple(ev.tail_bound(s) for s in _TAIL_POINTS) == tails
+
+
+def test_weight_guard_refuses_exactly_the_overflowing_weights(fredholm6):
+    # on the axis the weight exponent -(s/2) log w peaks at the largest
+    # Re log w; a real s just right of where that reaches the cap forms a
+    # finite F without a numpy warning, and one just left is refused
+    # before any array is formed
+    edge = -2.0 * fredholm6._exponent_cap / fredholm6._logw_re[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(fredholm6.matrix(edge * (1.0 - 1e-12))).all()
+        with pytest.raises(TruncationError, match="branch weights at s = "):
+            fredholm6.matrix(edge * (1.0 + 1e-12))
+        with pytest.raises(TruncationError, match="branch weights at s = "):
+            fredholm6.tail_bound(complex(0.5, 1e300))
+    # between -50 and the cap the weights are finite and the determinant
+    # overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TruncationError, match="determinant at s = .* is not finite"):
+            fredholm6(-100.0)

@@ -12,7 +12,8 @@ from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
 from juliazeta.errors import ClusterWarning, CompletenessError, NoZeroError
 from juliazeta.zeros import (LogFamily, PolyFamily, Rectangle, StripFamily,
                              ZeroRecord, _CachedEvaluator, _edge_phase,
-                             _moment_seeds, _sign_change, counting_report,
+                             _checked, _moment_seeds, _r_loc, _sign_change,
+                             counting_report,
                              growth_exponent_probe, leading_real_zero,
                              refine_zero, scan_region, winding_number)
 from juliazeta.zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
@@ -787,21 +788,28 @@ def _openblas() -> bool:
     return "openblas" in name.lower()
 
 
-def _axis_rows(coretype):
+def _in_child(script, coretype):
+    """The literal that `script` prints, run in a child process on the
+    OpenBLAS kernel `coretype` (None: the default), with this directory
+    importable."""
     import ast
     import os
     import subprocess
     import sys
 
     import juliazeta
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(juliazeta.__file__)))
+    path = [os.path.dirname(os.path.dirname(juliazeta.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
-    out = subprocess.run([sys.executable, "-c", _AXIS_ROWS], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return ast.literal_eval(out)
+
+
+def _axis_rows(coretype):
+    return _in_child(_AXIS_ROWS, coretype)
 
 
 @pytest.mark.skipif(not _openblas(), reason="numpy is not OpenBLAS-backed")
@@ -914,14 +922,59 @@ DELTA_L3 = {-3.0: 0.6245701073534808, -4.0: 0.5345773893082982,
             -20.0: 0.31850809575800487}
 
 
+def _reference_walk(evaluator, bracket):
+    """leading_real_zero as a walk over every node of its 64-point grid
+    from the right, the grid cell of the first sign change closed by
+    `_sign_change` and checked with its secant as |Z'|."""
+    ev = _CachedEvaluator(evaluator)
+
+    def re_z(x):
+        return ev(complex(x)).real
+
+    lo, hi = bracket
+    xs = np.linspace(lo, hi, 64)
+    right = re_z(xs[-1])
+    for k in range(len(xs) - 2, -1, -1):
+        v = re_z(xs[k])
+        if v == 0.0:
+            root = float(xs[k])
+            break
+        if v * right < 0.0:
+            root = _sign_change(re_z, float(xs[k]), float(xs[k + 1]), v, right)
+            break
+        right = v
+    else:
+        raise NoZeroError(f"no sign change of Z on [{lo}, {hi}]")
+    slope = (right - v) / (xs[k + 1] - xs[k])
+    return _checked(ev, complex(root), 1, abs(slope) * _r_loc(complex(root)))
+
+
+class _Memo:
+    """Z memoised across solves: a walk's records depend on Z's values
+    only, so two walks over one grid pay for each point once."""
+
+    conjugate_symmetric = True
+
+    def __init__(self, ev):
+        self.ev, self.method, self.values = ev, ev.method, {}
+
+    def __call__(self, s):
+        s = complex(s)
+        if s not in self.values:
+            self.values[s] = self.ev(s)
+        return self.values[s]
+
+
 def test_leading_real_zero_work_count():
     ev, count = _counted_evaluator(-6.0, 3)
     rec = leading_real_zero(ev, (0.05, 0.95))
-    # 36 grid points from the right down to delta and 6 regula falsi
-    # steps: 42.  The sign change is the certificate, so nothing more is
-    # evaluated.  The last step reads a sign at the rounding level of Z,
-    # which moves with the BLAS kernel, so the pin keeps a margin of 2
-    assert count[0] <= 44
+    # delta lies in grid cell [28, 29]: 6 coarse nodes from the right
+    # (63, 55, ..., 23), the 3 nodes of the coarse cell [23, 31] down to 28
+    # and 6 regula falsi steps: 15.  The sign change is the certificate, so
+    # nothing more is evaluated.  The last step reads a sign at the
+    # rounding level of Z, which moves with the BLAS kernel, so the pin
+    # keeps a margin of 2
+    assert count[0] <= 17
     assert rec.s.imag == 0.0
     assert abs(rec.s.real - 0.45183750018171) <= 1e-10
 
@@ -936,11 +989,76 @@ def test_leading_real_zero_matches_the_bisection_values():
         assert rec.multiplicity == 1 and rec.method == "fredholm"
         assert rec.residual <= 1e-13
         counts[c] = count[0]
-    # the bisection solver took 1,137 determinants; these solves take 300.
-    # The last regula falsi steps read signs at the rounding level of Z,
-    # which moves with the BLAS kernel: 302 were seen under OpenBLAS's
-    # SandyBridge and Prescott kernels
-    assert sum(counts.values()) <= 314
+    # the bisection solver took 1,137 determinants, the walk over every
+    # grid node 300; the coarse-to-fine walk takes 118.  The last regula
+    # falsi steps read signs at the rounding level of Z, which moves with
+    # the BLAS kernel: 120 were seen under OpenBLAS's SandyBridge and
+    # Prescott kernels.  The pin keeps a margin of 2 a solve
+    assert sum(counts.values()) <= 132
+
+
+@pytest.mark.parametrize("bracket", [(0.05, 0.95), (0.02, 0.98)])
+def test_leading_real_zero_matches_the_walk_over_every_node(bracket):
+    # at the benchmark's seven dimension c values and at two within 1% of
+    # each, as its dimension jobs draw them
+    for c in DELTA_L3:
+        for factor in (1.0, 0.9937, 1.0082):
+            ev = _Memo(FredholmEvaluator(MapSpec(c=c * factor), level=3))
+            assert leading_real_zero(ev, bracket) == _reference_walk(ev, bracket)
+
+
+_GRID = np.linspace(0.05, 0.95, 64)
+
+
+class _Linear:
+    """A synthetic Z, real on the axis, with its one real zero at `root`:
+    exactly 0 there.  It records the points at which it is evaluated."""
+
+    conjugate_symmetric = True
+    method = "synthetic"
+
+    def __init__(self, root):
+        self.root, self.points = float(root), []
+
+    def __call__(self, s):
+        s = complex(s)
+        self.points.append(s)
+        return (s - self.root) * (1.0 + s * s)
+
+
+@pytest.mark.parametrize("root, zero_at_node", [
+    (_GRID[23], True),                          # a coarse node
+    (_GRID[26], True),                          # a fine node
+    (_GRID[0], True),                           # the left end
+    (0.5 * (_GRID[2] + _GRID[3]), False),       # the short last cell [0, 7]
+    (0.5 * (_GRID[58] + _GRID[59]), False),     # the first cell [55, 63]
+])
+def test_leading_real_zero_walks_coarse_to_fine(root, zero_at_node):
+    ev = _Linear(root)
+    rec = leading_real_zero(ev, (0.05, 0.95))
+    assert rec == _reference_walk(_Linear(root), (0.05, 0.95))
+    # the grid nodes read: the coarse nodes down to the first one at or
+    # left of the zero, j, and the nodes of the coarse cell [j, k] from
+    # the right down to the first one at or left of the zero, i
+    coarse = list(range(63, 0, -8)) + [0]
+    j = next(m for m in coarse if _GRID[m] <= root)
+    k = coarse[coarse.index(j) - 1]
+    i = max(m for m in range(64) if _GRID[m] <= root)
+    read = {m for m, x in enumerate(_GRID) if complex(x) in ev.points}
+    assert read == {m for m in coarse if m >= j} | set(range(i, k))
+    assert len(ev.points) == len(set(ev.points))
+    if zero_at_node:
+        assert rec.s == root
+    else:
+        assert _GRID[i] < rec.s.real < _GRID[i + 1] and rec.s.imag == 0.0
+
+
+def test_leading_real_zero_without_a_sign_change_raises_the_same_error():
+    with pytest.raises(NoZeroError) as coarse:
+        leading_real_zero(_Linear(2.0), (0.05, 0.95))
+    with pytest.raises(NoZeroError) as every_node:
+        _reference_walk(_Linear(2.0), (0.05, 0.95))
+    assert str(coarse.value) == str(every_node.value) == "no sign change of Z on [0.05, 0.95]"
 
 
 class _RaisesLeftOf:
@@ -959,11 +1077,42 @@ class _RaisesLeftOf:
 
 
 def test_leading_real_zero_evaluates_nothing_left_of_its_bracket(fredholm6, delta6):
-    # the grid cell that holds delta, 0.9 / 63 wide, is the leftmost
-    # interval evaluated
-    rec = leading_real_zero(_RaisesLeftOf(fredholm6, delta6 - 0.015), (0.05, 0.95))
+    # the coarse walk reads every 8th node of the grid from the right and
+    # stops at the first coarse node left of delta, which is the leftmost
+    # point evaluated
+    xs = np.linspace(0.05, 0.95, 64)
+    edge = max(x for x in list(xs[::-8]) + [xs[0]] if x < delta6)
+    rec = leading_real_zero(_RaisesLeftOf(fredholm6, edge), (0.05, 0.95))
     assert rec.s.real == delta6
     assert rec.multiplicity == 1
+    with pytest.raises(ValueError):
+        leading_real_zero(_RaisesLeftOf(fredholm6, math.nextafter(edge, 1.0)), (0.05, 0.95))
+
+
+_LEADING_RECORDS = """
+from juliazeta.dynamics import MapSpec
+from juliazeta.zeros import leading_real_zero
+from juliazeta.zeta import FredholmEvaluator
+from test_zeros import DELTA_L3, _Memo, _reference_walk
+rows = []
+for c in DELTA_L3:
+    ev = _Memo(FredholmEvaluator(MapSpec(c=c), level=3))
+    rows.append([(r.s, r.multiplicity, r.residual, r.method, r.resolved)
+                 for r in (leading_real_zero(ev, (0.05, 0.95)),
+                           _reference_walk(ev, (0.05, 0.95)))])
+print(repr(rows))
+"""
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy is not OpenBLAS-backed")
+@pytest.mark.parametrize("coretype", ["SandyBridge", "Prescott"])
+def test_leading_real_zero_records_hold_on_other_blas_kernels(coretype):
+    # delta's own last bit moves with the kernel (at c = -5 and -6 under
+    # SandyBridge), so the two walks are compared with each other, each
+    # on the kernel it runs on
+    rows = _in_child(_LEADING_RECORDS, coretype)
+    assert len(rows) == len(DELTA_L3)
+    assert all(coarse == every_node for coarse, every_node in rows)
 
 
 class _Symmetric(_Recorded):
