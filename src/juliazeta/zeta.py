@@ -8,10 +8,10 @@
       Complex2D   den = |1 - 1/Lambda|^2      (conformal 2x2 differential)
   The numerator uses e^{-s L_n} with the real length L_n = log |Lambda|.
 
-* Fredholm determinant: det(I - L_M(s)) for the transfer operator
-  discretized over a backward cover in per-element monomial bases, with
-  Taylor coefficients extracted by trapezoidal quadrature of Cauchy
-  integrals.  Entire in s; the route that sees zeros left of delta.
+* Fredholm determinant: det(I - L_M(s)) for the transfer operator in
+  per-element monomial bases over a backward cover, with Taylor
+  coefficients by trapezoidal Cauchy quadrature (on the real axis: real
+  sums over half the nodes).  Entire in s; it sees zeros left of delta.
 
 * Model product: prod_k (1 - A^{-(s+k)} - B^{-(s+k)}), the binomial
   length-model zeta; exact for two-branch affine systems.
@@ -221,13 +221,14 @@ class ModelEvaluator(_Route):
         if k_max < 0:
             raise ValueError("K must be >= 0")
         self.a, self.b, self.k_max = float(a), float(b), int(k_max)
+        self._powers = np.array([[self.a ** -k, self.b ** -k] for k in range(self.k_max + 1)]).T
+
+    def _factors(self, s: complex) -> list[complex]:
+        """1 - a^{-s} a^{-k} - b^{-s} b^{-k}; raises OverflowError as a^{-s} does."""
+        return (1.0 - self.a ** (-s) * self._powers[0] - self.b ** (-s) * self._powers[1]).tolist()
 
     def __call__(self, s: complex) -> complex:
-        s = complex(s)
-        value = 1.0 + 0.0j
-        for k in range(self.k_max + 1):
-            value *= 1.0 - self.a ** (-(s + k)) - self.b ** (-(s + k))
-        return value
+        return math.prod(self._factors(complex(s)), start=1.0 + 0.0j)
 
     def dlog(self, s: complex) -> complex:
         s = complex(s)
@@ -243,13 +244,9 @@ class ModelEvaluator(_Route):
         """Z(s) and log Z(s) (None when a factor is exactly 0); tail_bound
         covers the factors k > K."""
         s = complex(s)
-        value = 1.0 + 0.0j
-        log_value: complex | None = 0.0 + 0.0j
-        for k in range(self.k_max + 1):
-            factor = 1.0 - self.a ** (-(s + k)) - self.b ** (-(s + k))
-            value *= factor
-            log_value = None if (log_value is None or factor == 0.0) \
-                else log_value + cmath.log(factor)
+        factors = self._factors(s)
+        value = math.prod(factors, start=1.0 + 0.0j)
+        log_value = None if 0.0 in factors else sum(map(cmath.log, factors), 0.0 + 0.0j)
         n = -(s.real + self.k_max + 1)
         log_tail = self.a ** n / (1.0 - 1.0 / self.a) + self.b ** n / (1.0 - 1.0 / self.b)
         return ZetaValue(value=value, log_value=log_value,
@@ -294,6 +291,11 @@ class FredholmEvaluator(_Route):
     the quadrature weights and D times them, in one product.  F has the
     trace and nonzero spectrum of L.  The one level-0 element is centred
     at 0, so there L = A (I + D) and F is the even-degree block of 2A.
+
+    On the real axis the terms and twiddles at nodes t and 4M - t are
+    conjugates, so F is real: numpy's loops sum its rows over t <= 2M, with
+    phases reduced mod 4M and each twiddle from an angle <= pi/4, so within
+    an ulp (off the axis the unreduced phases' rounding, and bits, are kept).
     """
 
     method = "fredholm"
@@ -370,16 +372,23 @@ class FredholmEvaluator(_Route):
         # exponent Re(-(s/2) log w) at O(1) cost (`_check_weights`)
         self._logw_re = (float(self._logw.real.min()), float(self._logw.real.max()))
         self._logw_im = float(np.abs(self._logw.imag).max())
+        # node q M + r's root of unity is i^q exp(2 pi i r / 4M), from an angle <= pi/4;
+        # row alpha, node t <= 2M: times c_t _THETA^{-alpha} / 4M, c_t = 2 but at 0, 2M
+        q, r = np.divmod(np.arange(nodes), m)
+        e = np.exp(1j * (2.0 * np.pi * np.minimum(r, m - r) / nodes))
+        roots = np.where(2 * r <= m, e, 1j * e.conj()) * np.array([1, 1j, -1, -1j])[q]
+        roots = roots[np.outer(alphas, range(2 * m + 1)) % nodes] * \
+            ((_THETA ** (-alphas) / nodes)[:, None] * np.r_[1.0, [2.0] * (2 * m - 1), 1.0])
         if level == 0:
-            dft, self._basis = 2.0 * dft[::2], np.array(basis)[:, ::2]
+            dft, self._basis, roots = 2.0 * dft[::2], np.array(basis)[:, ::2], 2.0 * roots[::2]
         else:
             self._basis = np.array(basis)
         # [dft, D dft], D = diag((-1)^beta), for the 0u and the 1u rows: their
-        # products with the rows' terms are F's blocks, signs included
-        self._dft = np.stack((dft, (-1.0) ** np.arange(len(dft))[:, None] * dft))[:, None]
-        # Re dft and -Im dft interleaved, to meet the (re, im) pairs of a
-        # complex row viewed as floats: Re (dft @ x) = dft_ri @ x.view(float)
-        self._dft_ri = np.stack((self._dft.real, -self._dft.imag), axis=4).reshape(2, len(dft), -1)
+        # products with the rows' terms are F's blocks, signs included; so too
+        # for the twiddles, whose (cos, sin) pairs meet a row's (Re, Im) pairs
+        signs = (-1.0) ** np.arange(len(dft))[:, None]
+        self._dft = np.stack((dft, signs * dft))[:, None]
+        self._twiddles = np.stack((roots, signs * roots)).view(float)
         # a weight exponent at most this keeps F's entries finite: an entry
         # is at most 2 e^exponent times a row sum of |dft|, and the two
         # products of a complex multiplication add
@@ -408,23 +417,20 @@ class FredholmEvaluator(_Route):
         s = complex(s)
         self._check_weights(s)
         h, mb = self._half, self._dft.shape[2]
-        weights = np.exp(-(s / 2.0) * self._logw)
+        t = self._twiddles.shape[2] // 2 if s.imag == 0.0 else self._logw.shape[1]
+        weights = np.exp(-(s / 2.0) * self._logw[:, :t])
         # the terms of the 0u rows and of the 1u rows, one stack each; the
         # one level-0 element has no 1u rows
         n = min(len(weights), 2)
-        terms = (weights[:, None, :] * self._basis).reshape(n, -1, mb, weights.shape[1])
+        terms = (weights[:, None, :] * self._basis[..., :t]).reshape(n, -1, mb, t)
         if s.imag == 0.0:
-            # F is real on the real axis.  Its real part is summed by
-            # numpy's own loops, not by BLAS, and its imaginary part, which
-            # is rounding noise there, is left at zero: Z comes out exactly
-            # real, and its bits, whose signs the axis solvers read down to
-            # adjacent floats, do not depend on the BLAS kernel's assembly
-            blocks = np.einsum("xat,xkbt->xkab", self._dft_ri[:n], terms.view(float),
+            # numpy's own loops, not BLAS: the assembly's bits do not depend on the kernel
+            blocks = np.einsum("xat,xkbt->xkab", self._twiddles[:n], terms.view(float),
                                optimize=False)
         else:
             blocks = self._dft[:n] @ terms.transpose(0, 1, 3, 2)
         blocks = blocks.reshape(-1, mb, mb)
-        out = np.zeros((h, mb, h, mb), dtype=complex)
+        out = np.zeros((h, mb, h, mb), dtype=blocks.dtype)
         rows, cols = self._rows, self._cols
         out[rows[:h], :, cols[:h], :] = blocks[:h]
         # added, not assigned: at level 1 both rows land in the same block
@@ -442,7 +448,11 @@ class FredholmEvaluator(_Route):
         a = self.matrix(s)
         np.negative(a, out=a)
         a.flat[::self.size + 1] += 1.0
-        z = complex(np.linalg.det(a))
+        sign, logdet = np.linalg.slogdet(a)   # numpy's det is sign * exp(logdet)
+        try:
+            z = complex(sign * math.exp(logdet))
+        except OverflowError:   # where numpy's det warns
+            z = complex(math.inf)
         if not cmath.isfinite(z):
             raise TruncationError(f"determinant at s = {s} is not finite ({z})")
         return z

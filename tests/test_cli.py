@@ -231,18 +231,30 @@ def test_engine_failures_exit_3_with_one_line(tmp_path, capsys, cfg, error):
 _FREDHOLM = {"kind": "quadratic", "c": -6.0}
 
 
-@pytest.mark.parametrize("cfg", [
-    {"task": "zeta-eval", "system": _FREDHOLM,
-     "params": {"method": "fredholm", "level": 2, "re": [-800.0, -800.0, 1],
-                "im": [1.0, 1.0, 1]}},
-    {"task": "zeta-eval", "system": _FREDHOLM,
-     "params": {"method": "fredholm", "level": 2, "re": [0.5, 0.5, 1],
-                "im": [1e300, 1e300, 1]}},
+_WEIGHTS = "TruncationError: branch weights at s = "
+_DET = "TruncationError: determinant at s = "
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"task": "zeta-eval", "system": _FREDHOLM,
+      "params": {"method": "fredholm", "level": 2, "re": [-800.0, -800.0, 1],
+                 "im": [1.0, 1.0, 1]}}, _WEIGHTS),
+    ({"task": "zeta-eval", "system": _FREDHOLM,
+      "params": {"method": "fredholm", "level": 2, "re": [0.5, 0.5, 1],
+                 "im": [1e300, 1e300, 1]}}, _WEIGHTS),
     # evaluated NaN determinants, then blamed a zero on the contour
-    {"task": "zeros", "system": _FREDHOLM,
-     "params": {"method": "fredholm", "level": 2, "rectangle": [-800.0, -799.0, 0.5, 1.0]}},
-])
-def test_overflowing_branch_weights_fail_in_one_line(tmp_path, cfg):
+    ({"task": "zeros", "system": _FREDHOLM,
+      "params": {"method": "fredholm", "level": 2, "rectangle": [-800.0, -799.0, 0.5, 1.0]}},
+     _WEIGHTS),
+    # finite weights, an overflowing determinant: numpy's det warned first
+    ({"task": "zeta-eval", "system": _FREDHOLM,
+      "params": {"method": "fredholm", "level": 2, "re": [-100.0, -100.0, 1],
+                 "im": [1.0, 1.0, 1]}}, _DET),
+    ({"task": "zeta-eval", "system": _FREDHOLM,
+      "params": {"method": "fredholm", "level": 2, "re": [-100.0, -100.0, 1],
+                 "im": [0.0, 0.0, 1]}}, _DET),
+], ids=[f"cfg{k}" for k in range(5)])
+def test_overflowing_branch_weights_fail_in_one_line(tmp_path, cfg, message):
     # in a child process, whose stderr holds numpy's warnings too, which
     # capsys does not see
     import subprocess
@@ -257,7 +269,7 @@ def test_overflowing_branch_weights_fail_in_one_line(tmp_path, cfg):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("TruncationError: branch weights at s = ")
+    assert proc.stderr.startswith(message)
     assert not (tmp_path / "o").exists()
 
 

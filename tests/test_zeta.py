@@ -185,3 +185,29 @@ def test_model_batch_matches_scalar():
     ev = ModelEvaluator(2.0, 4.0, 40)
     ss = np.array([1.1 + 0.5j, -2.3 - 3.0j, 0.4 + 19.0j, -0.7])
     assert list(ev.batch(ss)) == [ev(s) for s in ss]
+
+
+def test_model_value_is_the_call():
+    # zeta_value and the call share one arithmetic: a^{-s} and b^{-s} once a
+    # point, times a^{-k} and b^{-k}; the product agrees with the direct
+    # powers a^{-(s+k)} to rounding
+    ev = ModelEvaluator(2.0, 4.0, 40)
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-3.0, 1.0, 200) + 1j * rng.uniform(-60.0, 60.0, 200)
+    for s in map(complex, points):
+        z = ev(s)
+        assert ev.zeta_value(s).value == z
+        direct = 1.0 + 0.0j
+        for k in range(41):
+            direct *= 1.0 - 2.0 ** (-(s + k)) - 4.0 ** (-(s + k))
+        assert abs(z - direct) <= 1e-13 * abs(direct)
+
+
+def test_model_overflow_raises():
+    # an overflowing a^{-s} raises, as the direct powers did
+    ev = ModelEvaluator(2.0, 4.0, 3)
+    for s in (-2000.0, -2000.0 + 5.0j):
+        with pytest.raises(OverflowError):
+            ev(s)
+        with pytest.raises(OverflowError):
+            ev.zeta_value(s)
