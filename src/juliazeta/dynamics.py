@@ -4,11 +4,11 @@ bounds, and periodic-orbit catalogs with multipliers.
 Periodic points are located as fixed points of composed inverse branches
 (a guaranteed contraction once the expansion certificate holds), then
 polished by Newton on f^n(z) - z.  One vectorised locator does this for
-all 2^n itineraries of period n at once: a word's letters are the bits of
-its index, a prime orbit is an index strictly smaller than its other bit
-rotations, and its points are the located points at those rotations.  The
-catalog holds each period's prime orbits as arrays, one row per orbit;
-fixed points of every iterate are reconstructed from prime orbits.
+the canonical words of period n at once (a word's letters are the bits of
+its index, a prime orbit's canonical word the least of its rotations);
+one pass of the inverse branches from there gives the orbit's other
+points.  The catalog holds each period's prime orbits as arrays, one row
+per orbit; fixed points of every iterate are reconstructed from them.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class PeriodicOrbitPoint:
     length: float          # log |multiplier|
     prime: bool
     residual: float = 0.0
-    orbit: tuple = ()      # all period points, orbit[k] located from word rotated by k
+    orbit: tuple = ()      # all period points, orbit[k] = f^k(z)
 
     @property
     def n(self) -> int:
@@ -264,21 +264,38 @@ def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, np.abs(x - z) / np.maximum(1.0, np.abs(lam - 1.0))
 
 
+def _orbit_pass(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
+                error: type[Exception]) -> tuple:
+    """Row r: z[r] and f(z[r]), ..., f^(n-1)(z[r]), by one pass of the
+    composed inverse branches of words[r], last letter first (the loop of
+    `_locate`), and the distance at which the pass lands back from z[r].
+    Raises `error` when that distance exceeds 100 * tol_point."""
+    c = spec.c if np.iscomplexobj(z) else spec.c.real
+    pts, w = np.empty((z.size, n), z.dtype), z
+    for j in range(n):   # the pass visits f^(n-1)(z), ..., f(z), then z
+        w = np.sqrt(w - c)
+        np.negative(w, out=w, where=(words >> j) & 1 == 1)
+        pts[:, n - 1 - j] = w
+    back, pts[:, 0], tol = np.abs(w - z), z, 100.0 * spec.tol_point
+    if not np.all(back <= tol):
+        k = int(np.argmin(back <= tol))
+        raise error(f"point for word {format(int(words[k]), f'0{n}b')} is not periodic: "
+                    f"its inverse-branch pass lands {back[k]} > {tol} from it")
+    return pts, back
+
+
 def _checked_orbits(spec: MapSpec, words: np.ndarray, pts: np.ndarray,
                     residual: np.ndarray) -> tuple:
     """One period's `OrbitCatalog` arrays; row r of `pts` is the orbit of
-    words[r].  The multiplier is the chain product of f' over the located
-    points, in rotation order: a forward orbit iterated from one point
-    loses ~|Lambda| * eps of accuracy, while the located points keep the
-    product exact to ~n ulps and identical across rotations.
+    words[r].  The multiplier is the chain product of f' over the orbit's
+    points, in order: a forward orbit iterated from one point loses
+    ~|Lambda| * eps of accuracy, while the contracting backward pass
+    keeps every point, and so the product, within a few ulps.
     """
     n = pts.shape[1]
     bounds = certified_bounds(spec)
     lo, hi = n * math.log(bounds.a), n * math.log(bounds.b)
-    lams = np.ones(len(pts), pts.dtype)
-    for k in range(n):
-        lams = lams * (2.0 * pts[:, k])
-    lams = lams.astype(complex)
+    lams = functools.reduce(np.multiply, 2.0 * pts.T).astype(complex)
     sizes = np.array([abs(lam) for lam in lams.tolist()])
     bad = ~(residual <= spec.tol_point) | ~(sizes > 1.0)
     if bad.any():
@@ -303,8 +320,8 @@ class OrbitCatalog:
     """The prime orbits up to period n_max, plus the certified expansion
     bounds used for tail estimates.  The orbit fields hold an array per
     period n (at index n - 1), a row per prime orbit in word order: the
-    word's index (its n bits), points (column k located from the word
-    rotated left by k), multiplier, length log |multiplier| and residual."""
+    word's index (its n bits), points (column k is f^k of column 0),
+    multiplier, length log |multiplier| and residual."""
 
     n_max: int
     tol_point: float
@@ -354,9 +371,11 @@ def _letters(words: np.ndarray, n: int) -> list[str]:
 
 
 def _min_separation(points: np.ndarray) -> float:
-    """Minimum pairwise distance.  After a sort by (Re, Im), pairs k apart
-    are compared for k = 1, 2, ... until no such pair is closer in Re
-    than the best distance so far."""
+    """Minimum pairwise distance: on the real line the least sorted gap; in
+    the plane, after a sort by (Re, Im), pairs k apart are compared for
+    k = 1, 2, ... until none is closer in Re than the best distance so far."""
+    if not np.iscomplexobj(points):
+        return float(np.diff(np.sort(points)).min())
     pts = points[np.lexsort((points.imag, points.real))]
     best = math.inf
     for k in range(1, pts.size):
@@ -378,10 +397,10 @@ def _quadratic_catalog(spec: MapSpec, n_max: int, bounds: ExpansionBounds,
 def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     """Locate every prime orbit of period <= n_max.
 
-    All 2^n fixed points of f^n are located in one vectorised pass per
-    period, each from its own itinerary, so all stored points carry full
-    precision.  Validates the prime-orbit and 2^n fixed-point counts and
-    the per-iterate pairwise separation guard 10 * tol_point.
+    One point per prime orbit, its canonical word's, is located by one
+    `_locate` call per period, and the rest by `_orbit_pass`, the pass
+    `load_catalog` makes.  Validates the prime-orbit and 2^n fixed-point
+    counts and the per-iterate pairwise separation guard 10 * tol_point.
     """
     if not (1 <= n_max <= N_MAX_CAP):
         raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}")
@@ -392,8 +411,8 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
         if len(rows) != aperiodic_necklace_count(n):
             raise DegeneracyError(f"prime-orbit count mismatch at n = {n}: found {len(rows)}, "
                                   f"expected {aperiodic_necklace_count(n)}")
-        z, residual = _locate(spec, n, np.arange(2 ** n))
-        points[n] = z[rows]
+        z, residual = _locate(spec, n, rows[:, 0])
+        points[n] = _orbit_pass(spec, n, rows[:, 0], z, ConvergenceError)[0]
         # Separation is checked per iterate: the 2^n fixed points of f^n must
         # be pairwise distinct for each n <= n_max.  (Orbit pairs of coprime
         # periods p, q can agree to itinerary depth p + q - 2 and sit closer
@@ -408,7 +427,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
             raise DegeneracyError(f"fixed points of iterate {n} collide: min separation "
                                   f"{best} <= guard {10.0 * spec.tol_point}")
         del sharing   # freed before this period's orbit arrays are made
-        periods.append(_checked_orbits(spec, rows[:, 0], points[n], residual[rows[:, 0]]))
+        periods.append(_checked_orbits(spec, rows[:, 0], points[n], residual))
     return _quadratic_catalog(spec, n_max, bounds, periods)
 
 
@@ -517,16 +536,16 @@ def load_catalog(path: str) -> OrbitCatalog:
     """Read a catalog from its cache and check it, without rebuilding it.
 
     The words must be a build's, in its order, and the expansion bounds
-    those of `certified_bounds`.  Per period, one pass of the composed
-    inverse branches (the loop of `_locate`) must bring every cached
-    point back to itself within 100 * tol_point, which checks its
-    periodicity and its itinerary, and the chain product of f' over the
-    pass must match the cached multiplier within 100 * tol_point
-    relative.  The catalog keeps the cached point and multiplier, with
-    length log |multiplier|, so downstream results equal a fresh build's;
-    its other orbit points are the pass's.  Raises ValueError when a check
-    fails or a field is missing or of the wrong type (n_max and n_cert are
-    integers, other numbers finite; JSON true and false are not numbers).
+    those of `certified_bounds`.  Per period, a build's `_orbit_pass`
+    must bring every cached point back to itself within 100 * tol_point,
+    which checks its periodicity and its itinerary, and the chain product
+    of f' over the orbit must match the cached multiplier within
+    100 * tol_point relative.  The catalog keeps the cached points and
+    multipliers and the pass's other points, so all but its residuals
+    (the landing distances) equal a build's bit for bit.  Raises
+    ValueError when a check fails or a field is missing or of the wrong
+    type (n_max and n_cert are integers, other numbers finite; JSON true
+    and false are not numbers).
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -567,23 +586,14 @@ def _checked_catalog(payload) -> OrbitCatalog:
             raise ValueError(f"malformed catalog cache: a record of period {n} holds other "
                              f"than four finite numbers")
         z, lam = np.ascontiguousarray(parts.view(complex).reshape(-1, 2).T)
-        w, pts = z, []
-        for j in range(n):   # the pass of _locate, keeping every point
-            w = np.sqrt(w - spec.c)
-            np.negative(w, out=w, where=(rows[:, 0] >> j) & 1 == 1)
-            pts.append(w)
-        back = np.abs(w - z)
-        if not np.all(back <= tol):
-            raise ValueError(f"cached point for word {words[np.argmin(back <= tol)]} "
-                             f"is not periodic")
-        chain = np.prod(2.0 * np.array(pts), axis=0)
+        pts, back = _orbit_pass(spec, n, rows[:, 0], z, ValueError)
+        chain = np.prod(2.0 * pts, axis=1)
         good = np.abs(chain - lam) <= tol * np.abs(chain)
         if not np.all(good):
             raise ValueError(f"cached multiplier for word {words[np.argmin(good)]} "
                              f"disagrees with its orbit")
         lengths = np.array([math.log(abs(m)) for m in lam.tolist()])
-        # orbit[k] = f^k(z): the pass visits f^(n-1)(z), ..., f(z), then z
-        periods.append((rows[:, 0], np.stack([z] + pts[-2::-1], axis=1), lam, lengths, back))
+        periods.append((rows[:, 0], pts, lam, lengths, back))
     if start != len(records):
         raise ValueError(f"catalog cache lists words beyond period {n_max}")
     return _quadratic_catalog(spec, n_max, bounds, periods)

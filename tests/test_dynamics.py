@@ -11,9 +11,10 @@ import juliazeta.dynamics as dynamics
 from juliazeta.dynamics import (AffinePair, MapSpec, Mode,
                                 build_orbit_catalog, expansion_bounds,
                                 load_catalog, save_catalog)
-from juliazeta.errors import BranchPointError, DegeneracyError, HyperbolicityError
+from juliazeta.errors import (BranchPointError, ConvergenceError, DegeneracyError,
+                              HyperbolicityError)
 from juliazeta.intervals import Disk
-from juliazeta.words import Word, enumerate_words
+from juliazeta.words import Word, aperiodic_necklace_count, enumerate_words
 
 
 def test_inverse_branch_fixed_points():
@@ -385,9 +386,11 @@ def test_prime_count_mismatch_raises(monkeypatch):
         build_orbit_catalog(MapSpec(c=-6), 3)
 
 
-# catalog.json for c = -6, n_max = 12 as the scalar reference loop below
-# writes it: the vectorised locator must reproduce its bytes
-CATALOG12_SHA256 = "a23978e3627495468eec083632eafd636ece6caae4816a9f4b45925253ee89ae"
+# catalog.json for c = -6, n_max = 12, its points as the scalar reference
+# loops below make them (test_catalog_matches_scalar_locator).  Re-pinned
+# when the non-canonical points came to be derived by the inverse-branch
+# pass, not located: only re_multiplier digits moved (476 of 747 records)
+CATALOG12_SHA256 = "06b428b3d8e655ccaf8570267686f993f181c1c962bfe432d4ce094ba4c6d315"
 
 
 def test_catalog_bytes_pinned(cat12, tmp_path):
@@ -431,18 +434,82 @@ def _scalar_locate(spec, letters):
     return z
 
 
+def _scalar_pass(spec, letters, z):
+    """Reference loop: the orbit z, f(z), ..., f^(n-1)(z), by one pass of
+    the inverse branches from z, last letter first."""
+    real = spec.mode is Mode.REAL_1D
+    c, sqrt = (spec.c.real, math.sqrt) if real else (spec.c, cmath.sqrt)
+    visited, w = [], z
+    for ch in reversed(letters):
+        w = (1.0 if ch == "0" else -1.0) * sqrt(w - c)
+        visited.append(w)
+    return [z] + visited[-2::-1]
+
+
 @pytest.mark.parametrize("spec, rel", [(MapSpec(c=-6), 0.0),
                                        (MapSpec(c=-6 + 0.3j, mode=Mode.COMPLEX_2D), 1e-14)])
 def test_catalog_matches_scalar_locator(spec, rel):
-    # Real1D goes through the scalar loop's exact operations; complex
+    # Real1D goes through the scalar loops' exact operations; complex
     # products and moduli round differently in numpy, within a few ulps
     for o in build_orbit_catalog(spec, 8).orbits:
-        ref = [_scalar_locate(spec, o.word.rotated(k).letters) for k in range(o.n)]
+        ref = _scalar_pass(spec, o.word.letters, _scalar_locate(spec, o.word.letters))
         assert all(abs(z - r) <= rel * abs(r) for z, r in zip(o.orbit, ref))
         lam = 1.0
         for r in ref:
             lam *= 2.0 * r
         assert abs(o.multiplier - lam) <= 8 * o.n * rel * abs(lam)
+
+
+@pytest.mark.parametrize("spec", [MapSpec(c=-3), MapSpec(c=-6), MapSpec(c=-20),
+                                  MapSpec(c=-6 + 0.3j, mode=Mode.COMPLEX_2D)])
+def test_derived_orbit_points_match_independent_location(spec):
+    # each point the pass derives lies within 4 ulps of the point located
+    # from its own rotation (measured at most 3.0 ulps up to n = 16)
+    for o in build_orbit_catalog(spec, 8).orbits:
+        for k, z in enumerate(o.orbit):
+            r = _scalar_locate(spec, o.word.rotated(k).letters)
+            assert abs(z - r) <= 4 * np.spacing(abs(r)), (o.word, k)
+
+
+def test_build_refuses_an_orbit_that_does_not_return(monkeypatch):
+    locate, moved = dynamics._locate, []
+
+    def shifted(spec, n, idx):
+        z, residual = locate(spec, n, idx)
+        if n == 5:   # one canonical point off its orbit, its residual kept small
+            z[1] += 1e-9
+            moved.append(format(int(idx[1]), "05b"))
+        return z, residual
+
+    monkeypatch.setattr(dynamics, "_locate", shifted)
+    with pytest.raises(ConvergenceError, match="word 00011 is not periodic"):
+        build_orbit_catalog(MapSpec(c=-6), 6)
+    assert moved == ["00011"]
+
+
+@pytest.mark.parametrize("spec, n_max", [(MapSpec(c=-6), 12), (MapSpec(c=-3), 12),
+                                         (MapSpec(c=-6 + 0.3j, mode=Mode.COMPLEX_2D), 8)])
+def test_loaded_catalog_equals_the_build(tmp_path, spec, n_max):
+    cat = build_orbit_catalog(spec, n_max)
+    save_catalog(cat, str(tmp_path / "catalog.json"))
+    loaded = load_catalog(str(tmp_path / "catalog.json"))
+    for name in ("words", "points", "multipliers", "lengths"):
+        got, want = getattr(loaded, name), getattr(cat, name)
+        assert all(map(np.array_equal, got, want)), name
+
+
+def test_build_locates_one_point_per_prime_orbit(monkeypatch):
+    locate, sizes = dynamics._locate, []
+
+    def counted(spec, n, idx):
+        sizes.append(idx.size)
+        return locate(spec, n, idx)
+
+    monkeypatch.setattr(dynamics, "_locate", counted)
+    build_orbit_catalog(MapSpec(c=-6), 12)
+    # the prime orbits of periods 1..12, not the 2^13 - 2 fixed points
+    assert sizes == [aperiodic_necklace_count(n) for n in range(1, 13)]
+    assert sum(sizes) == 747
 
 
 def test_min_separation_matches_pairwise_minimum():

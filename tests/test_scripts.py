@@ -51,3 +51,17 @@ def test_zero_census(tmp_path):
     counts = summary["determinants"]
     assert counts["leading_real_zero"] > 0 and counts["scan"] > 0
     assert counts["per_zero"] == counts["scan"] / len(zeros)
+
+
+def test_catalog_timing(tmp_path):
+    out = _run(tmp_path, "catalog_timing.py", "--c", "-6", "--n-max", "8", "--repeat", "2")
+    timing = json.loads(out.strip().splitlines()[-1])
+    # the prime orbits of periods 1..8, and their points
+    assert timing["prime_orbits"] == 71
+    assert timing["periodic_points"] == sum(n * k for n, k in
+                                            enumerate([2, 1, 2, 3, 6, 9, 18, 30], 1))
+    for step in ("build", "save", "load"):
+        assert timing[f"{step}_s"] > 0.0
+        assert timing[f"{step}_us_per_point"] == pytest.approx(
+            timing[f"{step}_s"] / timing["periodic_points"] * 1e6)
+    assert os.listdir(tmp_path) == []
