@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Catalog layer timing: best-of-k wall time of building, saving and
+"""Catalog layer timing: best-of-7 wall time of building, saving and
 loading the Real1D periodic-orbit catalog of z^2 + c, and each per
 periodic point, printed as one JSON line.  Runs with one BLAS thread.
 
@@ -21,6 +21,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from juliazeta.dynamics import MapSpec, build_orbit_catalog, load_catalog, save_catalog
 
+REPEAT = 7   # k: the calls timed per step, best of which is kept
+
 
 def best_of(k, fn):
     """The least wall time of k calls, and the last call's result."""
@@ -37,18 +39,17 @@ def main():
     ap.add_argument("--c", type=float, default=-6.0)
     ap.add_argument("--n-max", type=int, default=16)
     ap.add_argument("--tol-point", type=float, default=5e-13)
-    ap.add_argument("--repeat", type=int, default=7, help="k, the calls timed per step")
     args = ap.parse_args()
 
     spec = MapSpec(c=args.c, tol_point=args.tol_point)
-    build_s, cat = best_of(args.repeat, lambda: build_orbit_catalog(spec, args.n_max))
+    build_s, cat = best_of(REPEAT, lambda: build_orbit_catalog(spec, args.n_max))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "catalog.json")
-        save_s, _ = best_of(args.repeat, lambda: save_catalog(cat, path))
-        load_s, _ = best_of(args.repeat, lambda: load_catalog(path))
+        save_s, _ = best_of(REPEAT, lambda: save_catalog(cat, path))
+        load_s, _ = best_of(REPEAT, lambda: load_catalog(path))
     points = sum(p.size for p in cat.points)
     out = {"c": args.c, "n_max": args.n_max, "tol_point": args.tol_point,
-           "repeat": args.repeat, "prime_orbits": sum(len(w) for w in cat.words),
+           "prime_orbits": sum(len(w) for w in cat.words),
            "periodic_points": points, "build_s": build_s, "save_s": save_s,
            "load_s": load_s}
     for step in ("build", "save", "load"):

@@ -371,12 +371,10 @@ def _letters(words: np.ndarray, n: int) -> list[str]:
 
 
 def _min_separation(points: np.ndarray) -> float:
-    """Minimum pairwise distance: on the real line the least sorted gap; in
-    the plane, after a sort by (Re, Im), pairs k apart are compared for
-    k = 1, 2, ... until none is closer in Re than the best distance so far."""
-    if not np.iscomplexobj(points):
-        return float(np.diff(np.sort(points)).min())
-    pts = points[np.lexsort((points.imag, points.real))]
+    """Minimum pairwise distance.  After a sort by (Re, Im), pairs k apart
+    are compared for k = 1, 2, ... until no such pair is closer in Re
+    than the best distance so far."""
+    pts = np.sort(points)
     best = math.inf
     for k in range(1, pts.size):
         near = pts[k:].real - pts[:-k].real < best

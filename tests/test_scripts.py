@@ -54,7 +54,7 @@ def test_zero_census(tmp_path):
 
 
 def test_catalog_timing(tmp_path):
-    out = _run(tmp_path, "catalog_timing.py", "--c", "-6", "--n-max", "8", "--repeat", "2")
+    out = _run(tmp_path, "catalog_timing.py", "--c", "-6", "--n-max", "8")
     timing = json.loads(out.strip().splitlines()[-1])
     # the prime orbits of periods 1..8, and their points
     assert timing["prime_orbits"] == 71
