@@ -6,9 +6,10 @@ Periodic points are located as fixed points of composed inverse branches
 polished by Newton on f^n(z) - z.  One vectorised locator does this for
 the canonical words of period n at once (a word's letters are the bits of
 its index, a prime orbit's canonical word the least of its rotations);
-one pass of the inverse branches from there gives the orbit's other
-points.  The catalog holds each period's prime orbits as arrays, one row
-per orbit; fixed points of every iterate are reconstructed from them.
+one more inverse-branch pass gives the orbit's other points, in the
+period check a build and a cache load share.  The catalog holds each
+period's prime orbits as arrays, one row per orbit; fixed points of
+every iterate are reconstructed from them.
 """
 
 from __future__ import annotations
@@ -119,22 +120,27 @@ def backward_images(system, first: np.ndarray, second: np.ndarray):
         lo = np.where(lo > 0.0, np.nextafter(np.sqrt(lo), -np.inf), 0.0)
         hi = np.nextafter(np.sqrt(hi), np.inf)
         return np.concatenate((lo, -hi)), np.concatenate((hi, -lo))
-    c = system.c
-    w = first - c
+    root, rad = sqrt_disks(system.c, first, second)
+    return np.concatenate((root, -root)), np.concatenate((rad, rad))
+
+
+def sqrt_disks(c: complex, center: np.ndarray, radius: np.ndarray):
+    """Enclosures (center, radius) of sqrt(z - c) over the disks: the
+    operations of Disk.sqrt_shift(c, 0), elementwise.  Raises
+    BranchPointError when a shifted disk meets the branch point or cut."""
+    w = center - c
     d = np.hypot(w.real, w.imag)     # abs(complex), bit for bit
-    encloses = d <= second
+    encloses = d <= radius
     # the cut is hit when the shifted disk meets the non-positive real axis
-    bad = encloses | ((w.real <= 0.0) & (np.abs(w.imag) <= second))
+    bad = encloses | ((w.real <= 0.0) & (np.abs(w.imag) <= radius))
     if bad.any():
         k = int(np.argmax(bad))
         if encloses[k]:
             raise BranchPointError(
-                f"disk around {complex(first[k])} encloses the branch point {c}")
+                f"disk around {complex(center[k])} encloses the branch point {c}")
         raise BranchPointError(
-            f"disk around {complex(first[k])} shifted by {-c} straddles the sqrt cut")
-    root = np.sqrt(w)
-    rad = second * (0.5 / np.sqrt(d - second)) * (1.0 + DISK_SLACK) + 1e-300
-    return np.concatenate((root, -root)), np.concatenate((rad, rad))
+            f"disk around {complex(center[k])} shifted by {-c} straddles the sqrt cut")
+    return np.sqrt(w), radius * (0.5 / np.sqrt(d - radius)) * (1.0 + DISK_SLACK) + 1e-300
 
 
 def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
@@ -207,35 +213,42 @@ def _forward(z: np.ndarray, n: int, c) -> tuple[np.ndarray, np.ndarray]:
     return x, lam
 
 
+def _inverse_pass(z: np.ndarray, words: np.ndarray, n: int, c, pts: np.ndarray | None = None):
+    """g_{w1} o ... o g_{wn}(z) for the word index words[r] of each z[r],
+    the last letter's branch first (step j takes -sqrt(. - c) where bit j
+    is 1).  With `pts`, column n-1-j receives the image after step j,
+    which is f^(n-1-j) of the result when z is periodic."""
+    w = z
+    for j in range(n):
+        w = np.sqrt(w - c)
+        np.negative(w, out=w, where=(words >> j) & 1 == 1)
+        if pts is not None:
+            pts[:, n - 1 - j] = w
+    return w
+
+
 def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed points of f^n for the itineraries `idx`, all at once.
 
     Letter k of an index's word is bit n-1-k (most significant first), so
     integer order is lexicographic order.  Each point is the fixed point
-    of g_{w1} o ... o g_{wn}, reached by contraction from 0 and polished
-    by Newton on f^n(z) - z.  Every element stops on its own criterion,
-    so it goes through exactly the floating-point operations a scalar
-    loop would.  Returns the points (float in Real1D, complex in
-    Complex2D) and residuals estimating |z - z*| via the Newton step.
+    of g_{w1} o ... o g_{wn}, reached by `_inverse_pass` from 0 and
+    polished by Newton on f^n(z) - z.  Every element stops on its own
+    criterion, so it goes through exactly the floating-point operations a
+    scalar loop would.  Returns the points (float in Real1D, complex in
+    Complex2D) and residuals estimating |z - z*| via the Newton step, each
+    at most tol_point, or raises ConvergenceError.
     """
     real = spec.mode is Mode.REAL_1D
     c = spec.c.real if real else spec.c
-    signs = np.empty((n, idx.size), np.int8)   # row j: -1 where letter n-1-j is 1, else 1
-    for j in range(n):
-        signs[j] = 1 - 2 * ((idx >> j) & 1)
     z = np.zeros(idx.shape, float if real else complex)
     prev = np.full(idx.shape, math.inf)
     live = np.arange(idx.size)
     for _ in range(_MAX_CONTRACTION_APPLICATIONS):
         # a slice while every element is live: views, not copies
         at = live if live.size < idx.size else slice(None)
-        zl = w = z[at]
-        for sign in signs[:, at]:   # the last letter's branch is applied first
-            w = np.sqrt(w - c)
-            if real:
-                np.copysign(w, sign, out=w)   # the real root is >= 0: this negates it
-            else:
-                np.negative(w, out=w, where=sign < 0)
+        zl = z[at]
+        w = _inverse_pass(zl, idx[at], n, c)
         step = np.abs(w - zl)
         z[at] = w
         done = (step <= 1e-14 * (1.0 + np.abs(w))) | ((step >= prev[at]) & (step < 1e-10))
@@ -261,58 +274,52 @@ def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
         if not live.size:
             break
     x, lam = _forward(z, n, c)
-    return z, np.abs(x - z) / np.maximum(1.0, np.abs(lam - 1.0))
+    residual = np.abs(x - z) / np.maximum(1.0, np.abs(lam - 1.0))
+    if not np.all(residual <= spec.tol_point):
+        k = int(np.argmin(residual <= spec.tol_point))
+        raise ConvergenceError(f"periodic point for word {format(int(idx[k]), f'0{n}b')} has "
+                               f"residual {residual[k]} > {spec.tol_point}")
+    return z, residual
 
 
-def _orbit_pass(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
-                error: type[Exception]) -> tuple:
-    """Row r: z[r] and f(z[r]), ..., f^(n-1)(z[r]), by one pass of the
-    composed inverse branches of words[r], last letter first (the loop of
-    `_locate`), and the distance at which the pass lands back from z[r].
-    Raises `error` when that distance exceeds 100 * tol_point."""
-    c = spec.c if np.iscomplexobj(z) else spec.c.real
-    pts, w = np.empty((z.size, n), z.dtype), z
-    for j in range(n):   # the pass visits f^(n-1)(z), ..., f(z), then z
-        w = np.sqrt(w - c)
-        np.negative(w, out=w, where=(words >> j) & 1 == 1)
-        pts[:, n - 1 - j] = w
-    back, pts[:, 0], tol = np.abs(w - z), z, 100.0 * spec.tol_point
-    if not np.all(back <= tol):
-        k = int(np.argmin(back <= tol))
-        raise error(f"point for word {format(int(words[k]), f'0{n}b')} is not periodic: "
-                    f"its inverse-branch pass lands {back[k]} > {tol} from it")
-    return pts, back
-
-
-def _checked_orbits(spec: MapSpec, words: np.ndarray, pts: np.ndarray,
-                    residual: np.ndarray) -> tuple:
-    """One period's `OrbitCatalog` arrays; row r of `pts` is the orbit of
-    words[r].  The multiplier is the chain product of f' over the orbit's
-    points, in order: a forward orbit iterated from one point loses
-    ~|Lambda| * eps of accuracy, while the contracting backward pass
-    keeps every point, and so the product, within a few ulps.
+def _checked_period(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
+                    error: type[Exception], lams: np.ndarray | None = None) -> tuple:
+    """Points (in z's dtype), multipliers, lengths and landing distances
+    of the orbits of words[r] through z[r].  One `_inverse_pass` from z
+    gives the orbit and must land within 100 * tol_point of z.  The
+    multiplier is the chain product of f' over the orbit, whose points the
+    contracting pass keeps within a few ulps (a forward orbit loses
+    ~|Lambda| * eps); given `lams` must match it within 100 * tol_point
+    relative, and are kept.  Raises `error` unless every orbit is also
+    repelling with its length inside the certified bounds.
     """
-    n = pts.shape[1]
+    c = spec.c if np.iscomplexobj(z) else spec.c.real
+    pts, tol = np.empty((z.size, n), z.dtype), 100.0 * spec.tol_point
+    back = np.abs(_inverse_pass(z, words, n, c, pts) - z)
+    pts[:, 0] = z
+
+    def refuse(good, values, message):
+        if not np.all(good):
+            k = int(np.argmin(good))
+            raise error(message.format(word=format(int(words[k]), f"0{n}b"), value=values[k]))
+
+    refuse(back <= tol, back, "point for word {word} is not periodic: its inverse-branch "
+           f"pass lands {{value}} > {tol} from it")
+    chain = functools.reduce(np.multiply, 2.0 * pts.T).astype(complex)
+    if lams is None:
+        lams = chain
+    else:
+        refuse(np.abs(chain - lams) <= tol * np.abs(chain), lams,
+               "cached multiplier for word {word} disagrees with its orbit")
+    sizes = np.hypot(lams.real, lams.imag)   # abs(complex), bit for bit, unlike np.abs
+    refuse(sizes > 1.0, sizes, "point for word {word} is not repelling (|multiplier| = {value})")
+    # math.log: numpy's vectorised log can round differently
+    lengths = np.array([math.log(size) for size in sizes.tolist()])
     bounds = certified_bounds(spec)
     lo, hi = n * math.log(bounds.a), n * math.log(bounds.b)
-    lams = functools.reduce(np.multiply, 2.0 * pts.T).astype(complex)
-    sizes = np.array([abs(lam) for lam in lams.tolist()])
-    bad = ~(residual <= spec.tol_point) | ~(sizes > 1.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        word = format(int(words[k]), f"0{n}b")
-        if not residual[k] <= spec.tol_point:
-            raise ConvergenceError(f"periodic point for word {word} has residual "
-                                   f"{residual[k]} > {spec.tol_point}")
-        raise ConvergenceError(f"located point for word {word} is not repelling "
-                               f"(|multiplier| = {sizes[k]})")
-    lengths = np.array([math.log(size) for size in sizes.tolist()])
-    bad = ~((lo - 1e-9 <= lengths) & (lengths <= hi + 1e-9))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConvergenceError(f"length {lengths[k]} for word {format(int(words[k]), f'0{n}b')} "
-                               f"violates certified bounds [{lo}, {hi}]")
-    return words, pts.astype(complex), lams, lengths, residual
+    refuse((lo - 1e-9 <= lengths) & (lengths <= hi + 1e-9), lengths,
+           f"length {{value}} for word {{word}} violates certified bounds [{lo}, {hi}]")
+    return pts, lams, lengths, back
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,16 +360,16 @@ class OrbitCatalog:
         return tuple(out)
 
 
-def _prime_rotations(n: int) -> np.ndarray:
-    """One row per prime orbit of period n, in lexicographic order: column
-    k is the index of the orbit's word rotated left by k.  A prime word's
-    index is strictly smaller than each of its other rotations."""
-    idx, top = np.arange(2 ** n), 2 ** n - 1
+def _prime_words(n: int) -> np.ndarray:
+    """The word index of each prime orbit of period n, in lexicographic
+    order: the index strictly smaller than those of the word's other
+    rotations.  For n >= 2 such a word starts with 0 and ends with 1, so
+    only the odd indices below 2^(n-1) are tried."""
+    idx, top = (np.arange(2) if n == 1 else np.arange(1, 2 ** (n - 1), 2)), 2 ** n - 1
     prime = np.ones(idx.size, bool)
     for k in range(1, n):
         prime &= idx < ((idx << k | idx >> (n - k)) & top)
-    words = idx[prime]
-    return np.stack([(words << k | words >> (n - k)) & top for k in range(n)], axis=1)
+    return idx[prime]
 
 
 def _letters(words: np.ndarray, n: int) -> list[str]:
@@ -396,8 +403,8 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     """Locate every prime orbit of period <= n_max.
 
     One point per prime orbit, its canonical word's, is located by one
-    `_locate` call per period, and the rest by `_orbit_pass`, the pass
-    `load_catalog` makes.  Validates the prime-orbit and 2^n fixed-point
+    `_locate` call per period, and the rest by `_checked_period`, the
+    check `load_catalog` makes.  Validates the prime-orbit and 2^n fixed-point
     counts and the per-iterate pairwise separation guard 10 * tol_point.
     """
     if not (1 <= n_max <= N_MAX_CAP):
@@ -405,12 +412,12 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     bounds = certified_bounds(spec)
     periods, points = [], {}
     for n in range(1, n_max + 1):
-        rows = _prime_rotations(n)
-        if len(rows) != aperiodic_necklace_count(n):
-            raise DegeneracyError(f"prime-orbit count mismatch at n = {n}: found {len(rows)}, "
+        words = _prime_words(n)
+        if len(words) != aperiodic_necklace_count(n):
+            raise DegeneracyError(f"prime-orbit count mismatch at n = {n}: found {len(words)}, "
                                   f"expected {aperiodic_necklace_count(n)}")
-        z, residual = _locate(spec, n, rows[:, 0])
-        points[n] = _orbit_pass(spec, n, rows[:, 0], z, ConvergenceError)[0]
+        z, residual = _locate(spec, n, words)
+        points[n], lams, lengths, _ = _checked_period(spec, n, words, z, ConvergenceError)
         # Separation is checked per iterate: the 2^n fixed points of f^n must
         # be pairwise distinct for each n <= n_max.  (Orbit pairs of coprime
         # periods p, q can agree to itinerary depth p + q - 2 and sit closer
@@ -425,7 +432,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
             raise DegeneracyError(f"fixed points of iterate {n} collide: min separation "
                                   f"{best} <= guard {10.0 * spec.tol_point}")
         del sharing   # freed before this period's orbit arrays are made
-        periods.append(_checked_orbits(spec, rows[:, 0], points[n], residual))
+        periods.append((words, points[n].astype(complex), lams, lengths, residual))
     return _quadratic_catalog(spec, n_max, bounds, periods)
 
 
@@ -466,9 +473,9 @@ class AffinePair:
         """Exact prime-orbit catalog: affine compositions solve in closed
         form, with no iteration.
 
-        Each period is one numpy pass over the itinerary indices of
-        `_prime_rotations`, as in the quadratic catalog.  The point of a
-        rotation is the fixed point off / (1 - slope) of its composed
+        Each period is one numpy pass over the rotations of the word
+        indices of `_prime_words`, as in the quadratic catalog.  The point
+        of a rotation is the fixed point off / (1 - slope) of its composed
         branch, built over the index bits last letter first, and the
         multiplier is the product of the branch ratios, first letter
         first: every element goes through the floating-point operations
@@ -479,7 +486,8 @@ class AffinePair:
         a, b = self.ratios
         periods = []
         for n in range(1, n_max + 1):
-            rows = _prime_rotations(n)
+            words, top = _prime_words(n), 2 ** n - 1
+            rows = np.stack([(words << k | words >> (n - k)) & top for k in range(n)], axis=1)
             slope, off = np.ones(rows.shape), np.zeros(rows.shape)
             for j in range(n):   # g(x) = x/r + t, composed outside-in
                 one = (rows >> j) & 1 == 1
@@ -488,9 +496,9 @@ class AffinePair:
             pts = off / (1.0 - slope)
             lams = np.ones(len(rows))
             for j in reversed(range(n)):
-                lams = lams * np.where((rows[:, 0] >> j) & 1 == 1, b, a)
+                lams = lams * np.where((words >> j) & 1 == 1, b, a)
             lengths = np.array([math.log(lam) for lam in lams.tolist()])
-            periods.append((rows[:, 0], pts.astype(complex), lams.astype(complex), lengths,
+            periods.append((words, pts.astype(complex), lams.astype(complex), lengths,
                             np.zeros(len(rows))))
         meta = {"system": "affine", "ratios": list(self.ratios)}
         return OrbitCatalog(n_max, 1e-15, Mode.REAL_1D, min(a, b), max(a, b),
@@ -534,11 +542,11 @@ def load_catalog(path: str) -> OrbitCatalog:
     """Read a catalog from its cache and check it, without rebuilding it.
 
     The words must be a build's, in its order, and the expansion bounds
-    those of `certified_bounds`.  Per period, a build's `_orbit_pass`
-    must bring every cached point back to itself within 100 * tol_point,
-    which checks its periodicity and its itinerary, and the chain product
-    of f' over the orbit must match the cached multiplier within
-    100 * tol_point relative.  The catalog keeps the cached points and
+    those of `certified_bounds`.  Per period, a build's `_checked_period`
+    runs on the cached points and multipliers: its pass checks each
+    point's periodicity and itinerary, the chain product the multiplier,
+    and each orbit must be repelling with a certified length.  The
+    catalog keeps the cached points and
     multipliers and the pass's other points, so all but its residuals
     (the landing distances) equal a build's bit for bit.  Raises
     ValueError when a check fails or a field is missing or of the wrong
@@ -569,13 +577,12 @@ def _checked_catalog(payload) -> OrbitCatalog:
         raise ValueError(f"catalog cache n_max {n_max} is outside 1..{N_MAX_CAP}")
     if expansion != {"a": bounds.a, "b": bounds.b}:
         raise ValueError("catalog cache expansion bounds differ from the certificate")
-    tol, periods, start = 100.0 * spec.tol_point, [], 0
+    periods, start = [], 0
     for n in range(1, n_max + 1):
-        rows = _prime_rotations(n)
-        words = _letters(rows[:, 0], n)
-        batch = records[start:start + len(rows)]
-        start += len(rows)
-        if [rec["word"] for rec in batch] != words:
+        words = _prime_words(n)
+        batch = records[start:start + len(words)]
+        start += len(words)
+        if [rec["word"] for rec in batch] != _letters(words, n):
             raise ValueError(f"catalog cache words of period {n} differ from a build's")
         values = [rec[key] for rec in batch
                   for key in ("re_z", "im_z", "re_multiplier", "im_multiplier")]
@@ -583,15 +590,8 @@ def _checked_catalog(payload) -> OrbitCatalog:
                 and np.isfinite(parts := np.array(values, float)).all()):
             raise ValueError(f"malformed catalog cache: a record of period {n} holds other "
                              f"than four finite numbers")
-        z, lam = np.ascontiguousarray(parts.view(complex).reshape(-1, 2).T)
-        pts, back = _orbit_pass(spec, n, rows[:, 0], z, ValueError)
-        chain = np.prod(2.0 * pts, axis=1)
-        good = np.abs(chain - lam) <= tol * np.abs(chain)
-        if not np.all(good):
-            raise ValueError(f"cached multiplier for word {words[np.argmin(good)]} "
-                             f"disagrees with its orbit")
-        lengths = np.array([math.log(abs(m)) for m in lam.tolist()])
-        periods.append((rows[:, 0], pts, lam, lengths, back))
+        z, lams = np.ascontiguousarray(parts.view(complex).reshape(-1, 2).T)
+        periods.append((words, *_checked_period(spec, n, words, z, ValueError, lams)))
     if start != len(records):
         raise ValueError(f"catalog cache lists words beyond period {n_max}")
     return _quadratic_catalog(spec, n_max, bounds, periods)

@@ -37,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import backward_cover
-from .dynamics import MapSpec, Mode, OrbitCatalog
+from .dynamics import MapSpec, Mode, OrbitCatalog, sqrt_disks
 from .errors import (CatalogError, CoverError, DivergenceRegionError,
                      RadiusCapError, TruncationError)
-from .intervals import Disk
 from .util import write_csv
 
 
@@ -277,7 +276,8 @@ class FredholmEvaluator(_Route):
     logarithm (element radii are capped so the argument stays off the
     cut), and matrix entries are Taylor coefficients of the image of each
     basis monomial, extracted by a 4M-node trapezoidal rule on circles of
-    relative radius _THETA.
+    relative radius _THETA.  All of it is formed on the cover's arrays,
+    its checks included (branch-0 images by `sqrt_disks`).
 
     The determinant is taken at half the size, by the z -> -z symmetry of
     z^2 + c.  The branches are g_1 = -g_0 with equal weights, and the
@@ -307,46 +307,38 @@ class FredholmEvaluator(_Route):
             raise CoverError("the Fredholm discretization supports Real1D mode only")
         self.spec = spec
         self.level = level
-        cover = backward_cover(spec, level)
+        self.cover = cover = backward_cover(spec, level)
         c = spec.c.real
-        disks = []
-        mids, rads = 0.5 * (cover.lo + cover.hi), 0.5 * (cover.hi - cover.lo)
-        for mid, rad in zip(mids.tolist(), rads.tolist()):
-            disk = Disk(complex(mid), rad * pad)
-            if not disk.center.real - disk.radius - c > 0.0:
-                raise RadiusCapError(
-                    f"element at {disk.center} with radius {disk.radius} reaches "
-                    f"the branch-weight cut (c = {c})")
-            disks.append(disk)
+        # element k as the disk (x_k, R_k); branch 0 maps it into element
+        # cols[k] = k >> 1, that of ("0" + w)[:level] for k's word w
+        x, radius = 0.5 * (cover.lo + cover.hi), 0.5 * (cover.hi - cover.lo) * pad
+        cols = np.arange(len(x)) >> 1
+        bad = ~(x - radius - c > 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise RadiusCapError(f"element at {complex(x[k])} with radius {float(radius[k])} "
+                                 f"reaches the branch-weight cut (c = {c})")
         # the fold needs element 1u to be the exact mirror of element 0u
-        half = len(disks) // 2
-        for k, disk in enumerate(disks):
-            mirror = disks[(k + half) % len(disks)]
-            if mirror.center != -disk.center or mirror.radius != disk.radius:
-                raise CoverError(
-                    f"element {cover.words[k]!r} is not the mirror image of "
-                    f"element {cover.words[(k + half) % len(disks)]!r}")
-        self.cover = cover
-        self.disks = disks
+        half = len(x) // 2
+        bad = (np.roll(x, -half) != -x) | (np.roll(radius, -half) != radius)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise CoverError(f"element {cover.words[k]!r} is not the mirror image of "
+                             f"element {cover.words[(k + half) % len(x)]!r}")
 
-        # wiring and containment checks first: the truncation model picks M
-        # from the cover contraction ratio (image radius / target radius).
-        # The branch-1 image and its target mirror the branch-0 ones, so
-        # they have the same ratios
-        targets = []
-        rho_max = 0.0
-        for k, disk in enumerate(disks):
-            j = k >> 1   # the element of the word ("0" + w)[:level], w that of k
-            img = disk.sqrt_shift(spec.c, 0)
-            reach = (abs(img.center - disks[j].center) + img.radius) / disks[j].radius
-            if reach > 1.0 - _CONTAINMENT_MARGIN:
-                raise CoverError(
-                    f"branch 0 image of element {cover.words[k]!r} is not strictly "
-                    f"inside element {cover.words[j]!r} (ratio {reach:.3f})")
-            targets.append(j)
-            rho_max = max(rho_max, img.radius / disks[j].radius)
+        # containment first: the truncation model picks M from the cover
+        # contraction ratio (image radius / target radius).  The branch-1
+        # image and its target mirror the branch-0 ones: the same ratios
+        root, root_radius = sqrt_disks(spec.c, x, radius)
+        reach = (np.abs(root - x[cols]) + root_radius) / radius[cols]
+        bad = reach > 1.0 - _CONTAINMENT_MARGIN
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise CoverError(f"branch 0 image of element {cover.words[k]!r} is not strictly "
+                             f"inside element {cover.words[cols[k]]!r} (ratio {reach[k]:.3f})")
+        rho_max = float((root_radius / radius[cols]).max())
 
-        self.truncation = TruncationModel(C=4.0 * len(disks), rate=rho_max)
+        self.truncation = TruncationModel(C=4.0 * len(x), rate=rho_max)
         self.order = order if order is not None else \
             self.truncation.select_order(_TAIL_TARGET, cap=ORDER_CAP)
         m = self.order
@@ -357,17 +349,13 @@ class FredholmEvaluator(_Route):
         dft = (_THETA ** (-alphas))[:, None] * \
             np.exp(-2j * np.pi * np.outer(alphas, np.arange(nodes)) / nodes) / nodes
 
-        # one branch-0 block per row element k, its column element targets[k]:
-        # logw[k, t] = log(4 (z_t - c)) at the quadrature nodes,
-        # basis[k, beta, t] = ((g_0(z_t) - x_j) / R_j)^beta
-        logw, basis = [], []
-        for k, j in enumerate(targets):
-            dk, dj = disks[k], disks[j]
-            z_nodes = dk.center + _THETA * dk.radius * omega
-            rel = (np.sqrt(z_nodes - c) - dj.center) / dj.radius
-            basis.append(rel[None, :] ** alphas[:, None])
-            logw.append(np.log(4.0 * (z_nodes - c)))
-        self._logw = np.array(logw)
+        # one branch-0 block per row element k, its column element cols[k]:
+        # logw[k, t] = log(4 (z_t - c)) at the quadrature nodes z_t of k,
+        # basis[k, beta, t] = ((g_0(z_t) - x_j) / R_j)^beta for j = cols[k]
+        z_nodes = x[:, None] + (_THETA * radius)[:, None] * omega
+        rel = (np.sqrt(z_nodes - c) - x[cols, None]) / radius[cols, None]
+        basis = rel[:, None, :] ** alphas[:, None]
+        self._logw = np.log(4.0 * (z_nodes - c))
         # the range of Re log w and the largest |Im log w| bound the weight
         # exponent Re(-(s/2) log w) at O(1) cost (`_check_weights`)
         self._logw_re = (float(self._logw.real.min()), float(self._logw.real.max()))
@@ -380,9 +368,8 @@ class FredholmEvaluator(_Route):
         roots = roots[np.outer(alphas, range(2 * m + 1)) % nodes] * \
             ((_THETA ** (-alphas) / nodes)[:, None] * np.r_[1.0, [2.0] * (2 * m - 1), 1.0])
         if level == 0:
-            dft, self._basis, roots = 2.0 * dft[::2], np.array(basis)[:, ::2], 2.0 * roots[::2]
-        else:
-            self._basis = np.array(basis)
+            dft, basis, roots = 2.0 * dft[::2], basis[:, ::2], 2.0 * roots[::2]
+        self._basis = basis
         # [dft, D dft], D = diag((-1)^beta), for the 0u and the 1u rows: their
         # products with the rows' terms are F's blocks, signs included; so too
         # for the twiddles, whose (cos, sin) pairs meet a row's (Re, Im) pairs
@@ -394,11 +381,11 @@ class FredholmEvaluator(_Route):
         # products of a complex multiplication add
         self._exponent_cap = math.log(np.finfo(float).max) - \
             math.log(4.0 * float(np.abs(self._dft).sum(axis=-1).max()))
-        # F's block grid: row k mod half, column targets[k]; the 1u rows
+        # F's block grid: row k mod half, column cols[k]; the 1u rows
         # (k >= half) are added onto the 0u rows
         self._half = max(half, 1)
-        self._rows = np.arange(len(disks)) % self._half
-        self._cols = np.array(targets)
+        self._rows = np.arange(len(x)) % self._half
+        self._cols = cols
         self.size = folded_size(level, m)
 
     def _check_weights(self, s: complex) -> None:

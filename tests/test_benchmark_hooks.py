@@ -42,9 +42,11 @@ def test_workloads_set_up(perfbench, workload):
 
 
 def test_loaded_catalog_passes_the_load_check(perfbench, tmp_path):
-    # the ledger's load step: the catalog an orbits job saved, loaded back
+    # the ledger's load step: the catalog an orbits job saved, loaded back;
+    # then at the ledger's own catalog (tol_point 5e-13, n = 16)
     _, workloads = perfbench
     from juliazeta.dynamics import MapSpec, build_orbit_catalog, load_catalog, save_catalog
     path = tmp_path / "catalog.json"
-    save_catalog(build_orbit_catalog(MapSpec(c=-6.0), 8), str(path))
-    assert workloads.check_load(load_catalog(str(path)), str(tmp_path)) == []
+    for spec, n_max in ((MapSpec(c=-6.0), 8), (MapSpec(c=-6.0, tol_point=5e-13), 16)):
+        save_catalog(build_orbit_catalog(spec, n_max), str(path))
+        assert workloads.check_load(load_catalog(str(path)), str(tmp_path)) == []

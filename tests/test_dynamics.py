@@ -14,7 +14,7 @@ from juliazeta.dynamics import (AffinePair, MapSpec, Mode,
 from juliazeta.errors import (BranchPointError, ConvergenceError, DegeneracyError,
                               HyperbolicityError)
 from juliazeta.intervals import Disk
-from juliazeta.words import Word, aperiodic_necklace_count, enumerate_words
+from juliazeta.words import Word, aperiodic_necklace_count, enumerate_words, lyndon_words
 
 
 def test_inverse_branch_fixed_points():
@@ -378,6 +378,16 @@ def test_ledger_catalog_memory(tmp_path):
         tracemalloc.stop()
     assert held <= 4 * 2 ** 20
     assert saving <= 6 * 2 ** 20
+
+
+def test_prime_words_are_the_lyndon_words():
+    for n in range(1, 17):
+        assert dynamics._prime_words(n).tolist() == [int(w, 2) for w in lyndon_words(n)]
+
+
+def test_prime_words_count_the_aperiodic_necklaces():
+    for n in range(1, dynamics.N_MAX_CAP + 1):
+        assert len(dynamics._prime_words(n)) == aperiodic_necklace_count(n)
 
 
 def test_prime_count_mismatch_raises(monkeypatch):

@@ -9,6 +9,7 @@ import juliazeta.zeta
 from juliazeta.cover import backward_cover
 from juliazeta.dynamics import MapSpec, Mode
 from juliazeta.errors import CoverError, RadiusCapError, TruncationError
+from juliazeta.intervals import Disk
 from juliazeta.zeros import Rectangle, scan_region
 from juliazeta.zeta import CycleEvaluator, FredholmEvaluator, folded_size
 
@@ -152,13 +153,27 @@ def test_rejects_complex_mode():
 
 def test_radius_cap_guard():
     # huge padding pushes an element across the branch-weight cut
-    with pytest.raises((RadiusCapError, CoverError)):
+    with pytest.raises(RadiusCapError, match="branch-weight cut"):
         FredholmEvaluator(MapSpec(c=-6), level=1, pad=20.0)
 
 
 def test_containment_margin_guard(spec6):
-    with pytest.raises(CoverError):
+    with pytest.raises(CoverError, match="not strictly inside"):
         FredholmEvaluator(spec6, level=1, pad=0.6)
+
+
+def test_mirror_guard(monkeypatch, spec6):
+    # the fold needs element 1u to be the exact negation of element 0u: a
+    # cover with one endpoint moved by an ulp is refused
+    def moved(spec, level):
+        cover = backward_cover(spec, level)
+        hi = cover.hi.copy()
+        hi[5] = math.nextafter(hi[5], math.inf)
+        return replace(cover, hi=hi)
+
+    monkeypatch.setattr(juliazeta.zeta, "backward_cover", moved)
+    with pytest.raises(CoverError, match="'001' is not the mirror image of element '101'"):
+        FredholmEvaluator(spec6, level=3)
 
 
 def test_zeta_value_wraps_the_determinant(fredholm6):
@@ -183,8 +198,10 @@ def test_log_derivative_richardson(fredholm6, cat12):
 # 2E blocks on the E * M unknowns of the cover, assembled block by block.
 
 def _full_matrix(ev, s):
-    words, disks, m, theta = ev.cover.words, ev.disks, ev.order, juliazeta.zeta._THETA
-    c = ev.spec.c.real
+    words, m, theta = ev.cover.words, ev.order, juliazeta.zeta._THETA
+    c, pad = ev.spec.c.real, 1.25   # the evaluator's default pad
+    disks = [Disk(complex(0.5 * (iv.lo + iv.hi)), 0.5 * iv.width * pad)
+             for iv in ev.cover.elements]
     index = {w: i for i, w in enumerate(words)}
     nodes = 4 * m
     omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
