@@ -266,6 +266,9 @@ def _task_cover(system, params):
     _check_keys(params, {"h_max", "n_scales", "decades", "hs"}, "params")
     box = _box_params(system, params)
     if "hs" in params:
+        for key in ("h_max", "n_scales", "decades"):
+            if key in params:
+                raise ConfigError(f"params.{key} does not apply when params.hs gives the scales")
         hs = params["hs"]
         if not (isinstance(hs, list) and hs):
             raise ConfigError("params.hs must be a non-empty list of scales")

@@ -18,7 +18,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,12 +180,6 @@ def expansion_bounds(spec: MapSpec) -> ExpansionBounds:
     return ExpansionBounds(a=a, b=b)
 
 
-@functools.lru_cache(maxsize=64)
-def certified_bounds(spec: MapSpec) -> ExpansionBounds:
-    """Memoized expansion certificate for a spec."""
-    return expansion_bounds(spec)
-
-
 @dataclass(frozen=True)
 class PeriodicOrbitPoint:
     """One prime orbit: canonical word, the corresponding fixed point of
@@ -282,8 +276,8 @@ def _locate(spec: MapSpec, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, residual
 
 
-def _checked_period(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
-                    error: type[Exception], lams: np.ndarray | None = None) -> tuple:
+def _checked_period(spec: MapSpec, bounds: ExpansionBounds, n: int, words: np.ndarray,
+                    z: np.ndarray, error: type[Exception], lams: np.ndarray | None = None) -> tuple:
     """Points (in z's dtype), multipliers, lengths and landing distances
     of the orbits of words[r] through z[r].  One `_inverse_pass` from z
     gives the orbit and must land within 100 * tol_point of z.  The
@@ -291,7 +285,7 @@ def _checked_period(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
     contracting pass keeps within a few ulps (a forward orbit loses
     ~|Lambda| * eps); given `lams` must match it within 100 * tol_point
     relative, and are kept.  Raises `error` unless every orbit is also
-    repelling with its length inside the certified bounds.
+    repelling with its length inside the certified `bounds`.
     """
     c = spec.c if np.iscomplexobj(z) else spec.c.real
     pts, tol = np.empty((z.size, n), z.dtype), 100.0 * spec.tol_point
@@ -315,7 +309,6 @@ def _checked_period(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
     refuse(sizes > 1.0, sizes, "point for word {word} is not repelling (|multiplier| = {value})")
     # math.log: numpy's vectorised log can round differently
     lengths = np.array([math.log(size) for size in sizes.tolist()])
-    bounds = certified_bounds(spec)
     lo, hi = n * math.log(bounds.a), n * math.log(bounds.b)
     refuse((lo - 1e-9 <= lengths) & (lengths <= hi + 1e-9), lengths,
            f"length {{value}} for word {{word}} violates certified bounds [{lo}, {hi}]")
@@ -324,32 +317,46 @@ def _checked_period(spec: MapSpec, n: int, words: np.ndarray, z: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class OrbitCatalog:
-    """The prime orbits up to period n_max, plus the certified expansion
-    bounds used for tail estimates.  The orbit fields hold an array per
-    period n (at index n - 1), a row per prime orbit in word order: the
-    word's index (its n bits), points (column k is f^k of column 0),
-    multiplier, length log |multiplier| and residual."""
+    """The prime orbits up to period n_max of a system (a MapSpec or an
+    AffinePair), with its certified expansion bounds, used for tail
+    estimates.  The orbit fields hold an array per period n (at index
+    n - 1), a row per prime orbit in word order: the word's index (its n
+    bits), points (column k is f^k of column 0), multiplier, length
+    log |multiplier| and residual."""
 
-    n_max: int
-    tol_point: float
-    mode: Mode
-    a: float
-    b: float
+    system: MapSpec | AffinePair
+    bounds: ExpansionBounds
     words: tuple[np.ndarray, ...]
     points: tuple[np.ndarray, ...]
     multipliers: tuple[np.ndarray, ...]
     lengths: tuple[np.ndarray, ...]
     residuals: tuple[np.ndarray, ...]
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.words)
+
+    @property
+    def mode(self) -> Mode:
+        """The system's denominator convention; an AffinePair's is Real1D."""
+        return Mode.REAL_1D if isinstance(self.system, AffinePair) else self.system.mode
+
+    @property
+    def a(self) -> float:
+        return self.bounds.a
+
+    @property
+    def b(self) -> float:
+        return self.bounds.b
 
     @property
     def log_a(self) -> float:
-        return math.log(self.a)
+        return math.log(self.bounds.a)
 
-    @functools.cached_property
+    @property
     def orbits(self) -> tuple[PeriodicOrbitPoint, ...]:
         """One record per prime orbit, by period, then word; made from the
-        arrays on the first read."""
+        arrays on each read."""
         out = []
         for n, (words, pts, lams, lengths, res) in enumerate(zip(
                 self.words, self.points, self.multipliers, self.lengths, self.residuals), 1):
@@ -391,14 +398,6 @@ def _min_separation(points: np.ndarray) -> float:
     return best
 
 
-def _quadratic_catalog(spec: MapSpec, n_max: int, bounds: ExpansionBounds,
-                       periods: list) -> OrbitCatalog:
-    meta = {"system": "quadratic", "c": spec.c, "mode": spec.mode.value,
-            "n_cert": spec.n_cert}
-    return OrbitCatalog(n_max, spec.tol_point, spec.mode, bounds.a, bounds.b,
-                        *zip(*periods), meta=meta)
-
-
 def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     """Locate every prime orbit of period <= n_max.
 
@@ -409,7 +408,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
     """
     if not (1 <= n_max <= N_MAX_CAP):
         raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}")
-    bounds = certified_bounds(spec)
+    bounds = expansion_bounds(spec)
     periods, points = [], {}
     for n in range(1, n_max + 1):
         words = _prime_words(n)
@@ -417,7 +416,8 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
             raise DegeneracyError(f"prime-orbit count mismatch at n = {n}: found {len(words)}, "
                                   f"expected {aperiodic_necklace_count(n)}")
         z, residual = _locate(spec, n, words)
-        points[n], lams, lengths, _ = _checked_period(spec, n, words, z, ConvergenceError)
+        points[n], lams, lengths, _ = _checked_period(spec, bounds, n, words, z,
+                                                      ConvergenceError)
         # Separation is checked per iterate: the 2^n fixed points of f^n must
         # be pairwise distinct for each n <= n_max.  (Orbit pairs of coprime
         # periods p, q can agree to itinerary depth p + q - 2 and sit closer
@@ -433,7 +433,7 @@ def build_orbit_catalog(spec: MapSpec, n_max: int = 12) -> OrbitCatalog:
                                   f"{best} <= guard {10.0 * spec.tol_point}")
         del sharing   # freed before this period's orbit arrays are made
         periods.append((words, points[n].astype(complex), lams, lengths, residual))
-    return _quadratic_catalog(spec, n_max, bounds, periods)
+    return OrbitCatalog(spec, bounds, *zip(*periods))
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +500,7 @@ class AffinePair:
             lengths = np.array([math.log(lam) for lam in lams.tolist()])
             periods.append((words, pts.astype(complex), lams.astype(complex), lengths,
                             np.zeros(len(rows))))
-        meta = {"system": "affine", "ratios": list(self.ratios)}
-        return OrbitCatalog(n_max, 1e-15, Mode.REAL_1D, min(a, b), max(a, b),
-                            *zip(*periods), meta=meta)
+        return OrbitCatalog(self, ExpansionBounds(min(a, b), max(a, b)), *zip(*periods))
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +514,16 @@ _RECORD = ('  {\n   "word": "%s",\n   "re_z": %r,\n   "im_z": %r,\n'
 def save_catalog(catalog: OrbitCatalog, path: str) -> None:
     """Versioned JSON cache of a quadratic catalog: the bytes of
     json.dumps(payload, indent=1), its records written from the arrays."""
-    if catalog.meta.get("system") != "quadratic":
+    spec = catalog.system
+    if not isinstance(spec, MapSpec):
         raise ValueError("only quadratic catalogs are cached")
     header = json.dumps({
         "version": CATALOG_VERSION,
-        "c": [catalog.meta["c"].real, catalog.meta["c"].imag],
-        "mode": catalog.meta["mode"],
+        "c": [spec.c.real, spec.c.imag],
+        "mode": spec.mode.value,
         "n_max": catalog.n_max,
-        "tol_point": catalog.tol_point,
-        "n_cert": catalog.meta["n_cert"],
+        "tol_point": spec.tol_point,
+        "n_cert": spec.n_cert,
         "expansion": {"a": catalog.a, "b": catalog.b},
     }, indent=1)
     records = []
@@ -542,7 +541,7 @@ def load_catalog(path: str) -> OrbitCatalog:
     """Read a catalog from its cache and check it, without rebuilding it.
 
     The words must be a build's, in its order, and the expansion bounds
-    those of `certified_bounds`.  Per period, a build's `_checked_period`
+    those of `expansion_bounds`.  Per period, a build's `_checked_period`
     runs on the cached points and multipliers: its pass checks each
     point's periodicity and itinerary, the chain product the multiplier,
     and each orbit must be repelling with a certified length.  The
@@ -572,7 +571,7 @@ def _checked_catalog(payload) -> OrbitCatalog:
                          "must be finite numbers, n_max and n_cert integers")
     spec = MapSpec(c=complex(c[0], c[1]), mode=Mode(payload["mode"]),
                    tol_point=payload["tol_point"], n_cert=payload["n_cert"])
-    records, bounds = payload["orbits"], certified_bounds(spec)
+    records, bounds = payload["orbits"], expansion_bounds(spec)
     if not (1 <= n_max <= N_MAX_CAP):
         raise ValueError(f"catalog cache n_max {n_max} is outside 1..{N_MAX_CAP}")
     if expansion != {"a": bounds.a, "b": bounds.b}:
@@ -591,7 +590,7 @@ def _checked_catalog(payload) -> OrbitCatalog:
             raise ValueError(f"malformed catalog cache: a record of period {n} holds other "
                              f"than four finite numbers")
         z, lams = np.ascontiguousarray(parts.view(complex).reshape(-1, 2).T)
-        periods.append((words, *_checked_period(spec, n, words, z, ValueError, lams)))
+        periods.append((words, *_checked_period(spec, bounds, n, words, z, ValueError, lams)))
     if start != len(records):
         raise ValueError(f"catalog cache lists words beyond period {n_max}")
-    return _quadratic_catalog(spec, n_max, bounds, periods)
+    return OrbitCatalog(spec, bounds, *zip(*periods))

@@ -58,10 +58,6 @@ class TruncationError(EngineError):
     report how far its value may be off."""
 
 
-class CatalogError(EngineError):
-    """Catalog too shallow for the requested truncation order."""
-
-
 class BoundaryZeroError(EngineError):
     """A contour passes too close to a zero for phase tracking."""
 

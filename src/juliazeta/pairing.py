@@ -125,7 +125,7 @@ def orbit_side_pairing(catalog: OrbitCatalog, delta: float, phi: TestFunction) -
         raise CoverageError(
             f"catalog depth {catalog.n_max} does not exhaust the support "
             f"(need (n_max+1) log A > {phi.d + phi.gamma})")
-    lengths, dens, weights = _cycle_arrays(catalog, catalog.n_max, catalog.mode)
+    lengths, dens, weights = _cycle_arrays(catalog)
     return float(np.sum(weights * lengths * np.exp(-delta * lengths)
                         * phi.hat(lengths) / dens))
 

@@ -11,7 +11,6 @@ n/d times, and that repetition is already the minimal rotation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DegeneracyError, WordLimitError
 
@@ -86,7 +85,6 @@ def enumerate_words(n: int) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     if n == 1:
         return 1

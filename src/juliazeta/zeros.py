@@ -97,9 +97,9 @@ class Rectangle:
         return Rectangle(self.re_lo + dz.real, self.re_hi + dz.real,
                          self.im_lo + dz.imag, self.im_hi + dz.imag)
 
-    def split(self, fr: float = 0.5, fi: float = 0.5) -> list["Rectangle"]:
-        mr = self.re_lo + fr * self.width
-        mi = self.im_lo + fi * self.height
+    def split(self, frac: float = 0.5) -> list["Rectangle"]:
+        mr = self.re_lo + frac * self.width
+        mi = self.im_lo + frac * self.height
         return [Rectangle(self.re_lo, mr, self.im_lo, mi),
                 Rectangle(mr, self.re_hi, self.im_lo, mi),
                 Rectangle(self.re_lo, mr, mi, self.im_hi),
@@ -540,7 +540,7 @@ def scan_region(evaluator, rect: Rectangle) -> list[ZeroRecord]:
         x0, x1, top = cell.re_lo, cell.re_hi, cell.im_hi
         if not on_axis(cell):
             for frac in _SPLIT_FRACTIONS:
-                yield cell.split(frac, frac), (1, 1, 1, 1)
+                yield cell.split(frac), (1, 1, 1, 1)
         elif cell.height > cell.width:
             for eta in (frac * top for frac in _STRIP_FRACTIONS):
                 yield [Rectangle(x0, x1, -eta, eta), Rectangle(x0, x1, eta, top)], (1, 2)

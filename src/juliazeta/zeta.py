@@ -38,8 +38,7 @@ import numpy as np
 
 from .cover import backward_cover
 from .dynamics import MapSpec, Mode, OrbitCatalog, sqrt_disks
-from .errors import (CatalogError, CoverError, DivergenceRegionError,
-                     RadiusCapError, TruncationError)
+from .errors import CoverError, DivergenceRegionError, RadiusCapError, TruncationError
 from .util import write_csv
 
 
@@ -92,16 +91,16 @@ class _Route:
 # ---------------------------------------------------------------------------
 # cycle expansion
 
-def _cycle_arrays(catalog: OrbitCatalog, n_trunc: int, mode: Mode):
+def _cycle_arrays(catalog: OrbitCatalog):
     """(lengths, denominators, weights) of the 2^n fixed points of f^n for
-    n <= n_trunc, by n, then prime period p | n, then word.  A prime orbit
+    n <= n_max, by n, then prime period p | n, then word.  A prime orbit
     stands for its p points, with length k L and multiplier Lambda^k for
     k = n / p, and weight p / n.  The denominators are formed per point in
     Python's complex arithmetic, as numpy's complex division and power may
-    round differently."""
-    multipliers = [lam.tolist() for lam in catalog.multipliers[:n_trunc]]
+    round differently, and squared in the catalog's Complex2D mode."""
+    multipliers = [lam.tolist() for lam in catalog.multipliers]
     lengths, dens, weights = [], [], []
-    for n in range(1, n_trunc + 1):
+    for n in range(1, catalog.n_max + 1):
         for p in range(1, n + 1):
             if n % p == 0:
                 k = n // p
@@ -109,7 +108,7 @@ def _cycle_arrays(catalog: OrbitCatalog, n_trunc: int, mode: Mode):
                 dens.append([abs(1.0 - 1.0 / lam ** k) for lam in multipliers[p - 1]])
                 weights.append(np.full(len(dens[-1]), p / n))
     dens = np.concatenate(dens)
-    return (np.concatenate(lengths), dens if mode is Mode.REAL_1D else dens * dens,
+    return (np.concatenate(lengths), dens if catalog.mode is Mode.REAL_1D else dens * dens,
             np.concatenate(weights))
 
 
@@ -120,14 +119,14 @@ def cycle_convergence_abscissa(catalog: OrbitCatalog) -> float:
     return math.log(2.0) / catalog.log_a
 
 
-def _cycle_log_tail(catalog: OrbitCatalog, n_trunc: int, re_s: float) -> float:
+def _cycle_log_tail(catalog: OrbitCatalog, re_s: float) -> float:
     """Closed form for sum_{n > N} 2^n e^{-Re s * n log A} / (n (1 - 1/A))."""
     q = 2.0 * math.exp(-re_s * catalog.log_a)
     if q >= 1.0:
         raise DivergenceRegionError(
             f"Re s = {re_s} is at or below the certified convergence "
             f"abscissa {cycle_convergence_abscissa(catalog)}")
-    partial = sum(q ** n / n for n in range(1, n_trunc + 1))
+    partial = sum(q ** n / n for n in range(1, catalog.n_max + 1))
     return (-math.log1p(-q) - partial) / (1.0 - 1.0 / catalog.a)
 
 
@@ -149,15 +148,9 @@ class CycleEvaluator(_Route):
     # the weights are real for every catalog, complex c included
     conjugate_symmetric = True
 
-    def __init__(self, catalog: OrbitCatalog, n_trunc: int | None = None,
-                 mode: Mode | None = None):
+    def __init__(self, catalog: OrbitCatalog):
         self.catalog = catalog
-        self.n_trunc = catalog.n_max if n_trunc is None else n_trunc
-        if self.n_trunc > catalog.n_max:
-            raise CatalogError(f"truncation {self.n_trunc} exceeds catalog depth "
-                               f"{catalog.n_max}")
-        self.mode = catalog.mode if mode is None else mode
-        self._arrays = _cycle_arrays(catalog, self.n_trunc, self.mode)
+        self._arrays = _cycle_arrays(catalog)
         self.min_re = cycle_convergence_abscissa(catalog)
 
     def log(self, s: complex) -> complex:
@@ -179,7 +172,7 @@ class CycleEvaluator(_Route):
         """Z(s) and log Z(s); tail_bound is the closed-form geometric tail
         transported to the value scale."""
         s = complex(s)
-        log_tail = _cycle_log_tail(self.catalog, self.n_trunc, s.real)
+        log_tail = _cycle_log_tail(self.catalog, s.real)
         log_z = self.log(s)
         value = cmath.exp(log_z)
         return ZetaValue(value=value, log_value=log_z,
@@ -260,6 +253,7 @@ ORDER_CAP = 80   # the most basis monomials per element the order selection pick
 _THETA = 0.7                # relative radius of the Cauchy-integral circles
 _TAIL_TARGET = 1e-12        # the determinant tail the order selection aims for
 _CONTAINMENT_MARGIN = 0.02  # a branch image reaches at most 1 - this of its target
+_PAD = 1.25                 # an element's disk radius, in half-widths of its interval
 
 
 def folded_size(level: int, order: int) -> int:
@@ -301,8 +295,7 @@ class FredholmEvaluator(_Route):
     method = "fredholm"
     conjugate_symmetric = True   # Real1D mode has a real parameter c
 
-    def __init__(self, spec: MapSpec, level: int = 3, order: int | None = None,
-                 pad: float = 1.25):
+    def __init__(self, spec: MapSpec, level: int = 3, order: int | None = None):
         if spec.mode is not Mode.REAL_1D:
             raise CoverError("the Fredholm discretization supports Real1D mode only")
         self.spec = spec
@@ -311,7 +304,7 @@ class FredholmEvaluator(_Route):
         c = spec.c.real
         # element k as the disk (x_k, R_k); branch 0 maps it into element
         # cols[k] = k >> 1, that of ("0" + w)[:level] for k's word w
-        x, radius = 0.5 * (cover.lo + cover.hi), 0.5 * (cover.hi - cover.lo) * pad
+        x, radius = 0.5 * (cover.lo + cover.hi), 0.5 * (cover.hi - cover.lo) * _PAD
         cols = np.arange(len(x)) >> 1
         bad = ~(x - radius - c > 0.0)
         if bad.any():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from juliazeta.dynamics import AffinePair, MapSpec, build_orbit_catalog
+from juliazeta.dynamics import AffinePair, MapSpec, Mode, build_orbit_catalog
 from juliazeta.zeros import leading_real_zero
 from juliazeta.zeta import FredholmEvaluator
 
@@ -24,6 +24,11 @@ def cat16():
     # the per-iterate separation guard at depth 16 needs the slightly
     # tighter point tolerance; located residuals are ~1e-15 regardless
     return build_orbit_catalog(MapSpec(c=-6, tol_point=5e-13), 16)
+
+
+@pytest.fixture(scope="session")
+def complex_cat8():
+    return build_orbit_catalog(MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), 8)
 
 
 @pytest.fixture(scope="session")

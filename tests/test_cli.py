@@ -199,6 +199,9 @@ def _with(cfg, **params):
      "params.rectangle is too large"),
     (dict(_with(_ZEROS, rectangle=[-1.0, 1e300, -1.0, 1.0]), system=_MODEL),
      "params.rectangle is too large"),
+    (_with(_COVER, hs=[0.01, 0.005], h_max=0.1), "params.h_max"),
+    (_with(_COVER, hs=[0.01, 0.005], n_scales=10), "params.n_scales"),
+    (_with(_COVER, hs=[0.01, 0.005], decades=2.0), "params.decades"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
@@ -371,9 +374,9 @@ def test_cycle_jobs_release_their_catalogs(tmp_path, monkeypatch):
         built.append(weakref.ref(catalog))
         return catalog
 
-    def counted(catalog, n_trunc, mode):
-        passes.append(n_trunc)
-        return cycle_arrays(catalog, n_trunc, mode)
+    def counted(catalog):
+        passes.append(catalog.n_max)
+        return cycle_arrays(catalog)
 
     monkeypatch.setattr(juliazeta.cli, "build_orbit_catalog", tracked)
     monkeypatch.setattr(juliazeta.zeta, "_cycle_arrays", counted)

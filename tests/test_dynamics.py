@@ -118,7 +118,7 @@ def test_length_bounds(cat12):
 
 
 def test_orbit_points_follow_the_map(cat12):
-    c = cat12.meta["c"]
+    c = cat12.system.c
     for o in cat12.orbits[:50]:
         for k in range(o.n):
             z, znext = o.orbit[k], o.orbit[(k + 1) % o.n]
@@ -144,7 +144,7 @@ def test_cyclic_invariance(cat12, k):
 def test_multiplier_chain_rule_vs_complex_step(cat12):
     # complex-step differentiation of f^n along the orbit is an
     # independent route to (f^n)'(z)
-    c = cat12.meta["c"].real
+    c = cat12.system.c.real
     h = 1e-10
     for o in cat12.orbits[:80]:
         z = complex(o.z.real, h)
@@ -155,7 +155,7 @@ def test_multiplier_chain_rule_vs_complex_step(cat12):
 
 
 def test_residuals_within_tolerance(cat12):
-    assert all(o.residual <= cat12.tol_point for o in cat12.orbits)
+    assert all(o.residual <= cat12.system.tol_point for o in cat12.orbits)
     assert all(abs(o.multiplier) > 1.0 for o in cat12.orbits)
 
 
@@ -220,6 +220,41 @@ def test_affine_catalog_binomial_lengths(affine24_cat):
         assert o.length == pytest.approx(expected, rel=1e-12)
     for n in range(1, 15):
         assert sum(o.n for o in affine24_cat.orbits if n % o.n == 0) == 2 ** n
+
+
+def test_catalog_holds_its_system_and_certificate(spec6, cat12, affine24, affine24_cat,
+                                                  tmp_path):
+    # mode, expansion bounds and depth are read from the system, the
+    # certificate and the arrays: the catalog keeps no copy of them
+    assert cat12.system is spec6 and cat12.bounds == expansion_bounds(spec6)
+    assert (cat12.mode, cat12.n_max, cat12.a, cat12.b) == \
+        (Mode.REAL_1D, 12, cat12.bounds.a, cat12.bounds.b)
+    assert cat12.log_a == math.log(cat12.bounds.a)
+    assert affine24_cat.system is affine24 and affine24_cat.mode is Mode.REAL_1D
+    assert (affine24_cat.a, affine24_cat.b, affine24_cat.n_max) == (2.0, 4.0, 14)
+    with pytest.raises(ValueError, match="only quadratic"):
+        save_catalog(affine24_cat, str(tmp_path / "affine.json"))
+
+
+def test_build_and_load_certify_once(tmp_path, monkeypatch):
+    path, _payload = _saved(tmp_path, 8)
+    certify, calls = dynamics.expansion_bounds, []
+
+    def counted(spec):
+        calls.append(spec)
+        return certify(spec)
+
+    monkeypatch.setattr(dynamics, "expansion_bounds", counted)
+    build_orbit_catalog(MapSpec(c=-6), 8)
+    load_catalog(str(path))
+    assert calls == [MapSpec(c=-6)] * 2
+
+
+def test_orbit_records_are_not_retained(cat12):
+    # each read makes the records afresh; the catalog keeps only its arrays
+    first = cat12.orbits
+    assert cat12.orbits == first and cat12.orbits is not first
+    assert "orbits" not in vars(cat12)
 
 
 def test_catalog_cache_roundtrip(tmp_path):
@@ -348,7 +383,7 @@ def test_catalog_cache_loads_without_a_build(tmp_path, monkeypatch):
     assert [(o.word, o.z, o.multiplier, o.length, o.prime) for o in loaded.orbits] == \
         [(o.word, o.z, o.multiplier, o.length, o.prime) for o in cat.orbits]
     for a, b in zip(cat.orbits, loaded.orbits):   # the pass's orbit points
-        assert all(abs(z - w) <= 100.0 * cat.tol_point for z, w in zip(a.orbit, b.orbit))
+        assert all(abs(z - w) <= 100.0 * cat.system.tol_point for z, w in zip(a.orbit, b.orbit))
 
 
 def test_catalog_cache_resaves_byte_identical(tmp_path):

@@ -151,15 +151,17 @@ def test_rejects_complex_mode():
         FredholmEvaluator(MapSpec(c=-6, mode=Mode.COMPLEX_2D))
 
 
-def test_radius_cap_guard():
+def test_radius_cap_guard(monkeypatch):
     # huge padding pushes an element across the branch-weight cut
+    monkeypatch.setattr(juliazeta.zeta, "_PAD", 20.0)
     with pytest.raises(RadiusCapError, match="branch-weight cut"):
-        FredholmEvaluator(MapSpec(c=-6), level=1, pad=20.0)
+        FredholmEvaluator(MapSpec(c=-6), level=1)
 
 
-def test_containment_margin_guard(spec6):
+def test_containment_margin_guard(monkeypatch, spec6):
+    monkeypatch.setattr(juliazeta.zeta, "_PAD", 0.6)
     with pytest.raises(CoverError, match="not strictly inside"):
-        FredholmEvaluator(spec6, level=1, pad=0.6)
+        FredholmEvaluator(spec6, level=1)
 
 
 def test_mirror_guard(monkeypatch, spec6):
@@ -199,7 +201,7 @@ def test_log_derivative_richardson(fredholm6, cat12):
 
 def _full_matrix(ev, s):
     words, m, theta = ev.cover.words, ev.order, juliazeta.zeta._THETA
-    c, pad = ev.spec.c.real, 1.25   # the evaluator's default pad
+    c, pad = ev.spec.c.real, juliazeta.zeta._PAD
     disks = [Disk(complex(0.5 * (iv.lo + iv.hi)), 0.5 * iv.width * pad)
              for iv in ev.cover.elements]
     index = {w: i for i, w in enumerate(words)}

@@ -172,8 +172,7 @@ def test_scaling_linearity(affine24_cat):
     phi = TestFunction(d=1.39, gamma=0.3)
     base = orbit_side_pairing(affine24_cat, delta, phi)
     from juliazeta.zeta import _cycle_arrays
-    lengths, dens, weights = _cycle_arrays(affine24_cat, affine24_cat.n_max,
-                                           affine24_cat.mode)
+    lengths, dens, weights = _cycle_arrays(affine24_cat)
     manual = float(np.sum(weights * lengths * np.exp(-delta * lengths)
                           * 3.0 * phi.hat(lengths) / dens))
     assert manual == pytest.approx(3.0 * base, rel=1e-12)

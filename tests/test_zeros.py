@@ -200,10 +200,10 @@ def test_complex_c_cycle_route_is_exactly_conjugate_symmetric(c):
             (a.value.conjugate(), a.log_value.conjugate(), a.tail_bound)
 
 
-def test_complex_c_cycle_scan_is_mirrored(monkeypatch):
+def test_complex_c_cycle_scan_is_mirrored(monkeypatch, complex_cat8):
     # a rectangle symmetric about the axis: the evaluator sees no point
     # below it, and every lower value is the exact conjugate of its mirror
-    ev = CycleEvaluator(build_orbit_catalog(MapSpec(c=-6.0 + 0.3j, mode=Mode.COMPLEX_2D), 8))
+    ev = CycleEvaluator(complex_cat8)
     seen, call = [], CycleEvaluator.__call__
     monkeypatch.setattr(CycleEvaluator, "__call__",
                         lambda self, s: seen.append(complex(s)) or call(self, s))
@@ -865,6 +865,13 @@ def test_reversed_edge_is_the_exact_negation_at_no_cost():
     assert n >= 17
     assert _edge_phase(ev, q, p, 0.5, 4, 3.0) == -forward
     assert len(recorded.points) == n
+
+
+def test_split_cuts_both_sides_at_one_fraction():
+    rect = Rectangle(-1.0, 3.0, -2.0, 6.0)
+    assert rect.split(0.25) == [Rectangle(-1.0, 0.0, -2.0, 0.0), Rectangle(0.0, 3.0, -2.0, 0.0),
+                                Rectangle(-1.0, 0.0, 0.0, 6.0), Rectangle(0.0, 3.0, 0.0, 6.0)]
+    assert rect.split() == rect.split(0.5)
 
 
 def test_half_split_children_reuse_and_share_edges():

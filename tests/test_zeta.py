@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from juliazeta.dynamics import Mode
-from juliazeta.errors import CatalogError, DivergenceRegionError
+from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
+from juliazeta.errors import DivergenceRegionError
 from juliazeta.zeta import (CycleEvaluator, ModelEvaluator,
                             TruncationModel, model_dimension,
                             zero_free_abscissa)
@@ -42,8 +42,8 @@ def test_model_value_matches_log():
     assert abs(zv.value - cmath.exp(zv.log_value)) <= 1e-12 * abs(zv.value)
 
 
-def test_cycle_far_right_is_one(cat12):
-    zv = CycleEvaluator(cat12, 10).zeta_value(30.0)
+def test_cycle_far_right_is_one(spec6, cat12):
+    zv = CycleEvaluator(build_orbit_catalog(spec6, 10)).zeta_value(30.0)
     bound = 2.0 * (2.0 * math.sqrt(3.0)) ** -30 / (1.0 - 1.0 / (2.0 * math.sqrt(3.0)))
     assert abs(zv.log_value) <= bound < 1e-15
     assert abs(zv.value - 1.0) <= 1e-15
@@ -61,8 +61,6 @@ def test_cycle_real_on_real_axis(cat12):
 def test_cycle_refuses_divergence_region(cat12):
     with pytest.raises(DivergenceRegionError):
         CycleEvaluator(cat12).zeta_value(0.3)
-    with pytest.raises(CatalogError):
-        CycleEvaluator(cat12, 13).zeta_value(2.0)
 
 
 def test_cycle_telescopes_to_model_product(affine24_cat):
@@ -75,49 +73,55 @@ def test_cycle_telescopes_to_model_product(affine24_cat):
         assert abs(got - want) < 1e-9
 
 
-def _reference_cycle_arrays(catalog, n_trunc, mode):
+def _reference_cycle_arrays(catalog):
     """Reference loop over the orbit records: for each n, each prime orbit
     whose period p divides n stands for p fixed points of f^n, with length
     k L and multiplier Lambda^k (k = n / p), in Python's arithmetic."""
     lengths, dens, weights = [], [], []
-    for n in range(1, n_trunc + 1):
-        for o in catalog.orbits:   # by period, then word
+    orbits = catalog.orbits
+    for n in range(1, catalog.n_max + 1):
+        for o in orbits:   # by period, then word
             if n % o.n == 0:
                 k = n // o.n
                 base = abs(1.0 - 1.0 / o.multiplier ** k)
                 lengths.append(k * o.length)
-                dens.append(base if mode is Mode.REAL_1D else base * base)
+                dens.append(base if catalog.mode is Mode.REAL_1D else base * base)
                 weights.append(o.n / n)
     return np.array(lengths), np.array(dens), np.array(weights)
 
 
-@pytest.mark.parametrize("name, n_trunc, mode", [("cat12", 12, Mode.REAL_1D),
-                                                 ("affine24_cat", 14, Mode.REAL_1D),
-                                                 ("affine24_cat", 14, Mode.COMPLEX_2D)])
-def test_cycle_arrays_keep_the_reference_arithmetic(request, name, n_trunc, mode):
+@pytest.mark.parametrize("name", ["cat12", "affine24_cat", "complex_cat8"])
+def test_cycle_arrays_keep_the_reference_arithmetic(request, name):
     from juliazeta.zeta import _cycle_arrays
     catalog = request.getfixturevalue(name)
-    got = _cycle_arrays(catalog, n_trunc, mode)
-    want = _reference_cycle_arrays(catalog, n_trunc, mode)
+    got = _cycle_arrays(catalog)
+    want = _reference_cycle_arrays(catalog)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_cycle_denominator_modes_differ(affine24_cat):
-    # contracting branch derivatives make 1 - 1/Lambda < 1, so squaring
-    # the denominator enlarges every term
-    one = CycleEvaluator(affine24_cat, mode=Mode.REAL_1D).zeta_value(2.0).log_value
-    two = CycleEvaluator(affine24_cat, mode=Mode.COMPLEX_2D).zeta_value(2.0).log_value
-    assert abs(two) > abs(one)
+def test_cycle_denominator_modes_differ():
+    # the same real c in both modes: Complex2D squares each Real1D
+    # denominator |1 - 1/Lambda|, which enlarges exactly the terms whose
+    # denominator is below 1 (the positive multipliers)
+    real, plane = (build_orbit_catalog(MapSpec(c=-6.0, mode=mode), 8) for mode in Mode)
+    one = CycleEvaluator(real).zeta_value(2.0).log_value
+    two = CycleEvaluator(plane).zeta_value(2.0).log_value
+    assert two != one
     from juliazeta.zeta import _cycle_arrays
-    lengths, dens, weights = _cycle_arrays(affine24_cat, 14, Mode.COMPLEX_2D)
+    lengths, dens, weights = _cycle_arrays(plane)
+    lengths1, dens1, weights1 = _cycle_arrays(real)
+    assert np.array_equal(lengths, lengths1) and np.array_equal(weights, weights1)
+    assert np.array_equal(dens, dens1 * dens1)
+    assert np.array_equal(dens < dens1, dens1 < 1.0) and (dens1 < 1.0).any()
     manual = -float(np.sum(weights * np.exp(-2.0 * lengths) / dens))
     assert two.real == pytest.approx(manual, rel=1e-12)
 
 
-def test_tail_honesty_under_halving(cat12):
+def test_tail_honesty_under_halving(spec6, cat12):
+    cat6 = build_orbit_catalog(spec6, 6)
     for s in (1.2, 1.6 + 3j, 2.5 + 8j):
-        full = CycleEvaluator(cat12, 12).zeta_value(s)
-        half = CycleEvaluator(cat12, 6).zeta_value(s)
+        full = CycleEvaluator(cat12).zeta_value(s)
+        half = CycleEvaluator(cat6).zeta_value(s)
         assert abs(full.value - half.value) <= half.tail_bound
 
 
