@@ -12,7 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from juliazeta.cover import box_dimension
 from juliazeta.dynamics import MapSpec
 from juliazeta.util import write_csv
-from juliazeta.zeros import leading_real_zero
+from juliazeta.zeros import DELTA_BRACKET, leading_real_zero
 from juliazeta.zeta import FredholmEvaluator
 
 
@@ -28,7 +28,7 @@ def main():
     for c in args.c_values:
         spec = MapSpec(c=c)
         ev = FredholmEvaluator(spec, level=args.level)
-        delta_zeta = leading_real_zero(ev, (0.02, 0.98)).s.real
+        delta_zeta = leading_real_zero(ev, DELTA_BRACKET).s.real
         fit, _ = box_dimension(spec)
         rows.append((c, delta_zeta, fit.delta_box,
                      abs(delta_zeta - fit.delta_box), fit.r2))

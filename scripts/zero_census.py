@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from juliazeta.util import atomic_write_text
 from juliazeta.dynamics import MapSpec
-from juliazeta.zeros import (PolyFamily, Rectangle, StripFamily,
+from juliazeta.zeros import (DELTA_BRACKET, PolyFamily, Rectangle, StripFamily,
                              counting_report, export_zeros,
                              growth_exponent_probe, leading_real_zero,
                              scan_region)
@@ -39,7 +39,7 @@ def main():
         return matrix(s)
 
     ev.matrix = counted
-    delta = leading_real_zero(ev, (0.02, 0.98)).s.real
+    delta = leading_real_zero(ev, DELTA_BRACKET).s.real
     leading = determinants[0]
     print(f"leading real zero delta = {delta:.8f}")
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, EngineError
 from .pairing import TestFunction, identity_residual, orbit_length_histogram
 from .tracecheck import comparison_table, export_table
 from .util import atomic_write_text, is_real
-from .zeros import (_BOUNDARY_STEP, LogFamily, PolyFamily, Rectangle,
+from .zeros import (_BOUNDARY_STEP, DELTA_BRACKET, LogFamily, PolyFamily, Rectangle,
                     StripFamily, counting_report, export_zeros,
                     growth_exponent_probe, leading_real_zero, scan_region)
 from .zeta import (ORDER_CAP, CycleEvaluator, FredholmEvaluator, ModelEvaluator,
@@ -47,7 +47,7 @@ def _require(cfg: dict, key: str, where: str):
 def _check_keys(cfg: dict, allowed: set[str], where: str) -> None:
     for key in cfg:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+            raise ConfigError(f"unknown key {key!r}: {where}.{key} is not read by this job")
 
 
 def _as_complex(v, where: str) -> complex:
@@ -87,19 +87,17 @@ def _n_max(params: dict) -> int:
     return _as_count(params.get("n_max", 12), "params.n_max", N_MAX_CAP)
 
 
-def _k_max(params: dict) -> int:
-    return _as_count(params.get("k_max", 40), "params.k_max", lo=0)
-
-
 # the most memory one folded Fredholm matrix F (complex, side
 # folded_size(level, order)) may take; the LU works on a copy of it
 FREDHOLM_MATRIX_BYTES = 256 * 2 ** 20
 
 
-def _fredholm_params(params: dict) -> tuple[int, int | None]:
-    """(level, order) of a Fredholm evaluator.  Without an order the
-    evaluator may pick up to ORDER_CAP, so the matrix budget is checked
-    for that."""
+def _fredholm_params(system: MapSpec, params: dict) -> tuple[int, int | None]:
+    """(level, order) of a Fredholm evaluator, which needs a Real1D
+    system.  Without an order the evaluator may pick up to ORDER_CAP, so
+    the matrix budget is checked for that."""
+    if system.mode is not Mode.REAL_1D:
+        raise ConfigError(f"system.mode {system.mode.value!r}: Fredholm matrices need 'real1d'")
     level = params.get("level", 2)
     if not (type(level) is int and 0 <= level <= DEPTH_CAP):
         raise ConfigError(f"params.level must be an integer in 0..{DEPTH_CAP}")
@@ -153,21 +151,26 @@ def build_system(cfg: dict):
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
-_EVALUATOR_KEYS = frozenset({"method", "level", "order", "n_max", "k_max"})  # read by _evaluator
-
-
-def _evaluator(system, params: dict, need_left_of_delta: bool = False):
-    """Evaluator for the configured system; quadratic systems use the
-    Fredholm route when the job needs values left of delta."""
+def _evaluator(system, params: dict, task_keys: set[str], need_left_of_delta: bool = True):
+    """Evaluator for the configured system, once every params key that
+    neither the task nor the route reads is refused.  Quadratic systems
+    use the Fredholm route when the job needs values left of delta.  A
+    task key `level` is that of the job's delta solve."""
     if isinstance(system, ModelEvaluator):
+        _check_keys(params, task_keys, "params")
         return system
     if isinstance(system, AffinePair):
-        return ModelEvaluator(*system.ratios, _k_max(params))
+        _check_keys(params, task_keys | {"k_max"}, "params")
+        k_max = _as_count(params.get("k_max", 40), "params.k_max", lo=0)
+        return ModelEvaluator(*system.ratios, k_max)
     method = params.get("method", "fredholm" if need_left_of_delta else "cycle")
-    level, order = _fredholm_params(params)
     if method == "fredholm":
-        return FredholmEvaluator(system, level=level, order=order)
+        _check_keys(params, task_keys | {"method", "level", "order"}, "params")
+        return FredholmEvaluator(system, *_fredholm_params(system, params))
     if method == "cycle":
+        _check_keys(params, task_keys | {"method", "n_max"}, "params")
+        if "level" in task_keys:   # checked before the catalog is built
+            _fredholm_params(system, params)
         return CycleEvaluator(build_orbit_catalog(system, _n_max(params)))
     raise ConfigError(f"unknown method {method!r} in params")
 
@@ -196,11 +199,8 @@ def _grid(params: dict, key: str) -> np.ndarray:
                        _as_count(spec[2], f"params.{key}[2]"))
 
 
-def _family(cfg, system, params: dict):
-    """The counting family; a log family without a delta takes the
-    system's."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("params.family must be an object")
+def _family(cfg, system_delta):
+    """The counting family; a log family without a delta takes system_delta()."""
     kind = _require(cfg, "kind", "params.family")
 
     def number(key: str) -> float:
@@ -215,9 +215,7 @@ def _family(cfg, system, params: dict):
     if kind == "log":
         _check_keys(cfg, {"kind", "rho", "delta"}, "params.family")
         rho = number("rho")
-        delta = number("delta") if "delta" in cfg else \
-            _system_delta(system, _fredholm_params(params)[0])
-        return LogFamily(rho=rho, delta=delta)
+        return LogFamily(rho=rho, delta=number("delta") if "delta" in cfg else system_delta())
     raise ConfigError(f"unknown counting family {kind!r}")
 
 
@@ -228,13 +226,17 @@ def _radii(params: dict) -> list[float]:
     return [_as_positive(r, f"params.radii[{k}]") for k, r in enumerate(radii)]
 
 
-def _system_delta(system, level: int) -> float:
+def _system_delta(system, params: dict, ev=None) -> float:
+    """delta: the closed form for a model or affine system, else the
+    leading real zero of the auto-order Fredholm evaluator at
+    params.level, which is `ev` when the job's route built that one."""
     if isinstance(system, ModelEvaluator):
         return model_dimension(system.a, system.b)
     if isinstance(system, AffinePair):
         return model_dimension(*system.ratios)
-    ev = FredholmEvaluator(system, level=level)
-    return leading_real_zero(ev, (0.05, 0.95)).s.real
+    if not isinstance(ev, FredholmEvaluator) or "order" in params:
+        ev = FredholmEvaluator(system, _fredholm_params(system, params)[0])
+    return leading_real_zero(ev, DELTA_BRACKET).s.real
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +282,28 @@ def _task_cover(system, params):
 
 
 def _task_zeta_eval(system, params):
-    _check_keys(params, _EVALUATOR_KEYS | {"re", "im"}, "params")
     res, ims = _grid(params, "re"), _grid(params, "im")
-    ev = _evaluator(system, params)
+    ev = _evaluator(system, params, {"re", "im"}, need_left_of_delta=False)
     ss = [complex(a, b) for b in ims for a in res]
     values = [ev.zeta_value(s) for s in ss]
     return {"zeta_grid.csv": lambda path: export_grid(path, ss, values)}
 
 
 def _task_zeros(system, params):
-    _check_keys(params, _EVALUATOR_KEYS | {"rectangle"}, "params")
     rect = _rectangle(params)
-    ev = _evaluator(system, params, need_left_of_delta=True)
+    ev = _evaluator(system, params, {"rectangle"})
     records = scan_region(ev, rect)
     return {"zeros.csv": lambda path: export_zeros(path, records)}
 
 
 def _task_count(system, params):
-    _check_keys(params, _EVALUATOR_KEYS | {"rectangle", "family", "radii"}, "params")
     rect, radii = _rectangle(params), _radii(params)
-    ev = _evaluator(system, params, need_left_of_delta=True)
-    family = _family(_require(params, "family", "params"), system, params)
+    family = _require(params, "family", "params")
+    # a log family without a delta makes a quadratic system's delta solve
+    solve = {"level"} if isinstance(system, MapSpec) and \
+        _require(family, "kind", "params.family") == "log" and "delta" not in family else set()
+    ev = _evaluator(system, params, {"rectangle", "family", "radii"} | solve)
+    family = _family(family, lambda: _system_delta(system, params, ev))
     report = counting_report(scan_region(ev, rect), family, radii)
     return {"counts.csv": report.to_csv,
             "count_summary.json": lambda path: atomic_write_text(
@@ -308,15 +311,13 @@ def _task_count(system, params):
 
 
 def _task_growth(system, params):
-    _check_keys(params, _EVALUATOR_KEYS | {"c0", "radii", "re_samples"}, "params")
     c0 = _as_real(_require(params, "c0", "params"), "params.c0")
     radii = _radii(params)
     re_samples = _as_count(params.get("re_samples", 33), "params.re_samples")
-    ev = _evaluator(system, params, need_left_of_delta=True)
+    ev = _evaluator(system, params, {"c0", "radii", "re_samples"})
     fit = growth_exponent_probe(ev, c0, radii, re_samples=re_samples)
     payload = {"exponent": fit.exponent, "r2": fit.r2,
-               "rows": [{"r": r, "max_log_abs_Z": m}
-                        for r, m in zip(fit.rs, fit.max_log_abs)],
+               "rows": [{"r": r, "max_log_abs_Z": m} for r, m in zip(fit.rs, fit.max_log_abs)],
                "skipped": list(fit.skipped)}
     return {"growth.json": lambda path: atomic_write_text(
         path, json.dumps(payload, indent=1) + "\n")}
@@ -335,8 +336,11 @@ def _window(win, where: str) -> TestFunction:
 
 
 def _task_pairing(system, params):
+    # not method or order: a quadratic system's pairing takes the auto-order Fredholm route
     _check_keys(params, {"windows", "rectangle", "n_max", "k_max", "delta",
                          "histogram_n", "level"}, "params")
+    if not isinstance(system, (AffinePair, MapSpec)):
+        raise ConfigError("pairing task requires an affine or quadratic system")
     windows = _require(params, "windows", "params")
     if not isinstance(windows, list):
         raise ConfigError("params.windows must be a list")
@@ -346,19 +350,13 @@ def _task_pairing(system, params):
     if histogram_n is not None:
         histogram_n = _as_count(histogram_n, "params.histogram_n", n_max)
     region = _rectangle(params)
-    level, _order = _fredholm_params(params)
-    if isinstance(system, AffinePair):
-        catalog = system.orbit_catalog(n_max)
-    elif isinstance(system, MapSpec):
-        catalog = build_orbit_catalog(system, n_max)
-    else:
-        raise ConfigError("pairing task requires an affine or quadratic system")
-    ev = _evaluator(system, params, need_left_of_delta=True)
     delta = params.get("delta")
+    delta = None if delta is None else _as_real(delta, "params.delta")
+    ev = _evaluator(system, params, {"windows", "rectangle", "n_max", "delta", "histogram_n"})
+    catalog = system.orbit_catalog(n_max) if isinstance(system, AffinePair) else \
+        build_orbit_catalog(system, n_max)
     if delta is None:
-        delta = _system_delta(system, level)
-    else:
-        delta = _as_real(delta, "params.delta")
+        delta = _system_delta(system, params, ev)
     zeros = scan_region(ev, region)
     artifacts = {}
     for k, phi in enumerate(phis):
@@ -382,15 +380,16 @@ def _task_trace_check(system, params):
 
 
 def _task_dimension(system, params):
-    _check_keys(params, {"level", "n_scales", "decades", "h_max"}, "params")
-    level, _order = _fredholm_params(params)
-    fit, _stats = box_dimension(system, **_box_params(system, params))
-    delta_zeta = _system_delta(system, level)
-    payload = {"delta_zeta": delta_zeta,
-               "delta_box": fit.delta_box,
+    box = _box_params(system, params)
+    solve = {"level"} if isinstance(system, MapSpec) else set()   # a quadratic delta's solve
+    _check_keys(params, {"n_scales", "decades", "h_max"} | solve, "params")
+    if solve:
+        _fredholm_params(system, params)
+    fit, _stats = box_dimension(system, **box)
+    delta_zeta = _system_delta(system, params)
+    payload = {"delta_zeta": delta_zeta, "delta_box": fit.delta_box,
                "abs_difference": abs(delta_zeta - fit.delta_box),
-               "box_fit_r2": fit.r2,
-               "box_fit_reliable": fit.reliable}
+               "box_fit_r2": fit.r2, "box_fit_reliable": fit.reliable}
     return {"dimension.json": lambda path: atomic_write_text(
         path, json.dumps(payload, indent=1) + "\n")}
 

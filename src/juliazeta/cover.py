@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import AffinePair, MapSpec, Mode, backward_images
+from .dynamics import Mode, backward_images
 from .errors import HyperbolicityError, ResolutionError
 from .intervals import Disk, Interval
 from .util import write_csv
@@ -59,18 +59,15 @@ class DiskCover:
 
 
 def _trap_cover(system) -> DiskCover:
-    """The level-0 cover: the trap interval of an AffinePair or a Real1D
-    MapSpec, the trap disk of a Complex2D MapSpec."""
-    if isinstance(system, AffinePair) or (isinstance(system, MapSpec)
-                                          and system.mode is Mode.REAL_1D):
+    """The level-0 cover: the trap interval of a Real1D system (an
+    AffinePair or a Real1D MapSpec), the trap disk of a Complex2D MapSpec."""
+    if system.mode is Mode.REAL_1D:
         trap = system.trap_interval()
         return DiskCover(level=0, kind="interval", trap_diameter=trap.width,
                          lo=np.array([trap.lo]), hi=np.array([trap.hi]))
-    if isinstance(system, MapSpec):
-        trap = system.trap_disk()
-        return DiskCover(level=0, kind="disk", trap_diameter=trap.diameter(),
-                         center=np.array([trap.center]), radius=np.array([trap.radius]))
-    raise TypeError(f"unsupported system: {system!r}")
+    trap = system.trap_disk()
+    return DiskCover(level=0, kind="disk", trap_diameter=trap.diameter(),
+                     center=np.array([trap.center]), radius=np.array([trap.radius]))
 
 
 def backward_cover(system, n: int) -> DiskCover:

@@ -338,8 +338,8 @@ class OrbitCatalog:
 
     @property
     def mode(self) -> Mode:
-        """The system's denominator convention; an AffinePair's is Real1D."""
-        return Mode.REAL_1D if isinstance(self.system, AffinePair) else self.system.mode
+        """The system's denominator convention."""
+        return self.system.mode
 
     @property
     def a(self) -> float:
@@ -449,6 +449,7 @@ class AffinePair:
     """
 
     ratios: tuple[float, float]
+    mode = Mode.REAL_1D   # interval-based, as a Real1D MapSpec (not a field)
 
     def __post_init__(self):
         a, b = self.ratios

@@ -645,6 +645,9 @@ def export_zeros(path: str, records) -> None:
               [(r.s.real, r.s.imag, r.multiplicity, r.residual) for r in records])
 
 
+DELTA_BRACKET = (0.05, 0.95)   # where jobs and scripts seek delta on the real axis
+
+
 def leading_real_zero(evaluator, bracket: tuple[float, float]) -> ZeroRecord:
     """The zero of largest real part on the real axis within the bracket
     (Z is real there for real parameters).

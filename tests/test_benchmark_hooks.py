@@ -41,6 +41,18 @@ def test_workloads_set_up(perfbench, workload):
     workloads.set_up(workloads.make_plan(workload, 0))
 
 
+@pytest.mark.parametrize("workload", ["census", "ledger"])
+def test_workload_jobs_run(perfbench, tmp_path, workload):
+    # every job config of the seed-0 plan runs: a key the CLI refuses
+    # fails here before it fails the benchmark
+    from juliazeta.cli import run_job
+    _, workloads = perfbench
+    for k, step in enumerate(workloads.make_plan(workload, 0).steps):
+        if step.config is not None:
+            written = run_job(step.config, str(tmp_path / str(k)))
+            assert written[-1].endswith("manifest.json")
+
+
 def test_loaded_catalog_passes_the_load_check(perfbench, tmp_path):
     # the ledger's load step: the catalog an orbits job saved, loaded back;
     # then at the ledger's own catalog (tol_point 5e-13, n = 16)

@@ -276,6 +276,123 @@ def test_overflowing_branch_weights_fail_in_one_line(tmp_path, cfg, message):
     assert not (tmp_path / "o").exists()
 
 
+# The params keys each job reads: its task's, its evaluator route's
+# (model: none; affine: k_max; cycle: method, n_max; fredholm: method,
+# level, order) and the level of a quadratic system's delta solve.  Every
+# other evaluator key is refused with exit 2, before any work.
+_Q = {"kind": "quadratic", "c": -6.0}
+_AFFINE = {"kind": "affine", "ratios": [2.0, 4.0]}
+_GRID = {"re": [1.5, 2.0, 2], "im": [0.0, 1.0, 2]}
+_STRIP = {"rectangle": [-1.0, 1.0, -2.0, 2.0], "family": {"kind": "strip", "c0": 1.5},
+          "radii": [1.0]}
+_LOG = dict(_STRIP, family={"kind": "log", "rho": 1.0})
+_PAIR = {"windows": [{"d": 1.0, "gamma": 0.3}], "rectangle": [-1.0, 1.0, -2.0, 2.0]}
+_ROUTES = {"model": (_MODEL, {}, set()),
+           "affine": (_AFFINE, {}, {"k_max"}),
+           "cycle": (_Q, {"method": "cycle"}, {"method", "n_max"}),
+           "fredholm": (_Q, {"method": "fredholm"}, {"method", "level", "order"})}
+_TASK_PARAMS = {"zeta-eval": _GRID, "zeros": {"rectangle": [-1.0, 1.0, -2.0, 2.0]},
+                "count": _STRIP, "growth": {"c0": 1.5, "radii": [1.0]}}
+_READS = [(task, route, system, dict(params, **route_params), keys)
+          for task, params in _TASK_PARAMS.items()
+          for route, (system, route_params, keys) in _ROUTES.items()]
+_READS += [
+    ("count", "model-log", _MODEL, _LOG, set()),
+    ("count", "affine-log", _AFFINE, _LOG, {"k_max"}),
+    ("count", "cycle-log", _Q, dict(_LOG, method="cycle"), {"method", "n_max", "level"}),
+    ("count", "fredholm-log", _Q, dict(_LOG, method="fredholm"),
+     {"method", "level", "order"}),
+    ("pairing", "affine", _AFFINE, _PAIR, {"n_max", "k_max"}),
+    ("pairing", "quadratic", _Q, _PAIR, {"n_max", "level"}),
+    ("dimension", "affine", _AFFINE, {}, set()),
+    ("dimension", "quadratic", _Q, {}, {"level"}),
+    ("orbits", "quadratic", _Q, {}, {"n_max"}),
+    ("cover", "quadratic", _Q, {}, set()),
+    ("cover", "affine", _AFFINE, {}, set()),
+]
+_KEY_VALUES = {"method": "cycle", "level": 1, "order": 10, "n_max": 6, "k_max": 5}
+
+
+class _Reached(Exception):
+    """Raised by the stand-ins for the work a job does."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    import juliazeta.cli
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("FredholmEvaluator", "build_orbit_catalog", "box_dimension", "cover_profile",
+                 "scan_region", "growth_exponent_probe"):
+        monkeypatch.setattr(juliazeta.cli, name, reached)
+    monkeypatch.setattr(juliazeta.cli.AffinePair, "orbit_catalog", reached)
+
+
+@pytest.mark.parametrize("task, route, system, params, keys", _READS,
+                         ids=[f"{task}-{route}" for task, route, *_ in _READS])
+def test_each_job_reads_its_keys_and_refuses_the_rest(tmp_path, capsys, no_work,
+                                                      task, route, system, params, keys):
+    read = dict(params, **{k: params.get(k, _KEY_VALUES[k]) for k in keys})
+    try:
+        run_job({"task": task, "system": system, "params": read}, str(tmp_path / "read"))
+    except _Reached:
+        pass
+    for key in sorted(set(_KEY_VALUES) - keys):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"task": task, "system": system,
+                                    "params": dict(params, **{key: _KEY_VALUES[key]})}))
+        out = tmp_path / f"{key}-out"
+        assert main([task, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"params.{key}" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("task, params", [
+    ("zeta-eval", dict(_GRID, method="fredholm")),
+    ("zeros", {"rectangle": [-1.0, 1.0, -2.0, 2.0]}),
+    ("count", _STRIP),
+    ("count", dict(_LOG, method="cycle")),
+    ("growth", {"c0": 1.5, "radii": [1.0]}),
+    ("pairing", _PAIR),
+    ("dimension", {}),
+], ids=["zeta-eval", "zeros", "count", "count-cycle-log", "growth", "pairing", "dimension"])
+def test_fredholm_work_on_a_complex2d_system_is_refused_first(tmp_path, capsys, no_work,
+                                                              task, params):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"task": task, "system": dict(_Q, mode="complex2d"),
+                                "params": params}))
+    assert main([task, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "system.mode 'complex2d'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("task, params, builds", [
+    ("pairing", dict(_PAIR, n_max=6, level=1), 1),
+    ("count", dict(_LOG, level=1), 1),
+    # the scan's order is not the delta solve's auto order
+    ("count", dict(_LOG, level=1, order=12), 2),
+    ("count", dict(_LOG, level=1, method="cycle", n_max=6, rectangle=[1.0, 2.0, -2.0, 2.0]), 1),
+], ids=["pairing", "count", "count-order", "count-cycle"])
+def test_delta_is_solved_on_the_jobs_own_fredholm_evaluator(tmp_path, monkeypatch,
+                                                            task, params, builds):
+    import juliazeta.cli
+    from juliazeta.zeta import FredholmEvaluator
+    built = []
+
+    class Counted(FredholmEvaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(juliazeta.cli, "FredholmEvaluator", Counted)
+    run_job({"task": task, "system": _Q, "params": params}, str(tmp_path))
+    assert len(built) == builds
+
+
 def test_task_mismatch(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"task": "orbits",
