@@ -30,7 +30,7 @@ from .zeros import (_BOUNDARY_STEP, DELTA_BRACKET, LogFamily, PolyFamily, Rectan
                     StripFamily, counting_report, export_zeros,
                     growth_exponent_probe, leading_real_zero, scan_region)
 from .zeta import (ORDER_CAP, CycleEvaluator, FredholmEvaluator, ModelEvaluator,
-                   export_grid, folded_size, model_dimension)
+                   _cycle_arrays, export_grid, folded_size, model_dimension)
 
 TASKS = ("orbits", "cover", "zeta-eval", "zeros", "count", "growth",
          "pairing", "trace-check", "dimension")
@@ -199,24 +199,20 @@ def _grid(params: dict, key: str) -> np.ndarray:
                        _as_count(spec[2], f"params.{key}[2]"))
 
 
-def _family(cfg, system_delta):
-    """The counting family; a log family without a delta takes system_delta()."""
+_FAMILIES = {"strip": (StripFamily, ("c0",)), "poly": (PolyFamily, ("alpha",)),
+             "log": (LogFamily, ("rho", "delta"))}
+
+
+def _family(cfg) -> tuple[type, dict]:
+    """A counting family's class and its fields, each checked before any
+    work; a log family may leave out delta, which the job then solves."""
     kind = _require(cfg, "kind", "params.family")
-
-    def number(key: str) -> float:
-        return _as_real(_require(cfg, key, "params.family"), f"params.family.{key}")
-
-    if kind == "strip":
-        _check_keys(cfg, {"kind", "c0"}, "params.family")
-        return StripFamily(number("c0"))
-    if kind == "poly":
-        _check_keys(cfg, {"kind", "alpha"}, "params.family")
-        return PolyFamily(number("alpha"))
-    if kind == "log":
-        _check_keys(cfg, {"kind", "rho", "delta"}, "params.family")
-        rho = number("rho")
-        return LogFamily(rho=rho, delta=number("delta") if "delta" in cfg else system_delta())
-    raise ConfigError(f"unknown counting family {kind!r}")
+    if not (isinstance(kind, str) and kind in _FAMILIES):
+        raise ConfigError(f"unknown counting family {kind!r}")
+    cls, keys = _FAMILIES[kind]
+    _check_keys(cfg, {"kind", *keys}, "params.family")
+    return cls, {key: _as_real(_require(cfg, key, "params.family"), f"params.family.{key}")
+                 for key in keys if key in cfg or key != "delta"}
 
 
 def _radii(params: dict) -> list[float]:
@@ -285,7 +281,7 @@ def _task_zeta_eval(system, params):
     res, ims = _grid(params, "re"), _grid(params, "im")
     ev = _evaluator(system, params, {"re", "im"}, need_left_of_delta=False)
     ss = [complex(a, b) for b in ims for a in res]
-    values = [ev.zeta_value(s) for s in ss]
+    values = ev.zeta_grid(res, ims)
     return {"zeta_grid.csv": lambda path: export_grid(path, ss, values)}
 
 
@@ -298,13 +294,14 @@ def _task_zeros(system, params):
 
 def _task_count(system, params):
     rect, radii = _rectangle(params), _radii(params)
-    family = _require(params, "family", "params")
+    cls, fields = _family(_require(params, "family", "params"))
     # a log family without a delta makes a quadratic system's delta solve
-    solve = {"level"} if isinstance(system, MapSpec) and \
-        _require(family, "kind", "params.family") == "log" and "delta" not in family else set()
-    ev = _evaluator(system, params, {"rectangle", "family", "radii"} | solve)
-    family = _family(family, lambda: _system_delta(system, params, ev))
-    report = counting_report(scan_region(ev, rect), family, radii)
+    solve_delta = cls is LogFamily and "delta" not in fields
+    ev = _evaluator(system, params, {"rectangle", "family", "radii"} |
+                    ({"level"} if solve_delta and isinstance(system, MapSpec) else set()))
+    if solve_delta:
+        fields["delta"] = _system_delta(system, params, ev)
+    report = counting_report(scan_region(ev, rect), cls(**fields), radii)
     return {"counts.csv": report.to_csv,
             "count_summary.json": lambda path: atomic_write_text(
                 path, json.dumps(report.summary(), indent=1) + "\n")}
@@ -358,9 +355,10 @@ def _task_pairing(system, params):
     if delta is None:
         delta = _system_delta(system, params, ev)
     zeros = scan_region(ev, region)
+    arrays = _cycle_arrays(catalog)
     artifacts = {}
     for k, phi in enumerate(phis):
-        result = identity_residual(catalog, ev, delta, phi, region, zeros=zeros)
+        result = identity_residual(catalog, ev, delta, phi, region, zeros=zeros, arrays=arrays)
         artifacts[f"pairing_{k}.json"] = result.to_json
     if histogram_n is not None:
         hist = orbit_length_histogram(catalog, histogram_n)
@@ -415,7 +413,8 @@ def run_job(config: dict, out_dir: str) -> list[str]:
     """
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(config, {"task", "system", "params", "out"}, "config")
+    _check_keys(config, {"task", "params", "out"} |
+                ({"system"} if config.get("task") != "trace-check" else set()), "config")
     task = _require(config, "task", "config")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")

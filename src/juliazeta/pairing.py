@@ -86,46 +86,56 @@ class TestFunction:
         return self._mass
 
     def transform(self, lam: complex) -> complex:
-        """I(lam) = int phi_hat(t) e^{i lam t} dt, by Gauss-Legendre with
-        node doubling from _MIN_QUAD_NODES until two refinements agree.
+        """I(lam) = int phi_hat(t) e^{i lam t} dt: the one-point `transforms`."""
+        return self.transforms([lam])[0]
 
-        The rules come from a shared cache, so a transform costs only the
-        integrand sums.  Raises ConvergenceError when no two refinements
-        up to 4096 nodes agree (|lam| too large for the profile's
-        resolution at that rule).
-        """
-        lam = complex(lam)
-        prev = None
+    def transforms(self, lams) -> list[complex]:
+        """I(lam) for each lam, by Gauss-Legendre with node doubling from
+        _MIN_QUAD_NODES until two refinements agree.  Each cached rule meets
+        every lam not yet converged in one array pass; a lam keeps its own
+        doubling and stopping test, so its value is its one-point call's.
+        Raises ConvergenceError for the first lam with no two agreeing
+        refinements up to 4096 nodes (|lam| too large for the profile)."""
+        lams = np.array([complex(lam) for lam in lams])
+        out, prev = [None] * len(lams), [None] * len(lams)
+        todo = list(range(len(lams)))
         n = _MIN_QUAD_NODES
-        while n <= _MAX_QUAD_NODES:
+        while n <= _MAX_QUAD_NODES and todo:
             x, w = _gauss_legendre(n)
             t = self.d + self.gamma * x
-            vals = self.hat(t) * np.exp(1j * lam * t)
-            cur = complex(np.sum(w * vals) * self.gamma)
-            if prev is not None and abs(cur - prev) <= _TRANSFORM_RTOL * max(1.0, abs(cur)):
-                return cur
-            prev = cur
+            vals = self.hat(t) * np.exp((1j * lams[todo])[:, None] * t)
+            for k, cur in zip(todo, (np.sum(w * vals, axis=1) * self.gamma).tolist()):
+                if prev[k] is not None and abs(cur - prev[k]) <= \
+                        _TRANSFORM_RTOL * max(1.0, abs(cur)):
+                    out[k] = cur
+                prev[k] = cur
+            todo = [k for k in todo if out[k] is None]
             n *= 2
-        raise ConvergenceError(
-            f"transform at lambda = {lam} did not converge with {_MAX_QUAD_NODES} "
-            f"quadrature nodes (d = {self.d}, gamma = {self.gamma})")
+        if todo:
+            raise ConvergenceError(
+                f"transform at lambda = {complex(lams[todo[0]])} did not converge with "
+                f"{_MAX_QUAD_NODES} quadrature nodes (d = {self.d}, gamma = {self.gamma})")
+        return out
 
     def transform_bound(self, im_lam: float) -> float:
         """|I| <= ||phi_hat||_1 e^{-(d-gamma) Im lam} for Im lam >= 0."""
         return self.hat_mass() * math.exp(-(self.d - self.gamma) * im_lam)
 
 
-def orbit_side_pairing(catalog: OrbitCatalog, delta: float, phi: TestFunction) -> float:
+def orbit_side_pairing(catalog: OrbitCatalog, delta: float, phi: TestFunction,
+                       arrays=None) -> float:
     """sum_n (1/n) sum_{f^n(z)=z} L_n e^{-delta L_n} phi_hat(L_n) / den.
 
     All terms are nonnegative.  The catalog must exhaust the support:
     orbits of period beyond n_max have lengths > n log A past d + gamma.
+    `arrays` is the catalog's `_cycle_arrays`, when a caller pairing
+    several windows has formed them once.
     """
     if (catalog.n_max + 1) * catalog.log_a <= phi.d + phi.gamma:
         raise CoverageError(
             f"catalog depth {catalog.n_max} does not exhaust the support "
             f"(need (n_max+1) log A > {phi.d + phi.gamma})")
-    lengths, dens, weights = _cycle_arrays(catalog)
+    lengths, dens, weights = _cycle_arrays(catalog) if arrays is None else arrays
     return float(np.sum(weights * lengths * np.exp(-delta * lengths)
                         * phi.hat(lengths) / dens))
 
@@ -140,10 +150,13 @@ def zero_side_pairing(zeros, delta: float, phi: TestFunction,
     lateral leakage at the region's top |Im mu| edge.  An estimate using
     the fitted strip density, not a certificate.
     """
+    x_edge = max(abs(region.im_lo), abs(region.im_hi))
+    y_min = max(delta - region.re_hi, 0.0)
+    *values, lateral = phi.transforms([1j * (delta - rec.s) for rec in zeros] +
+                                      [complex(x_edge, y_min)])
     total = 0.0 + 0.0j
-    for rec in zeros:
-        lam = 1j * (delta - rec.s)
-        total += rec.multiplicity * phi.transform(lam)
+    for rec, value in zip(zeros, values):
+        total += rec.multiplicity * value
     y_deep = delta - region.re_lo     # smallest excluded Im lambda (left edge)
     tail = 0.0
     step = 1.0
@@ -152,10 +165,7 @@ def zero_side_pairing(zeros, delta: float, phi: TestFunction,
         tail += inc
         if inc < 1e-16 * max(tail, 1.0):
             break
-    x_edge = max(abs(region.im_lo), abs(region.im_hi))
-    y_min = max(delta - region.re_hi, 0.0)
-    lateral = abs(phi.transform(complex(x_edge, y_min)))
-    tail += 2.0 * density_per_unit * (y_deep - y_min + 1.0) * lateral
+    tail += 2.0 * density_per_unit * (y_deep - y_min + 1.0) * abs(lateral)
     return float(total.real), float(tail)
 
 
@@ -190,15 +200,15 @@ def _local_strip_density(zeros, delta: float, region: Rectangle) -> float:
 
 def identity_residual(catalog: OrbitCatalog, evaluator, delta: float,
                       phi: TestFunction, region: Rectangle,
-                      zeros=None) -> PairingResult:
+                      zeros=None, arrays=None) -> PairingResult:
     """Assemble both pairings and compare.
 
     Passes when the residual is within the zero-side tail estimate plus
     an orbit-side rounding budget.  `zeros` may carry a pre-scanned,
     winding-validated list for the region; otherwise the region is
-    scanned here.
+    scanned here.  `arrays` is as in `orbit_side_pairing`.
     """
-    orbit = orbit_side_pairing(catalog, delta, phi)
+    orbit = orbit_side_pairing(catalog, delta, phi, arrays)
     if zeros is None:
         zeros = scan_region(evaluator, region)
     density = _local_strip_density(zeros, delta, region)

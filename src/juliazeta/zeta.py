@@ -20,7 +20,9 @@ Each route is one evaluator class with the same protocol: Z(s) by a
 call, and a `ZetaValue` by `zeta_value`, whose tail_bound is a
 truncation-error estimate on the value scale.  The shared `batch` of
 `_Route` evaluates an array point by point through the call, so every
-route has one arithmetic and batch(ss)[k] == Z(ss[k]) to the bit.  The
+route has one arithmetic and batch(ss)[k] == Z(ss[k]) to the bit; so too
+`zeta_grid`, the values on a tensor grid, which the cycle route forms from
+moduli once per Re column and phases once per Im row.  The
 cycle and model routes also give d/ds log Z by `dlog`.  Every route
 reports `conjugate_symmetric`, true for all three: their coefficients
 are real, so Z(conj s) = conj Z(s).  An evaluator holds no per-point
@@ -87,6 +89,11 @@ class _Route:
         """Z at each point of ss, by the call, one point at a time."""
         return np.array([self(s) for s in np.ravel(ss).tolist()], dtype=complex)
 
+    def zeta_grid(self, res, ims) -> list[ZetaValue]:
+        """zeta_value at each point of the grid res x ims, by rows of
+        constant Im s, Re s varying fastest."""
+        return [self.zeta_value(complex(a, b)) for b in ims for a in res]
+
 
 # ---------------------------------------------------------------------------
 # cycle expansion
@@ -150,16 +157,31 @@ class CycleEvaluator(_Route):
 
     def __init__(self, catalog: OrbitCatalog):
         self.catalog = catalog
-        self._arrays = _cycle_arrays(catalog)
+        self._arrays = lengths, dens, weights = _cycle_arrays(catalog)
+        self._coef = weights / dens
         self.min_re = cycle_convergence_abscissa(catalog)
+
+    def _log_grid(self, res: list[float], ims: list[float]) -> list[list[complex]]:
+        """log Z on the grid res x ims, one list per Im s.  With e^{-sL} =
+        e^{-Re s L} (cos tL - i sin tL), t = Im s, the moduli coef e^{-Re s L}
+        are formed once per column and the phases once per row, so a point
+        costs two real sums; every temporary is one row of the arrays."""
+        for re in res:
+            if not re > self.min_re:
+                raise DivergenceRegionError(
+                    f"cycle expansion invalid at Re s = {re} <= {self.min_re}")
+        lengths = self._arrays[0]
+        columns = [self._coef * np.exp(-re * lengths) for re in res]
+        rows = []
+        for t in ims:
+            phase = t * lengths
+            cos, sin = np.cos(phase), np.sin(phase)
+            rows.append([complex(-np.sum(a * cos), np.sum(a * sin)) for a in columns])
+        return rows
 
     def log(self, s: complex) -> complex:
         s = complex(s)
-        if not s.real > self.min_re:
-            raise DivergenceRegionError(
-                f"cycle expansion invalid at Re s = {s.real} <= {self.min_re}")
-        lengths, dens, weights = self._arrays
-        return -complex(np.sum(weights * np.exp(-s * lengths) / dens))
+        return self._log_grid([s.real], [s.imag])[0][0]
 
     def dlog(self, s: complex) -> complex:
         lengths, dens, weights = self._arrays
@@ -169,15 +191,22 @@ class CycleEvaluator(_Route):
         return cmath.exp(self.log(s))
 
     def zeta_value(self, s: complex) -> ZetaValue:
-        """Z(s) and log Z(s); tail_bound is the closed-form geometric tail
-        transported to the value scale."""
         s = complex(s)
-        log_tail = _cycle_log_tail(self.catalog, s.real)
-        log_z = self.log(s)
-        value = cmath.exp(log_z)
-        return ZetaValue(value=value, log_value=log_z,
-                         tail_bound=abs(value) * math.expm1(log_tail),
-                         method=self.method)
+        return self.zeta_grid([s.real], [s.imag])[0]
+
+    def zeta_grid(self, res, ims) -> list[ZetaValue]:
+        """Z(s) and log Z(s) on the grid, as `_Route.zeta_grid` orders it;
+        tail_bound is the closed-form geometric tail, which depends on
+        Re s only, transported to the value scale."""
+        res, ims = [float(x) for x in res], [float(x) for x in ims]
+        tails = [math.expm1(_cycle_log_tail(self.catalog, re)) for re in res]
+        out = []
+        for row in self._log_grid(res, ims):
+            for log_z, tail in zip(row, tails):
+                value = cmath.exp(log_z)
+                out.append(ZetaValue(value=value, log_value=log_z,
+                                     tail_bound=abs(value) * tail, method=self.method))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,8 @@ def _with(cfg, **params):
     (_with(_COVER, hs=[0.01, 0.005], h_max=0.1), "params.h_max"),
     (_with(_COVER, hs=[0.01, 0.005], n_scales=10), "params.n_scales"),
     (_with(_COVER, hs=[0.01, 0.005], decades=2.0), "params.decades"),
+    # a trace-check job reads no system
+    ({"task": "trace-check", "system": {"kind": "quadratic", "c": -6.0}}, "config.system"),
 ])
 def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     path = tmp_path / "bad.json"
@@ -368,6 +370,41 @@ def test_fredholm_work_on_a_complex2d_system_is_refused_first(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "system.mode 'complex2d'" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("family, where", [
+    ({"kind": "strip", "c0": "x"}, "params.family.c0"),
+    ({"kind": "poly"}, "'alpha' in params.family"),
+    ({"kind": "log", "rho": 1.0, "delta": "x"}, "params.family.delta"),
+    ({"kind": "log", "rho": 1.0, "c0": 1.5}, "params.family.c0"),
+    ({"kind": ["log"]}, "unknown counting family"),
+], ids=["strip-c0", "poly-alpha", "log-delta", "log-c0", "kind"])
+@pytest.mark.parametrize("route", ["fredholm", "cycle"])
+def test_count_refuses_a_malformed_family_before_any_work(tmp_path, capsys, no_work,
+                                                         route, family, where):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"task": "count", "system": _Q,
+                                "params": dict(_STRIP, method=route, family=family)}))
+    assert main(["count", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and where in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pairing_forms_the_cycle_arrays_once_per_job(tmp_path, monkeypatch):
+    import juliazeta.cli
+    import juliazeta.pairing
+    passes, cycle_arrays = [], juliazeta.cli._cycle_arrays
+
+    def counted(catalog):
+        passes.append(catalog.n_max)
+        return cycle_arrays(catalog)
+
+    monkeypatch.setattr(juliazeta.cli, "_cycle_arrays", counted)
+    monkeypatch.setattr(juliazeta.pairing, "_cycle_arrays", counted)
+    windows = [{"d": d, "gamma": 0.3} for d in (1.0, 1.39, 2.08)]
+    run_job(dict(_PAIRING, params=dict(_PAIRING["params"], windows=windows)), str(tmp_path))
+    assert passes == [8]
 
 
 @pytest.mark.parametrize("task, params, builds", [

@@ -65,6 +65,29 @@ def test_cached_rules_match_fresh_rules(d, gamma):
     assert phi.hat_mass() == float(np.sum(w * phi.hat(t)) * gamma)
 
 
+@pytest.mark.parametrize("d, gamma", [(0.70, 0.22), (1.39, 0.30), (2.08, 0.30)])
+def test_transforms_are_the_one_point_transforms(d, gamma):
+    # one array pass per rule over the lams not yet converged; each lam
+    # keeps its own doubling, so its value is the fresh-rule reference's
+    phi = TestFunction(d=d, gamma=gamma)
+    rng = np.random.default_rng(11)
+    lams = [0.0, 1j, 3.0 + 0.5j, 200.0 + 0.1j] + \
+        list(rng.uniform(-300.0, 300.0, 60) + 1j * rng.uniform(-0.5, 8.0, 60))
+    got = phi.transforms(lams)
+    assert got == [phi.transform(lam) for lam in lams]
+    assert got == [_fresh_rule_transform(phi, lam) for lam in lams]
+    assert phi.transforms([]) == []
+
+
+def test_transforms_raise_for_the_first_unconverged_lam():
+    phi = TestFunction(d=1.39, gamma=0.3)
+    with pytest.raises(ConvergenceError) as one:
+        phi.transform(2e4)
+    with pytest.raises(ConvergenceError) as many:
+        phi.transforms([3.0 + 0.5j, 2e4, 1j, 5e4])
+    assert str(many.value) == str(one.value)
+
+
 def test_hat_mass_is_computed_once(monkeypatch):
     rules = []
     monkeypatch.setattr(pairing, "_gauss_legendre",

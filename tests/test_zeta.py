@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,76 @@ def test_cycle_batch_matches_scalar(cat12):
     ev = CycleEvaluator(cat12)
     ss = np.array([1.1 + 0.5j, 2.0 - 3.0j, 3.3 + 9.0j])
     assert list(ev.batch(ss)) == [ev(s) for s in ss]
+
+
+# the ledger's seed-0 zeta-eval grid: c = -6, n_max 16, 9 x 21 points
+LEDGER_RES, LEDGER_IMS = np.linspace(1.0, 3.0, 9), np.linspace(0.0, 20.0, 21)
+
+
+def _random_grid(ev, seed):
+    rng = np.random.default_rng(seed)
+    ims = rng.uniform(-25.0, 25.0, 8)
+    return ev.min_re + rng.uniform(0.02, 3.0, 5), np.r_[ims, -ims, 0.0]
+
+
+@pytest.mark.parametrize("grid", ["ledger", "random"])
+def test_cycle_grid_is_the_pointwise_value(cat12, cat16, grid):
+    # a point of the grid, the call, batch and zeta_value share one
+    # arithmetic: zeta_value and the call are the grid's 1 x 1 case
+    ev = CycleEvaluator(cat16) if grid == "ledger" else CycleEvaluator(cat12)
+    res, ims = (LEDGER_RES, LEDGER_IMS) if grid == "ledger" else _random_grid(ev, 5)
+    ss = [complex(a, b) for b in ims for a in res]
+    values = ev.zeta_grid(res, ims)
+    assert values == [ev.zeta_value(s) for s in ss]
+    assert [v.value for v in values] == [ev(s) for s in ss] == list(ev.batch(ss))
+    assert [v.log_value for v in values] == [ev.log(s) for s in ss]
+
+
+def test_cycle_grid_matches_the_complex_exponential_sum(cat16):
+    # e^{-Re s L} (cos tL - i sin tL) with the weight over the denominator
+    # formed first: a few roundings per term apart from the direct complex
+    # exponential, which the 1e-15 relative tolerance covers
+    from juliazeta.zeta import _cycle_arrays
+    lengths, dens, weights = _cycle_arrays(cat16)
+    ss = [complex(a, b) for b in LEDGER_IMS for a in LEDGER_RES]
+    for s, zv in zip(ss, CycleEvaluator(cat16).zeta_grid(LEDGER_RES, LEDGER_IMS)):
+        want = cmath.exp(-complex(np.sum(weights * np.exp(-s * lengths) / dens)))
+        assert abs(zv.value - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["cat12", "complex_cat8"])
+def test_cycle_grid_is_exactly_conjugate_symmetric(request, name):
+    ev = CycleEvaluator(request.getfixturevalue(name))
+    res, ims = _random_grid(ev, 7)
+    upper, lower = ev.zeta_grid(res, ims[:8]), ev.zeta_grid(res, ims[8:16])
+    assert [(v.value, v.log_value, v.tail_bound) for v in lower] == \
+        [(v.value.conjugate(), v.log_value.conjugate(), v.tail_bound) for v in upper]
+    axis = ev.zeta_grid(res, [0.0])
+    assert all(v.value.imag == 0.0 and v.log_value.imag == 0.0 for v in axis)
+
+
+def test_cycle_grid_refuses_a_column_left_of_the_abscissa(cat12):
+    ev = CycleEvaluator(cat12)
+    with pytest.raises(DivergenceRegionError,
+                       match=r"^Re s = 0\.3 is at or below the certified convergence abscissa"):
+        ev.zeta_grid([2.0, 0.3, 1.5], [0.0, 4.0])
+
+
+def test_cycle_grid_memory_is_a_few_rows(cat16):
+    # the grid keeps one modulus row per Re column; every other temporary
+    # is one row of the cycle arrays, as in a scalar call
+    ev = CycleEvaluator(cat16)
+    row = 8 * len(ev._coef)
+    tracemalloc.start()
+    try:
+        ev.zeta_value(complex(LEDGER_RES[0], LEDGER_IMS[-1]))
+        scalar = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ev.zeta_grid(LEDGER_RES, LEDGER_IMS)
+        grid = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid - scalar <= (len(LEDGER_RES) + 2) * row
 
 
 def test_model_batch_matches_scalar():
