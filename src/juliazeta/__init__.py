@@ -21,7 +21,6 @@ from .zeros import (CountingReport, GrowthFit, LogFamily, PolyFamily,
                     growth_exponent_probe, leading_real_zero, refine_zero,
                     scan_region, winding_number)
 from .zeta import (CycleEvaluator, FredholmEvaluator, ModelEvaluator,
-                   TruncationModel, ZetaValue, model_dimension,
-                   zero_free_abscissa)
+                   ZetaValue, model_dimension, zero_free_abscissa)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -92,31 +92,36 @@ def _n_max(params: dict) -> int:
 FREDHOLM_MATRIX_BYTES = 256 * 2 ** 20
 
 
-def _fredholm_params(system: MapSpec, params: dict) -> tuple[int, int | None]:
-    """(level, order) of a Fredholm evaluator, which needs a Real1D
-    system.  Without an order the evaluator may pick up to ORDER_CAP, so
-    the matrix budget is checked for that."""
+def _fredholm_level(system: MapSpec, params: dict) -> int:
+    """The level of a Fredholm evaluator, which needs a Real1D system.
+    The evaluator picks its order from the cover, up to ORDER_CAP, so the
+    matrix budget is checked at that."""
     if system.mode is not Mode.REAL_1D:
         raise ConfigError(f"system.mode {system.mode.value!r}: Fredholm matrices need 'real1d'")
     level = params.get("level", 2)
     if not (type(level) is int and 0 <= level <= DEPTH_CAP):
         raise ConfigError(f"params.level must be an integer in 0..{DEPTH_CAP}")
-    order = params.get("order")
-    if order is not None:
-        order = _as_count(order, "params.order", ORDER_CAP)
-    most = ORDER_CAP if order is None else order
-    side = folded_size(level, most)
+    side = folded_size(level, ORDER_CAP)
     if 16 * side * side > FREDHOLM_MATRIX_BYTES:
         raise ConfigError(
-            f"params.level {level} at order {most} needs a {side} x {side} Fredholm "
+            f"params.level {level} at order {ORDER_CAP} needs a {side} x {side} Fredholm "
             f"matrix, over the {FREDHOLM_MATRIX_BYTES >> 20} MiB budget")
-    return level, order
+    return level
 
 
-def build_system(cfg: dict):
+# each task's quadratic route when params.method does not choose one: the
+# cycle expansion holds only right of delta.  A pairing job has no method
+_ROUTES = {"zeta-eval": "cycle", "zeros": "fredholm", "count": "fredholm",
+           "growth": "fredholm", "pairing": "fredholm"}
+
+
+def build_system(cfg: dict, catalog: bool = True):
+    """The configured system; with catalog false a quadratic system
+    refuses the keys only an orbit catalog reads."""
     kind = _require(cfg, "kind", "system")
     if kind == "quadratic":
-        _check_keys(cfg, {"kind", "c", "mode", "tol_point", "n_cert"}, "system")
+        _check_keys(cfg, {"kind", "c", "mode"} |
+                    ({"tol_point", "n_cert"} if catalog else set()), "system")
         mode = cfg.get("mode", "real1d")
         try:
             mode = Mode(mode)
@@ -151,10 +156,10 @@ def build_system(cfg: dict):
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
-def _evaluator(system, params: dict, task_keys: set[str], need_left_of_delta: bool = True):
+def _evaluator(system, params: dict, task: str, task_keys: set[str]):
     """Evaluator for the configured system, once every params key that
-    neither the task nor the route reads is refused.  Quadratic systems
-    use the Fredholm route when the job needs values left of delta.  A
+    neither the task nor the route reads is refused.  A quadratic system
+    takes the task's route in _ROUTES unless params.method names one.  A
     task key `level` is that of the job's delta solve."""
     if isinstance(system, ModelEvaluator):
         _check_keys(params, task_keys, "params")
@@ -163,14 +168,14 @@ def _evaluator(system, params: dict, task_keys: set[str], need_left_of_delta: bo
         _check_keys(params, task_keys | {"k_max"}, "params")
         k_max = _as_count(params.get("k_max", 40), "params.k_max", lo=0)
         return ModelEvaluator(*system.ratios, k_max)
-    method = params.get("method", "fredholm" if need_left_of_delta else "cycle")
+    method = params.get("method", _ROUTES[task])
     if method == "fredholm":
-        _check_keys(params, task_keys | {"method", "level", "order"}, "params")
-        return FredholmEvaluator(system, *_fredholm_params(system, params))
+        _check_keys(params, task_keys | {"method", "level"}, "params")
+        return FredholmEvaluator(system, _fredholm_level(system, params))
     if method == "cycle":
         _check_keys(params, task_keys | {"method", "n_max"}, "params")
         if "level" in task_keys:   # checked before the catalog is built
-            _fredholm_params(system, params)
+            _fredholm_level(system, params)
         return CycleEvaluator(build_orbit_catalog(system, _n_max(params)))
     raise ConfigError(f"unknown method {method!r} in params")
 
@@ -224,14 +229,14 @@ def _radii(params: dict) -> list[float]:
 
 def _system_delta(system, params: dict, ev=None) -> float:
     """delta: the closed form for a model or affine system, else the
-    leading real zero of the auto-order Fredholm evaluator at
-    params.level, which is `ev` when the job's route built that one."""
+    leading real zero of the Fredholm evaluator at params.level, which is
+    `ev` when the job's route built that one."""
     if isinstance(system, ModelEvaluator):
         return model_dimension(system.a, system.b)
     if isinstance(system, AffinePair):
         return model_dimension(*system.ratios)
-    if not isinstance(ev, FredholmEvaluator) or "order" in params:
-        ev = FredholmEvaluator(system, _fredholm_params(system, params)[0])
+    if not isinstance(ev, FredholmEvaluator):
+        ev = FredholmEvaluator(system, _fredholm_level(system, params))
     return leading_real_zero(ev, DELTA_BRACKET).s.real
 
 
@@ -279,7 +284,7 @@ def _task_cover(system, params):
 
 def _task_zeta_eval(system, params):
     res, ims = _grid(params, "re"), _grid(params, "im")
-    ev = _evaluator(system, params, {"re", "im"}, need_left_of_delta=False)
+    ev = _evaluator(system, params, "zeta-eval", {"re", "im"})
     ss = [complex(a, b) for b in ims for a in res]
     values = ev.zeta_grid(res, ims)
     return {"zeta_grid.csv": lambda path: export_grid(path, ss, values)}
@@ -287,7 +292,7 @@ def _task_zeta_eval(system, params):
 
 def _task_zeros(system, params):
     rect = _rectangle(params)
-    ev = _evaluator(system, params, {"rectangle"})
+    ev = _evaluator(system, params, "zeros", {"rectangle"})
     records = scan_region(ev, rect)
     return {"zeros.csv": lambda path: export_zeros(path, records)}
 
@@ -297,7 +302,7 @@ def _task_count(system, params):
     cls, fields = _family(_require(params, "family", "params"))
     # a log family without a delta makes a quadratic system's delta solve
     solve_delta = cls is LogFamily and "delta" not in fields
-    ev = _evaluator(system, params, {"rectangle", "family", "radii"} |
+    ev = _evaluator(system, params, "count", {"rectangle", "family", "radii"} |
                     ({"level"} if solve_delta and isinstance(system, MapSpec) else set()))
     if solve_delta:
         fields["delta"] = _system_delta(system, params, ev)
@@ -311,7 +316,7 @@ def _task_growth(system, params):
     c0 = _as_real(_require(params, "c0", "params"), "params.c0")
     radii = _radii(params)
     re_samples = _as_count(params.get("re_samples", 33), "params.re_samples")
-    ev = _evaluator(system, params, {"c0", "radii", "re_samples"})
+    ev = _evaluator(system, params, "growth", {"c0", "radii", "re_samples"})
     fit = growth_exponent_probe(ev, c0, radii, re_samples=re_samples)
     payload = {"exponent": fit.exponent, "r2": fit.r2,
                "rows": [{"r": r, "max_log_abs_Z": m} for r, m in zip(fit.rs, fit.max_log_abs)],
@@ -333,7 +338,7 @@ def _window(win, where: str) -> TestFunction:
 
 
 def _task_pairing(system, params):
-    # not method or order: a quadratic system's pairing takes the auto-order Fredholm route
+    # not method: a quadratic system's pairing takes the Fredholm route
     _check_keys(params, {"windows", "rectangle", "n_max", "k_max", "delta",
                          "histogram_n", "level"}, "params")
     if not isinstance(system, (AffinePair, MapSpec)):
@@ -349,7 +354,8 @@ def _task_pairing(system, params):
     region = _rectangle(params)
     delta = params.get("delta")
     delta = None if delta is None else _as_real(delta, "params.delta")
-    ev = _evaluator(system, params, {"windows", "rectangle", "n_max", "delta", "histogram_n"})
+    ev = _evaluator(system, params, "pairing",
+                    {"windows", "rectangle", "n_max", "delta", "histogram_n"})
     catalog = system.orbit_catalog(n_max) if isinstance(system, AffinePair) else \
         build_orbit_catalog(system, n_max)
     if delta is None:
@@ -382,7 +388,7 @@ def _task_dimension(system, params):
     solve = {"level"} if isinstance(system, MapSpec) else set()   # a quadratic delta's solve
     _check_keys(params, {"n_scales", "decades", "h_max"} | solve, "params")
     if solve:
-        _fredholm_params(system, params)
+        _fredholm_level(system, params)
     fit, _stats = box_dimension(system, **box)
     delta_zeta = _system_delta(system, params)
     payload = {"delta_zeta": delta_zeta, "delta_box": fit.delta_box,
@@ -418,13 +424,15 @@ def run_job(config: dict, out_dir: str) -> list[str]:
     task = _require(config, "task", "config")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
-    system_cfg = config.get("system")
-    system = build_system(system_cfg) if system_cfg is not None else None
-    if system is None and task != "trace-check":
-        raise ConfigError(f"missing key 'system' in config (task {task!r} needs one)")
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config.params must be an object")
+    # only an orbit catalog reads a quadratic system's tol_point and n_cert
+    catalog = task in ("orbits", "pairing") or params.get("method", _ROUTES.get(task)) == "cycle"
+    system_cfg = config.get("system")
+    system = build_system(system_cfg, catalog) if system_cfg is not None else None
+    if system is None and task != "trace-check":
+        raise ConfigError(f"missing key 'system' in config (task {task!r} needs one)")
 
     started = time.monotonic()
     artifacts = _RUNNERS[task](system, params)

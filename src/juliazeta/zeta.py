@@ -56,32 +56,6 @@ class ZetaValue:
             raise ValueError("tail bound must be finite")
 
 
-@dataclass(frozen=True)
-class TruncationModel:
-    """Characteristic-value decay model nu_l <= C * rate^phi(l); used to
-    pick the basis order and to report determinant tails.  An error model
-    calibrated from the cover geometry, not a certificate."""
-
-    C: float
-    rate: float
-
-    def __post_init__(self):
-        if not (0.0 < self.rate < 1.0):
-            raise ValueError("rate must lie in (0, 1)")
-        if self.C <= 0.0:
-            raise ValueError("C must be positive")
-
-    def tail(self, m: int) -> float:
-        """Predicted sum_{l >= m} nu_l."""
-        return self.C * self.rate ** m / (1.0 - self.rate)
-
-    def select_order(self, target: float, cap: int = 80) -> int:
-        m = 1
-        while m < cap and self.tail(m) > target:
-            m += 1
-        return m
-
-
 class _Route:
     """The protocol every route's class shares."""
 
@@ -245,8 +219,12 @@ class ModelEvaluator(_Route):
         self._powers = np.array([[self.a ** -k, self.b ** -k] for k in range(self.k_max + 1)]).T
 
     def _factors(self, s: complex) -> list[complex]:
-        """1 - a^{-s} a^{-k} - b^{-s} b^{-k}; raises OverflowError as a^{-s} does."""
-        return (1.0 - self.a ** (-s) * self._powers[0] - self.b ** (-s) * self._powers[1]).tolist()
+        """1 - a^{-s} a^{-k} - b^{-s} b^{-k}; TruncationError as a^{-s} overflows."""
+        try:
+            xa, xb = self.a ** (-s), self.b ** (-s)
+        except OverflowError:
+            raise TruncationError(f"model powers a^-s, b^-s at s = {s} overflow") from None
+        return (1.0 - xa * self._powers[0] - xb * self._powers[1]).tolist()
 
     def __call__(self, s: complex) -> complex:
         return math.prod(self._factors(complex(s)), start=1.0 + 0.0j)
@@ -269,9 +247,14 @@ class ModelEvaluator(_Route):
         value = math.prod(factors, start=1.0 + 0.0j)
         log_value = None if 0.0 in factors else sum(map(cmath.log, factors), 0.0 + 0.0j)
         n = -(s.real + self.k_max + 1)
-        log_tail = self.a ** n / (1.0 - 1.0 / self.a) + self.b ** n / (1.0 - 1.0 / self.b)
-        return ZetaValue(value=value, log_value=log_value,
-                         tail_bound=abs(value) * math.expm1(log_tail),
+        try:
+            log_tail = self.a ** n / (1.0 - 1.0 / self.a) + self.b ** n / (1.0 - 1.0 / self.b)
+            bound = abs(value) * math.expm1(log_tail)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise TruncationError(f"model value or tail at s = {s} is not finite (Z = {value})")
+        return ZetaValue(value=value, log_value=log_value, tail_bound=bound,
                          method=self.method)
 
 
@@ -324,7 +307,7 @@ class FredholmEvaluator(_Route):
     method = "fredholm"
     conjugate_symmetric = True   # Real1D mode has a real parameter c
 
-    def __init__(self, spec: MapSpec, level: int = 3, order: int | None = None):
+    def __init__(self, spec: MapSpec, level: int = 3):
         if spec.mode is not Mode.REAL_1D:
             raise CoverError("the Fredholm discretization supports Real1D mode only")
         self.spec = spec
@@ -348,8 +331,8 @@ class FredholmEvaluator(_Route):
             raise CoverError(f"element {cover.words[k]!r} is not the mirror image of "
                              f"element {cover.words[(k + half) % len(x)]!r}")
 
-        # containment first: the truncation model picks M from the cover
-        # contraction ratio (image radius / target radius).  The branch-1
+        # containment first: the order M comes from the cover contraction
+        # ratio (image radius / target radius).  The branch-1
         # image and its target mirror the branch-0 ones: the same ratios
         root, root_radius = sqrt_disks(spec.c, x, radius)
         reach = (np.abs(root - x[cols]) + root_radius) / radius[cols]
@@ -358,12 +341,13 @@ class FredholmEvaluator(_Route):
             k = int(np.argmax(bad))
             raise CoverError(f"branch 0 image of element {cover.words[k]!r} is not strictly "
                              f"inside element {cover.words[cols[k]]!r} (ratio {reach[k]:.3f})")
-        rho_max = float((root_radius / radius[cols]).max())
-
-        self.truncation = TruncationModel(C=4.0 * len(x), rate=rho_max)
-        self.order = order if order is not None else \
-            self.truncation.select_order(_TAIL_TARGET, cap=ORDER_CAP)
-        m = self.order
+        self._rate = float((root_radius / radius[cols]).max())
+        self._scale = 4.0 * len(x)
+        # the fewest monomials, at most ORDER_CAP, whose predicted tail is at most _TAIL_TARGET
+        m = 1
+        while m < ORDER_CAP and self._tail(m) > _TAIL_TARGET:
+            m += 1
+        self.order = m
         nodes = 4 * m
         omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
         alphas = np.arange(m)
@@ -409,6 +393,11 @@ class FredholmEvaluator(_Route):
         self._rows = np.arange(len(x)) % self._half
         self._cols = cols
         self.size = folded_size(level, m)
+
+    def _tail(self, m: int) -> float:
+        """Predicted sum_{l >= m} nu_l, for nu_l <= 4 * 2^level * rate^l: an
+        error model from the cover's contraction, not a certificate."""
+        return self._scale * self._rate ** m / (1.0 - self._rate)
 
     def _check_weights(self, s: complex) -> None:
         """TruncationError when a branch weight exp(-(s/2) log w) at s may
@@ -468,11 +457,14 @@ class FredholmEvaluator(_Route):
 
     def tail_bound(self, s: complex) -> float:
         """Determinant truncation estimate: predicted discarded singular
-        values, scaled by the weight sup and a det perturbation factor."""
-        self._check_weights(complex(s))
-        wsup = float(np.max(np.abs(np.exp(-(complex(s) / 2.0) * self._logw))))
-        nu_tail = wsup * self.truncation.tail(self.order)
-        nu_all = wsup * self.truncation.tail(0)
+        values, scaled by the weight sup and a det perturbation factor.  The
+        sup is exp of the largest Re(-(s/2) log w), from one real pass."""
+        s = complex(s)
+        self._check_weights(s)
+        wsup = math.exp(float(np.max(0.5 * s.imag * self._logw.imag -
+                                     0.5 * s.real * self._logw.real)))
+        nu_tail = wsup * self._tail(self.order)
+        nu_all = wsup * self._tail(0)
         try:
             bound = nu_tail * math.exp(1.0 + nu_all)
         except OverflowError:

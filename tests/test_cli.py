@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import weakref
 
 import pytest
@@ -139,11 +140,13 @@ def _with(cfg, **params):
     (_with(_ZEROS, level=True), "params.level"),
     (_with(_ZEROS, level=2.5), "params.level"),
     (_with(_ZEROS, level=7), "budget"),            # order up to 80: 5120 x 5120
-    (_with(_ZEROS, level=9, order=30), "budget"),  # 7680 x 7680
-    (_with(_ZEROS, order="x"), "params.order"),
-    (_with(_ZEROS, order=0), "params.order"),
-    (_with(_ZEROS, order=81), "params.order"),
-    (_with(_ZEROS, order=True), "params.order"),
+    (dict(_with(_PAIRING, level=7), system={"kind": "quadratic", "c": -6.0}), "budget"),
+    # no job reads an order: the level alone sets the Fredholm discretization
+    (_with(_ZEROS, order=30), "params.order"),
+    (dict(_ZETA_EVAL, params={"method": "fredholm", "re": [1.0, 2.0, 3],
+                              "im": [0.0, 4.0, 3], "order": 30}), "params.order"),
+    (dict(_with(_COUNT, order=30), system={"kind": "quadratic", "c": -6.0}), "params.order"),
+    (dict(_with(_GROWTH, order=30), system={"kind": "quadratic", "c": -6.0}), "params.order"),
     (_with(_ZEROS, rectangle=["a", 1, 0, 1]), "params.rectangle[0]"),
     (_with(_ZEROS, rectangle=[1, 0, 0, 1]), "params.rectangle"),
     (_with(_ZEROS, rectangle=[0, 1, 0, float("nan")]), "params.rectangle[3]"),
@@ -223,6 +226,15 @@ def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     ({"task": "zeta-eval", "system": {"kind": "quadratic", "c": -20.0},
       "params": {"method": "fredholm", "level": 3,
                  "re": [-1.5, -1.5, 1], "im": [12.0, 12.0, 1]}}, "TruncationError"),
+    # the model route where a^{-s} overflows: at a = 2, Re s < -1024
+    (dict(_MODEL_EVAL, params={"re": [-2000.0, -1999.0, 2], "im": [0.0, 1.0, 2]}),
+     "TruncationError"),
+    (_with(_GROWTH, c0=3000.0), "TruncationError"),
+    ({"task": "zeros", "system": {"kind": "affine", "ratios": [2.0, 4.0]},
+      "params": {"rectangle": [-3000.0, -2990.0, -1.0, 1.0]}}, "TruncationError"),
+    # finite powers, but a Z or tail estimate that is not
+    (dict(_MODEL_EVAL, params={"re": [-40.0, -40.0, 1], "im": [1.0, 1.0, 1]}),
+     "TruncationError"),
 ])
 def test_engine_failures_exit_3_with_one_line(tmp_path, capsys, cfg, error):
     path = tmp_path / "job.json"
@@ -280,8 +292,8 @@ def test_overflowing_branch_weights_fail_in_one_line(tmp_path, cfg, message):
 
 # The params keys each job reads: its task's, its evaluator route's
 # (model: none; affine: k_max; cycle: method, n_max; fredholm: method,
-# level, order) and the level of a quadratic system's delta solve.  Every
-# other evaluator key is refused with exit 2, before any work.
+# level) and the level of a quadratic system's delta solve.  Every other
+# evaluator key is refused with exit 2, before any work.
 _Q = {"kind": "quadratic", "c": -6.0}
 _AFFINE = {"kind": "affine", "ratios": [2.0, 4.0]}
 _GRID = {"re": [1.5, 2.0, 2], "im": [0.0, 1.0, 2]}
@@ -292,7 +304,7 @@ _PAIR = {"windows": [{"d": 1.0, "gamma": 0.3}], "rectangle": [-1.0, 1.0, -2.0, 2
 _ROUTES = {"model": (_MODEL, {}, set()),
            "affine": (_AFFINE, {}, {"k_max"}),
            "cycle": (_Q, {"method": "cycle"}, {"method", "n_max"}),
-           "fredholm": (_Q, {"method": "fredholm"}, {"method", "level", "order"})}
+           "fredholm": (_Q, {"method": "fredholm"}, {"method", "level"})}
 _TASK_PARAMS = {"zeta-eval": _GRID, "zeros": {"rectangle": [-1.0, 1.0, -2.0, 2.0]},
                 "count": _STRIP, "growth": {"c0": 1.5, "radii": [1.0]}}
 _READS = [(task, route, system, dict(params, **route_params), keys)
@@ -302,8 +314,7 @@ _READS += [
     ("count", "model-log", _MODEL, _LOG, set()),
     ("count", "affine-log", _AFFINE, _LOG, {"k_max"}),
     ("count", "cycle-log", _Q, dict(_LOG, method="cycle"), {"method", "n_max", "level"}),
-    ("count", "fredholm-log", _Q, dict(_LOG, method="fredholm"),
-     {"method", "level", "order"}),
+    ("count", "fredholm-log", _Q, dict(_LOG, method="fredholm"), {"method", "level"}),
     ("pairing", "affine", _AFFINE, _PAIR, {"n_max", "k_max"}),
     ("pairing", "quadratic", _Q, _PAIR, {"n_max", "level"}),
     ("dimension", "affine", _AFFINE, {}, set()),
@@ -312,7 +323,7 @@ _READS += [
     ("cover", "quadratic", _Q, {}, set()),
     ("cover", "affine", _AFFINE, {}, set()),
 ]
-_KEY_VALUES = {"method": "cycle", "level": 1, "order": 10, "n_max": 6, "k_max": 5}
+_KEY_VALUES = {"method": "cycle", "level": 1, "n_max": 6, "k_max": 5}
 
 
 class _Reached(Exception):
@@ -350,6 +361,78 @@ def test_each_job_reads_its_keys_and_refuses_the_rest(tmp_path, capsys, no_work,
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"params.{key}" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("tol_point", 1e-12), ("n_cert", 1)])
+@pytest.mark.parametrize("task, route, system, params, keys", _READS,
+                         ids=[f"{task}-{route}" for task, route, *_ in _READS])
+def test_system_keys_are_read_only_where_a_catalog_is_built(tmp_path, capsys, no_work, task,
+                                                            route, system, params, keys,
+                                                            key, value):
+    # only an orbit catalog reads a quadratic system's tol_point and n_cert:
+    # orbits, a quadratic pairing and the cycle route build one
+    cfg = {"task": task, "system": dict(system, **{key: value}), "params": params}
+    if system is _Q and (route.startswith("cycle") or task in ("orbits", "pairing")):
+        with pytest.raises(_Reached):
+            run_job(cfg, str(tmp_path / "o"))
+        return
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main([task, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"system.{key}" in err
+    assert not (tmp_path / "o").exists()
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_keys() -> dict:
+    """README's CLI key table: task -> (task keys, {column: route keys}),
+    each the set of backticked names in its cell."""
+    table = {}
+    with open(_README) as fh:
+        for line in fh:
+            cells = [set(re.findall(r"`([^`]+)`", cell)) for cell in line.split("|")[1:-1]]
+            if len(cells) == 6 and len(cells[0]) == 1:
+                table[cells[0].pop()] = (cells[1], dict(zip(("model", "affine", "cycle",
+                                                             "fredholm"), cells[2:])))
+    return table
+
+
+def _accepts(task, system, params, key, out) -> bool:
+    """Whether the job takes params.key: anything but its refusal as unknown."""
+    probe = dict(params, **{key: params.get(key, _KEY_VALUES.get(key))})
+    try:
+        run_job({"task": task, "system": system, "params": probe}, out)
+    except ConfigError as exc:
+        return f"unknown key {key!r}" not in str(exc)
+    except _Reached:
+        pass
+    return True
+
+
+def test_readme_key_table_matches_what_each_job_accepts(tmp_path, no_work):
+    # every key the README tables for a job is one it accepts, and every
+    # key it accepts is tabled: a removed knob cannot outlive its docs.  A
+    # quadratic task without a route choice tables its keys under the
+    # route it takes; a count's cycle cell holds its log rows' level too
+    table = _readme_keys()
+    probes = set(_KEY_VALUES)
+    for task, *_ in _READS:
+        task_keys, columns = table[task]
+        probes |= task_keys.union(*columns.values())
+    accepted = {}
+    for task, route, system, params, _keys in _READS:
+        task_keys, columns = table[task]
+        got = {key for key in probes if _accepts(task, system, params, key, str(tmp_path))}
+        assert task_keys <= got, (task, route)
+        column = route.split("-")[0]
+        accepted.setdefault((task, column), set()).update(got - task_keys)
+    for (task, column), got in accepted.items():
+        columns = table[task][1]
+        want = columns[column] if column in columns else columns["cycle"] | columns["fredholm"]
+        assert got == want, (task, column)
 
 
 @pytest.mark.parametrize("task, params", [
@@ -410,10 +493,8 @@ def test_pairing_forms_the_cycle_arrays_once_per_job(tmp_path, monkeypatch):
 @pytest.mark.parametrize("task, params, builds", [
     ("pairing", dict(_PAIR, n_max=6, level=1), 1),
     ("count", dict(_LOG, level=1), 1),
-    # the scan's order is not the delta solve's auto order
-    ("count", dict(_LOG, level=1, order=12), 2),
     ("count", dict(_LOG, level=1, method="cycle", n_max=6, rectangle=[1.0, 2.0, -2.0, 2.0]), 1),
-], ids=["pairing", "count", "count-order", "count-cycle"])
+], ids=["pairing", "count", "count-cycle"])
 def test_delta_is_solved_on_the_jobs_own_fredholm_evaluator(tmp_path, monkeypatch,
                                                             task, params, builds):
     import juliazeta.cli

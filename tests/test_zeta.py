@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juliazeta.dynamics import MapSpec, Mode, build_orbit_catalog
-from juliazeta.errors import DivergenceRegionError
-from juliazeta.zeta import (CycleEvaluator, ModelEvaluator,
-                            TruncationModel, model_dimension,
+from juliazeta.errors import DivergenceRegionError, TruncationError
+from juliazeta.zeta import (CycleEvaluator, ModelEvaluator, model_dimension,
                             zero_free_abscissa)
 
 GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
@@ -173,13 +173,6 @@ def test_derivative_real_on_real_axis(cat12):
     assert d.imag == 0.0
 
 
-def test_truncation_model_tail_decreasing():
-    tm = TruncationModel(C=4.0, rate=0.3)
-    tails = [tm.tail(m) for m in range(0, 30, 3)]
-    assert tails == sorted(tails, reverse=True)
-    assert tm.select_order(1e-12) <= 80
-
-
 def test_cycle_batch_matches_scalar(cat12):
     ev = CycleEvaluator(cat12)
     ss = np.array([1.1 + 0.5j, 2.0 - 3.0j, 3.3 + 9.0j])
@@ -279,10 +272,16 @@ def test_model_value_is_the_call():
 
 
 def test_model_overflow_raises():
-    # an overflowing a^{-s} raises, as the direct powers did
+    # an overflowing a^{-s} is a TruncationError naming s, which a job
+    # reports in one line with exit 3, as it does the Fredholm route's
     ev = ModelEvaluator(2.0, 4.0, 3)
     for s in (-2000.0, -2000.0 + 5.0j):
-        with pytest.raises(OverflowError):
+        with pytest.raises(TruncationError, match=re.escape(f"at s = {complex(s)} ")):
             ev(s)
-        with pytest.raises(OverflowError):
+        with pytest.raises(TruncationError, match=re.escape(f"at s = {complex(s)} ")):
+            ev.zeta_value(s)
+    # finite powers, but an overflowing product (K = 40) or tail (K = 0)
+    for ev, s in ((ModelEvaluator(2.0, 4.0, 40), -40.0 + 1.0j),
+                  (ModelEvaluator(2.0, 4.0, 0), -20.0)):
+        with pytest.raises(TruncationError, match="is not finite"):
             ev.zeta_value(s)
