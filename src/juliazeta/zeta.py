@@ -10,8 +10,8 @@
 
 * Fredholm determinant: det(I - L_M(s)) for the transfer operator in
   per-element monomial bases over a backward cover, with Taylor
-  coefficients by trapezoidal Cauchy quadrature (on the real axis: real
-  sums over half the nodes).  Entire in s; it sees zeros left of delta.
+  coefficients by trapezoidal Cauchy quadrature (on the real axis: exact,
+  from binomial series).  Entire in s; it sees zeros left of delta.
 
 * Model product: prod_k (1 - A^{-(s+k)} - B^{-(s+k)}), the binomial
   length-model zeta; exact for two-branch affine systems.
@@ -218,32 +218,31 @@ class ModelEvaluator(_Route):
         self.a, self.b, self.k_max = float(a), float(b), int(k_max)
         self._powers = np.array([[self.a ** -k, self.b ** -k] for k in range(self.k_max + 1)]).T
 
-    def _factors(self, s: complex) -> list[complex]:
-        """1 - a^{-s} a^{-k} - b^{-s} b^{-k}; TruncationError as a^{-s} overflows."""
+    def _terms(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
+        """a^{-s} a^{-k} and b^{-s} b^{-k}; TruncationError as a^{-s} overflows."""
         try:
             xa, xb = self.a ** (-s), self.b ** (-s)
         except OverflowError:
             raise TruncationError(f"model powers a^-s, b^-s at s = {s} overflow") from None
-        return (1.0 - xa * self._powers[0] - xb * self._powers[1]).tolist()
+        return xa * self._powers[0], xb * self._powers[1]
 
     def __call__(self, s: complex) -> complex:
-        return math.prod(self._factors(complex(s)), start=1.0 + 0.0j)
+        xa, xb = self._terms(complex(s))
+        z = math.prod((1.0 - xa - xb).tolist(), start=1.0 + 0.0j)
+        if not cmath.isfinite(z):
+            raise TruncationError(f"model product at s = {complex(s)} is not finite ({z})")
+        return z
 
     def dlog(self, s: complex) -> complex:
-        s = complex(s)
-        la, lb = math.log(self.a), math.log(self.b)
-        total = 0.0 + 0.0j
-        for k in range(self.k_max + 1):
-            xa = self.a ** (-(s + k))
-            xb = self.b ** (-(s + k))
-            total += (xa * la + xb * lb) / (1.0 - xa - xb)
-        return total
+        xa, xb = self._terms(complex(s))
+        return complex(np.sum((xa * math.log(self.a) + xb * math.log(self.b)) / (1.0 - xa - xb)))
 
     def zeta_value(self, s: complex) -> ZetaValue:
         """Z(s) and log Z(s) (None when a factor is exactly 0); tail_bound
         covers the factors k > K."""
         s = complex(s)
-        factors = self._factors(s)
+        xa, xb = self._terms(s)
+        factors = (1.0 - xa - xb).tolist()
         value = math.prod(factors, start=1.0 + 0.0j)
         log_value = None if 0.0 in factors else sum(map(cmath.log, factors), 0.0 + 0.0j)
         n = -(s.real + self.k_max + 1)
@@ -281,9 +280,9 @@ class FredholmEvaluator(_Route):
     weight is [g'(z)]^s = exp(-(s/2) Log(4 (z - c))) with the principal
     logarithm (element radii are capped so the argument stays off the
     cut), and matrix entries are Taylor coefficients of the image of each
-    basis monomial, extracted by a 4M-node trapezoidal rule on circles of
-    relative radius _THETA.  All of it is formed on the cover's arrays,
-    its checks included (branch-0 images by `sqrt_disks`).
+    basis monomial, off the real axis by a 4M-node trapezoidal rule on
+    circles of relative radius _THETA.  All of it is formed on the cover's
+    arrays, its checks included (branch-0 images by `sqrt_disks`).
 
     The determinant is taken at half the size, by the z -> -z symmetry of
     z^2 + c.  The branches are g_1 = -g_0 with equal weights, and the
@@ -298,10 +297,10 @@ class FredholmEvaluator(_Route):
     trace and nonzero spectrum of L.  The one level-0 element is centred
     at 0, so there L = A (I + D) and F is the even-degree block of 2A.
 
-    On the real axis the terms and twiddles at nodes t and 4M - t are
-    conjugates, so F is real: numpy's loops sum its rows over t <= 2M, with
-    phases reduced mod 4M and each twiddle from an angle <= pi/4, so within
-    an ulp (off the axis the unreduced phases' rounding, and bits, are kept).
+    On the real axis the coefficients are exact and F is real: a block is
+    A_k diag(eps_k^alpha (+-1)^alpha) T G_k, T the Toeplitz matrix of the
+    weight's binomial series, summed in numpy's own loops, not BLAS, so its
+    bits do not depend on the kernel (off the axis the Cauchy sums' are kept).
     """
 
     method = "fredholm"
@@ -362,36 +361,44 @@ class FredholmEvaluator(_Route):
         rel = (np.sqrt(z_nodes - c) - x[cols, None]) / radius[cols, None]
         basis = rel[:, None, :] ** alphas[:, None]
         self._logw = np.log(4.0 * (z_nodes - c))
-        # the range of Re log w and the largest |Im log w| bound the weight
-        # exponent Re(-(s/2) log w) at O(1) cost (`_check_weights`)
-        self._logw_re = (float(self._logw.real.min()), float(self._logw.real.max()))
-        self._logw_im = float(np.abs(self._logw.imag).max())
-        # node q M + r's root of unity is i^q exp(2 pi i r / 4M), from an angle <= pi/4;
-        # row alpha, node t <= 2M: times c_t _THETA^{-alpha} / 4M, c_t = 2 but at 0, 2M
-        q, r = np.divmod(np.arange(nodes), m)
-        e = np.exp(1j * (2.0 * np.pi * np.minimum(r, m - r) / nodes))
-        roots = np.where(2 * r <= m, e, 1j * e.conj()) * np.array([1, 1j, -1, -1j])[q]
-        roots = roots[np.outer(alphas, range(2 * m + 1)) % nodes] * \
-            ((_THETA ** (-alphas) / nodes)[:, None] * np.r_[1.0, [2.0] * (2 * m - 1), 1.0])
+        # the axis's exact coefficients: with v = (z - x_k) / (x_k - c) = eps_k u,
+        # 4 (z - c) = 4 (x_k - c) (1 + v) and g_0(z) = sqrt(x_k - c) (1 + v)^(1/2).
+        # g[gamma, k, beta] is the v^gamma coefficient of ((g_0 - x_j) / R_j)^beta,
+        # by truncated products with the Toeplitz matrix of its base's series; a
+        # Toeplitz matrix indexes a series by lag, the negative lags its zero tail
+        eps, j, lag = radius / (x - c), np.arange(1, m), np.subtract.outer(alphas, alphas)
+        p = np.sqrt(x - c)[:, None] * np.cumprod(np.r_[1.0, (1.5 - j) / j])
+        p = (np.c_[p - np.eye(1, m) * x[cols, None], 0.0 * p[:, 1:]] / radius[cols, None])[:, lag]
+        g = np.zeros((len(x), m, m)) + np.eye(m, 1)   # column 0 is p^0 = 1; the loop sets the rest
+        for b in j:
+            g[:, :, b] = np.einsum("kag,kg->ka", p, g[:, :, b - 1], optimize=False)
+        # F_k = A_k diag(eps_k^alpha (+-1)^alpha) T G_k, A_k = exp(-(s/2) logw0_k)
+        self._logw0 = np.log(4.0 * (x - c))
+        epow = np.where(np.arange(len(x)) < max(half, 1), eps, -eps)[:, None] ** alphas
         if level == 0:
-            dft, basis, roots = 2.0 * dft[::2], basis[:, ::2], 2.0 * roots[::2]
-        self._basis = basis
+            dft, basis, g, epow = 2.0 * dft[::2], basis[:, ::2], g[..., ::2], 2.0 * epow[:, ::2]
+            lag = lag[::2]
+        self._basis, self._g, self._epow = basis, np.ascontiguousarray(g.transpose(1, 0, 2)), epow
         # [dft, D dft], D = diag((-1)^beta), for the 0u and the 1u rows: their
-        # products with the rows' terms are F's blocks, signs included; so too
-        # for the twiddles, whose (cos, sin) pairs meet a row's (Re, Im) pairs
+        # products with the rows' terms are F's blocks, signs included
         signs = (-1.0) ** np.arange(len(dft))[:, None]
-        self._dft = np.stack((dft, signs * dft))[:, None]
-        self._twiddles = np.stack((roots, signs * roots)).view(float)
-        # a weight exponent at most this keeps F's entries finite: an entry
-        # is at most 2 e^exponent times a row sum of |dft|, and the two
-        # products of a complex multiplication add
-        self._exponent_cap = math.log(np.finfo(float).max) - \
-            math.log(4.0 * float(np.abs(self._dft).sum(axis=-1).max()))
+        self._dft, self._lag = np.stack((dft, signs * dft))[:, None], lag
+        # a weight exponent at most cap keeps F finite.  Off the axis an entry is
+        # at most 4 e^exponent times a row sum of |dft|, the exponent bounded by
+        # the nodes' range of Re log w and largest |Im log w|.  On the axis it is
+        # at most 2m times the weight's maximum over a disk, at x_k -+ R_k, and
+        # (T G_k)[alpha] at most m eps_k^{-alpha} times that of |1 + v|^{-s/2}
+        # (Cauchy's estimate; the basis is at most 1): lines offset - (s/2) slope
+        log_max, rim = math.log(np.finfo(float).max), np.log1p(np.r_[-eps, eps])
+        self._node_bound = (float(self._logw.real.min()), float(self._logw.real.max()),
+                            float(np.abs(self._logw.imag).max()), log_max - math.log(
+                                4.0 * float(np.abs(self._dft).sum(axis=-1).max())))
+        self._axis_bound = (np.r_[0.0 * rim, np.tile(-(m - 1) * np.log(eps), 2)],
+                            np.r_[np.tile(self._logw0, 2) + rim, rim], log_max - math.log(2 * m))
         # F's block grid: row k mod half, column cols[k]; the 1u rows
         # (k >= half) are added onto the 0u rows
         self._half = max(half, 1)
-        self._rows = np.arange(len(x)) % self._half
-        self._cols = cols
+        self._rows, self._cols = np.arange(len(x)) % self._half, cols
         self.size = folded_size(level, m)
 
     def _tail(self, m: int) -> float:
@@ -400,34 +407,37 @@ class FredholmEvaluator(_Route):
         return self._scale * self._rate ** m / (1.0 - self._rate)
 
     def _check_weights(self, s: complex) -> None:
-        """TruncationError when a branch weight exp(-(s/2) log w) at s may
-        overflow, decided from the bound on its exponent before any array
-        is formed."""
-        lo, hi = self._logw_re
-        top = max(-0.5 * s.real * lo, -0.5 * s.real * hi) + 0.5 * abs(s.imag) * self._logw_im
-        if not top <= self._exponent_cap:
+        """TruncationError when an entry of F(s) may overflow (a branch
+        weight, or on the axis a product T G_k), decided from the bound on
+        its exponent before any array is formed."""
+        if s.imag == 0.0:
+            offset, slope, cap = self._axis_bound
+            top = float(np.max(offset - 0.5 * s.real * slope))
+        else:
+            lo, hi, im, cap = self._node_bound
+            top = max(-0.5 * s.real * lo, -0.5 * s.real * hi) + 0.5 * abs(s.imag) * im
+        if not top <= cap:
             raise TruncationError(
                 f"branch weights at s = {s} overflow (weight exponent up to "
-                f"{top:.3g}, above {self._exponent_cap:.3g})")
+                f"{top:.3g}, above {cap:.3g})")
 
     def matrix(self, s: complex) -> np.ndarray:
         """The folded matrix F(s), with det(I - F) = det(I - L)."""
         s = complex(s)
         self._check_weights(s)
         h, mb = self._half, self._dft.shape[2]
-        t = self._twiddles.shape[2] // 2 if s.imag == 0.0 else self._logw.shape[1]
-        weights = np.exp(-(s / 2.0) * self._logw[:, :t])
-        # the terms of the 0u rows and of the 1u rows, one stack each; the
-        # one level-0 element has no 1u rows
-        n = min(len(weights), 2)
-        terms = (weights[:, None, :] * self._basis[..., :t]).reshape(n, -1, mb, t)
-        if s.imag == 0.0:
-            # numpy's own loops, not BLAS: the assembly's bits do not depend on the kernel
-            blocks = np.einsum("xat,xkbt->xkab", self._twiddles[:n], terms.view(float),
-                               optimize=False)
+        if s.imag == 0.0:   # T from the series binom(-s/2, j)
+            j = np.arange(1.0, self._lag.shape[1])
+            series = np.concatenate(([1.0], np.cumprod((1.0 - 0.5 * s.real - j) / j), 0.0 * j))
+            blocks = np.einsum("ag,gkb->kab", series[self._lag], self._g, optimize=False)
+            blocks *= (np.exp(-0.5 * s.real * self._logw0)[:, None] * self._epow)[:, :, None]
         else:
-            blocks = self._dft[:n] @ terms.transpose(0, 1, 3, 2)
-        blocks = blocks.reshape(-1, mb, mb)
+            weights = np.exp(-(s / 2.0) * self._logw)
+            # the terms of the 0u rows and of the 1u rows, one stack each; the
+            # one level-0 element has no 1u rows
+            n = min(len(weights), 2)
+            terms = (weights[:, None, :] * self._basis).reshape(n, -1, mb, weights.shape[1])
+            blocks = (self._dft[:n] @ terms.transpose(0, 1, 3, 2)).reshape(-1, mb, mb)
         out = np.zeros((h, mb, h, mb), dtype=blocks.dtype)
         rows, cols = self._rows, self._cols
         out[rows[:h], :, cols[:h], :] = blocks[:h]

@@ -235,6 +235,12 @@ def test_malformed_job_input_is_a_config_error(tmp_path, capsys, cfg, where):
     # finite powers, but a Z or tail estimate that is not
     (dict(_MODEL_EVAL, params={"re": [-40.0, -40.0, 1], "im": [1.0, 1.0, 1]}),
      "TruncationError"),
+    # a model product that overflows to NaN: the growth job wrote "exponent":
+    # NaN and exited 0, the scan blamed a zero on its contour
+    (dict(_GROWTH, system=dict(_MODEL, k_max=40), params=dict(_GROWTH["params"], c0=200.0)),
+     "TruncationError"),
+    ({"task": "zeros", "system": dict(_MODEL, k_max=40),
+      "params": {"rectangle": [-100.0, -99.0, -1.0, 1.0]}}, "TruncationError"),
 ])
 def test_engine_failures_exit_3_with_one_line(tmp_path, capsys, cfg, error):
     path = tmp_path / "job.json"

@@ -204,6 +204,17 @@ def test_log_derivative_richardson(fredholm6, cat12):
 
 # The fold against an independent reference: the full two-branch L(s),
 # 2E blocks on the E * M unknowns of the cover, assembled block by block.
+# Off the axis by Cauchy quadrature, as the evaluator does; on the axis
+# from exact Taylor coefficients in u = (z - x_k) / R_k, by truncated
+# products of the series of (1 + eps u)^e, eps = R_k / (x_k - c)
+
+def _series(a, e, m):
+    """The first m Taylor coefficients of (1 + a u)^e."""
+    out = [1.0]
+    for j in range(1, m):
+        out.append(out[-1] * (e - j + 1) / j * a)
+    return np.array(out)
+
 
 def _full_matrix(ev, s):
     words, m, theta = ev.cover.words, ev.order, juliazeta.zeta._THETA
@@ -216,26 +227,40 @@ def _full_matrix(ev, s):
     alphas = np.arange(m)
     dft = (theta ** (-alphas))[:, None] * \
         np.exp(-2j * np.pi * np.outer(alphas, np.arange(nodes)) / nodes) / nodes
-    out = np.zeros((len(words) * m,) * 2, dtype=complex)
+    out = np.zeros((len(words) * m,) * 2, dtype=float if s.imag == 0.0 else complex)
     for k, word in enumerate(words):
+        x, r = disks[k].center.real, disks[k].radius
         z = disks[k].center + theta * disks[k].radius * omega
         weights = np.exp(-(s / 2.0) * np.log(4.0 * (z - c)))
         for branch in (0, 1):
             j = index[(str(branch) + word)[:ev.level]] if ev.level > 0 else 0
-            images = (1.0 if branch == 0 else -1.0) * np.sqrt(z - c)
-            rel = (images - disks[j].center) / disks[j].radius
-            out[k * m:(k + 1) * m, j * m:(j + 1) * m] += \
-                dft @ (weights[:, None] * rel[:, None] ** alphas[None, :])
+            sign = 1.0 if branch == 0 else -1.0
+            if s.imag == 0.0:
+                # column beta: the weight's series times beta copies of the
+                # series of the basis's base, (sign g_0 - x_j) / R_j
+                base = sign * math.sqrt(x - c) * _series(r / (x - c), 0.5, m)
+                base[0] -= disks[j].center.real
+                base /= disks[j].radius
+                e = -s.real / 2.0
+                column = (4.0 * (x - c)) ** e * _series(r / (x - c), e, m)
+                for beta in range(m):
+                    out[k * m:(k + 1) * m, j * m + beta] += column
+                    column = np.convolve(column, base)[:m]
+            else:
+                rel = (sign * np.sqrt(z - c) - disks[j].center) / disks[j].radius
+                out[k * m:(k + 1) * m, j * m:(j + 1) * m] += \
+                    dft @ (weights[:, None] * rel[:, None] ** alphas[None, :])
     return out
 
 
-def _sign_pass_matrix(ev, s, dft=None):
+def _sign_pass_matrix(ev, s, dft=None, basis=None):
     """F(s) assembled as before the signed product: every block against
     the plain quadrature weights dft, then the 1u rows' blocks times D."""
     dft = ev._dft[0, 0] if dft is None else dft
+    basis = ev._basis if basis is None else basis
     h = ev._half
     mb = len(dft)
-    terms = np.exp(-(s / 2.0) * ev._logw)[:, None, :] * ev._basis
+    terms = np.exp(-(s / 2.0) * ev._logw)[:, None, :] * basis
     blocks = dft @ terms.transpose(0, 2, 1)
     blocks[h:] *= (-1.0) ** np.arange(mb)[:, None]
     out = np.zeros((h, mb, h, mb), dtype=complex)
@@ -267,17 +292,14 @@ def test_fold_matches_the_full_matrix(c, level):
     assert ev.size == folded_size(level, ev.order)
     rng = np.random.default_rng(7)
     points = list(rng.uniform(-2.0, 1.4, 50) + 1j * rng.uniform(0.0, 40.0, 50))
-    # real points right of -1.5: further left rounding alone moves Z by
-    # 1e-10 (against 30-digit arithmetic at c = -6, level 2, Z(-2) =
-    # 329.000000000003: the fold is off by 2.5e-10 of Z, the reference by
-    # 4.0e-10), and the reference's imaginary part reads up to 1e-9 |Z|
+    # real points right of -1.5: further left the LU's conditioning takes
+    # digits (at s = -2 fold and reference differ by up to 8.8e-11 of Z)
     points += [complex(x) for x in (-1.0, -0.5, 0.2, 0.6, 1.3)]
     for s in points:
         full = _full_matrix(ev, s)
         want = complex(np.linalg.det(np.eye(len(full)) - full))
         if s.imag == 0.0:
-            # Z is real on the axis: the reference's imaginary part is
-            # rounding noise, and the fold has none
+            # on the axis the fold and the reference are real
             assert ev(s).imag == 0.0
             want = want.real
         assert abs(ev(s) - want) <= 1e-10 * abs(want)
@@ -299,22 +321,59 @@ def _reduced_dft(ev):
     return 2.0 * dft[::2] if ev.level == 0 else dft
 
 
+def _stable_basis(ev):
+    """The node basis ((g_0(z_t) - x_j) / R_j)^beta with g_0(z_t) - x_j
+    formed as (z_t - x_k) / (g_0(z_t) + g_0(x_k)) + (g_0(x_k) - x_j): no
+    cancellation at the nodes; the evaluator's node basis takes the
+    difference directly, with up to |g_0| / R_j times the rounding of g_0."""
+    cover, c, m = ev.cover, ev.spec.c.real, ev.order
+    x = 0.5 * (cover.lo + cover.hi)
+    radius = 0.5 * (cover.hi - cover.lo) * juliazeta.zeta._PAD
+    cols = np.arange(len(x)) >> 1
+    omega = np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
+    dz = (juliazeta.zeta._THETA * radius)[:, None] * omega
+    root = np.sqrt(x - c)
+    rel = (dz / (np.sqrt(x[:, None] + dz - c) + root[:, None]) + (root - x[cols])[:, None]) / \
+        radius[cols, None]
+    betas = np.arange(0, m, 2) if ev.level == 0 else np.arange(m)
+    return rel[:, None, :] ** betas[:, None]
+
+
 @pytest.mark.parametrize("c, level", _VALID)
 def test_axis_matrix_matches_reduced_twiddles(c, level):
-    # on the axis F is real and sums the half nodes; against the complex
-    # sum over all 4M nodes with reduced phases it is off by rounding only,
-    # which the Cauchy integral scales by up to _THETA^{-(M-1)}.  Measured:
-    # at most 0.51 eps _THETA^{-(M-1)} max|F|, and 0.83 at c = -20, level 2;
-    # the complex assembly with unreduced phases was off by up to 4.3 times
-    # it (c = -6, level 2)
+    # on the axis F holds exact Taylor coefficients; the complex Cauchy sum
+    # over all 4M nodes with reduced phases and a basis formed without
+    # cancellation is off by its rounding only, which the Cauchy integral
+    # scales by up to _THETA^{-(M-1)}.  Measured: at most 0.56 eps
+    # _THETA^{-(M-1)} max|F| (c = -3, level 2); with the evaluator's node
+    # basis the sum is off by up to 59 times it (c = -20, level 3)
     ev = FredholmEvaluator(MapSpec(c=c), level=level)
-    dft = _reduced_dft(ev)
+    dft, basis = _reduced_dft(ev), _stable_basis(ev)
     bound = 2.0 * np.finfo(float).eps * juliazeta.zeta._THETA ** (1 - ev.order)
     for x in np.linspace(-2.0, 1.4, 12):
         f = ev.matrix(complex(x))
-        want = _sign_pass_matrix(ev, complex(x), dft).real
+        want = _sign_pass_matrix(ev, complex(x), dft, basis).real
         assert f.dtype == np.float64
         assert np.abs(f - want).max() <= bound * np.abs(want).max()
+
+
+# Z on the axis for the same discretization (the evaluator's disks, order
+# and fold, with every Taylor coefficient and the determinant in 40-digit
+# mpmath arithmetic), rounded to 17 digits.  Cauchy sums, as off the axis,
+# are off by 3.8e-10, 9.8e-14, 2.0e-9 and 3.6e-11 of these
+_AXIS_40_DIGITS = {(-6.0, 3, -1.0): -0.76529588757049711,
+                   (-6.0, 2, 0.5): 0.073631765574437217,
+                   (-20.0, 2, -1.9): 659.14685047230873,
+                   (-3.0, 3, -1.0): 3.7404550513077773}
+
+
+@pytest.mark.parametrize("key", sorted(_AXIS_40_DIGITS))
+def test_axis_values_match_40_digit_arithmetic(key):
+    c, level, s = key
+    want = _AXIS_40_DIGITS[key]
+    z = FredholmEvaluator(MapSpec(c=c), level=level)(s)
+    assert z.imag == 0.0
+    assert abs(z.real - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("c, level", _VALID)
@@ -378,16 +437,21 @@ def test_order_and_tail_bound_keep_their_bits(key):
 
 
 def test_weight_guard_refuses_exactly_the_overflowing_weights(fredholm6):
-    # on the axis the weight exponent -(s/2) log w peaks at the largest
-    # Re log w; a real s just right of where that reaches the cap forms a
-    # finite F without a numpy warning, and one just left is refused
-    # before any array is formed
-    edge = -2.0 * fredholm6._exponent_cap / fredholm6._logw_re[1]
+    # on the axis an entry's exponent is bounded by the largest of the
+    # lines offset - (s/2) slope: left of the axis's zeros by the weight's
+    # maximum over the disks, far right by the products T G_k.  A real s
+    # just inside either edge forms a finite F without a numpy warning,
+    # and one just outside is refused before any array is formed
+    offset, slope, cap = fredholm6._axis_bound
+    reach = -2.0 * (cap - offset) / slope   # where each line meets the cap
+    edges = reach[slope > 0].max(), reach[slope < 0].min()
+    assert edges[0] < -300.0 and edges[1] > 1e4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(fredholm6.matrix(edge * (1.0 - 1e-12))).all()
-        with pytest.raises(TruncationError, match="branch weights at s = "):
-            fredholm6.matrix(edge * (1.0 + 1e-12))
+        for edge in edges:
+            assert np.isfinite(fredholm6.matrix(edge * (1.0 - 1e-12))).all()
+            with pytest.raises(TruncationError, match="branch weights at s = "):
+                fredholm6.matrix(edge * (1.0 + 1e-12))
         with pytest.raises(TruncationError, match="branch weights at s = "):
             fredholm6.tail_bound(complex(0.5, 1e300))
     # between -50 and the cap the weights are finite and the determinant

@@ -65,3 +65,18 @@ def test_catalog_timing(tmp_path):
         assert timing[f"{step}_us_per_point"] == pytest.approx(
             timing[f"{step}_s"] / timing["periodic_points"] * 1e6)
     assert os.listdir(tmp_path) == []
+
+
+def test_fredholm_timing(tmp_path):
+    out = _run(tmp_path, "fredholm_timing.py", "--c", "-6", "-20", "--levels", "2", "3",
+               "--repeat", "2")
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["c"], r["level"]) for r in rows] == [(-6.0, 2), (-6.0, 3), (-20.0, 2), (-20.0, 3)]
+    # the folded sides at c = -6 and c = -20, levels 2 and 3
+    assert [r["size"] for r in rows] == [48, 100, 30, 64]
+    for r in rows:
+        assert r["build_ms"] > 0.0
+        for where in ("axis", "off"):
+            for step in ("matrix", "lu", "call"):
+                assert r[f"{where}_{step}_ms"] > 0.0
+    assert os.listdir(tmp_path) == []

@@ -278,7 +278,7 @@ def _assert_zeros(records, want):
 
 def test_symmetric_scan_mirrors_the_upper_band():
     records, count = _counted_scan((-2.0, 1.4, -5.0, 5.0))
-    assert count == 485   # the plain scan of this rectangle takes 1000
+    assert count == 477   # the plain scan of this rectangle takes 1000
     _assert_zeros(records, sorted(CENSUS_5, key=lambda z: (z.imag, z.real)))
     assert {r.method for r in records} == {"fredholm"}
     upper = [r for r in records if r.s.imag > 1.0]
@@ -299,7 +299,7 @@ def test_scan_without_symmetry_takes_the_plain_path():
 
 def test_asymmetric_rectangle_takes_the_plain_path():
     records, count = _counted_scan((-2.0, 1.4, -4.0, 5.0))
-    assert count == 705
+    assert count == 679
     _assert_zeros(records, sorted(CENSUS_5[1:], key=lambda z: (z.imag, z.real)))
 
 
@@ -674,7 +674,7 @@ def test_no_symmetric_scan_contour_runs_along_the_axis(monkeypatch, roots):
 def test_census_work_count():
     # the benchmark census: 40 zeros in [-2, 1.4] x [-20, 20]
     records, count = _counted_scan((-2.0, 1.4, -20.0, 20.0))
-    assert count == 1261
+    assert count == 1254
     assert len(records) == 40
     assert all(r.resolved and r.multiplicity == 1 for r in records)
     # the axis zeros are exactly real and run in decreasing Re, delta first
@@ -690,7 +690,7 @@ def test_census_work_count():
 def test_acceptance_census_work_count():
     # the acceptance ledger's census: 98 simple zeros in [-2, 1.4] x [-40, 40]
     records, count = _counted_scan((-2.0, 1.4, -40.0, 40.0))
-    assert count == 5060
+    assert count == 5049
     assert len(records) == 98
     assert all(r.resolved and r.multiplicity == 1 for r in records)
 
@@ -700,8 +700,8 @@ def test_acceptance_census_work_count():
 EXACT_5 = [(0.2745483556634171, -4.18734875483785, 1.5611390069062839e-15),
            (-0.3452427637177002, -3.0990632948343615, 1.5815980098799644e-14),
            (-1.7602600823137033, -2.64373292309001, 9.620329920839307e-09),
-           (0.45183750018171076, 0.0, 6.119741597099969e-17),
-           (-1.0358586031974137, 0.0, 4.822814744099574e-14),
+           (0.4518375001817108, 0.0, 4.567808867111343e-17),
+           (-1.0358586031970145, 0.0, 3.1377359203742987e-16),
            (-1.7602600823137033, 2.64373292309001, 9.620329920839307e-09),
            (-0.3452427637177002, 3.0990632948343615, 1.5815980098799644e-14),
            (0.2745483556634171, 4.18734875483785, 1.5611390069062839e-15)]

@@ -280,8 +280,13 @@ def test_model_overflow_raises():
             ev(s)
         with pytest.raises(TruncationError, match=re.escape(f"at s = {complex(s)} ")):
             ev.zeta_value(s)
+        with pytest.raises(TruncationError, match=re.escape(f"at s = {complex(s)} ")):
+            ev.dlog(s)
     # finite powers, but an overflowing product (K = 40) or tail (K = 0)
     for ev, s in ((ModelEvaluator(2.0, 4.0, 40), -40.0 + 1.0j),
                   (ModelEvaluator(2.0, 4.0, 0), -20.0)):
         with pytest.raises(TruncationError, match="is not finite"):
             ev.zeta_value(s)
+    # the call refuses a product that is not finite, rather than return NaN
+    with pytest.raises(TruncationError, match=re.escape("model product at s = (-40+1j) is not")):
+        ModelEvaluator(2.0, 4.0, 40)(-40.0 + 1.0j)
