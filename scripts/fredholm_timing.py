@@ -25,6 +25,7 @@ from juliazeta.dynamics import MapSpec
 from juliazeta.zeta import FredholmEvaluator
 
 DIMENSION_CS = (-3.0, -4.0, -5.0, -6.0, -8.0, -12.0, -20.0)
+S_AXIS, S_OFF = 0.5 + 0j, 0.5 + 20j   # the points timed on and off the real axis
 
 
 def best_ms(k, fn):
@@ -42,8 +43,6 @@ def main():
     ap.add_argument("--c", type=float, nargs="+", default=list(DIMENSION_CS))
     ap.add_argument("--levels", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--repeat", type=int, default=15)
-    ap.add_argument("--re", type=float, default=0.5, help="Re s of both points")
-    ap.add_argument("--im", type=float, default=20.0, help="Im s of the off-axis point")
     args = ap.parse_args()
 
     for c in args.c:
@@ -52,7 +51,7 @@ def main():
             ev = FredholmEvaluator(MapSpec(c=c), level=level)
             out = {"c": c, "level": level, "order": ev.order, "size": ev.size,
                    "build_ms": build_ms}
-            for where, s in (("axis", complex(args.re)), ("off", complex(args.re, args.im))):
+            for where, s in (("axis", S_AXIS), ("off", S_OFF)):
                 a = np.eye(ev.size) - ev.matrix(s)
                 out[f"{where}_matrix_ms"] = best_ms(args.repeat, lambda: ev.matrix(s))
                 out[f"{where}_lu_ms"] = best_ms(args.repeat, lambda: np.linalg.slogdet(a))

@@ -360,11 +360,21 @@ def test_axis_matrix_matches_reduced_twiddles(c, level):
 # Z on the axis for the same discretization (the evaluator's disks, order
 # and fold, with every Taylor coefficient and the determinant in 40-digit
 # mpmath arithmetic), rounded to 17 digits.  Cauchy sums, as off the axis,
-# are off by 3.8e-10, 9.8e-14, 2.0e-9 and 3.6e-11 of these
+# are off by 3.8e-10, 9.8e-14, 2.0e-9 and 3.6e-11 of the first four.  Right
+# of the zeros, at levels 0 and 3, the weight's binomial series alternates
+# and Z tends to 1: the double Z is within 1.1e-16 of each, and at s = 1000
+# the weights underflow (the guard refuses real s beyond 3,684 at c = -20,
+# level 0, where T G_k could overflow)
 _AXIS_40_DIGITS = {(-6.0, 3, -1.0): -0.76529588757049711,
                    (-6.0, 2, 0.5): 0.073631765574437217,
                    (-20.0, 2, -1.9): 659.14685047230873,
-                   (-3.0, 3, -1.0): 3.7404550513077773}
+                   (-3.0, 3, -1.0): 3.7404550513077773,
+                   (-20.0, 0, 5.0): 0.99996176197101294,
+                   (-3.0, 3, 5.0): 0.99331996656584920,
+                   (-3.0, 3, 20.0): 0.99999999652508549,
+                   (-6.0, 3, 20.0): 0.99999999999927208,
+                   (-20.0, 0, 1000.0): 1.0,
+                   (-3.0, 3, 1000.0): 1.0}
 
 
 @pytest.mark.parametrize("key", sorted(_AXIS_40_DIGITS))
